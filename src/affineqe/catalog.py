@@ -4,8 +4,9 @@ Two surface families carry the catalog: constant-symbol charts ("type A") and
 wall charts with symbols C/x1 on x1 > 0 ("type B"), plus two 3-dimensional
 constant-symbol models with worked dimension tables.  ``expected_dimension``
 evaluates the published case analysis literally and therefore applies only to
-parameters already in the stated normal forms; anything else is classified by
-the solver alone (``crosscheck`` / ``sweep``).
+parameters already in the stated normal forms; wall charts outside them get a
+bound from the solutions of x1 alone, and anything else is classified by the
+solver alone (``crosscheck`` / ``sweep``).
 """
 
 from __future__ import annotations
@@ -35,8 +36,8 @@ def q(value) -> Fraction:
 
 
 @dataclass(frozen=True)
-class TypeASurface:
-    """Constant Christoffel symbols on the plane."""
+class SixConstantSurface:
+    """Surface chart whose six independent symbols are set by constants C_ij^k."""
 
     c11_1: Fraction
     c11_2: Fraction
@@ -52,6 +53,11 @@ class TypeASurface:
 
     def constants_dict(self) -> dict:
         return {name: getattr(self, name) for name in _SIX}
+
+
+@dataclass(frozen=True)
+class TypeASurface(SixConstantSurface):
+    """Constant Christoffel symbols on the plane."""
 
     def manifold(self) -> geo.AffineManifold:
         entries = {idx: ex.const(v) for idx, v in self.constants().items() if v}
@@ -59,23 +65,8 @@ class TypeASurface:
 
 
 @dataclass(frozen=True)
-class TypeBSurface:
+class TypeBSurface(SixConstantSurface):
     """Symbols C_ij^k / x1 on the half-plane x1 > 0."""
-
-    c11_1: Fraction
-    c11_2: Fraction
-    c12_1: Fraction
-    c12_2: Fraction
-    c22_1: Fraction
-    c22_2: Fraction
-
-    def constants(self) -> dict:
-        return {(0, 0, 0): self.c11_1, (0, 0, 1): self.c11_2,
-                (0, 1, 0): self.c12_1, (0, 1, 1): self.c12_2,
-                (1, 1, 0): self.c22_1, (1, 1, 1): self.c22_2}
-
-    def constants_dict(self) -> dict:
-        return {name: getattr(self, name) for name in _SIX}
 
     def manifold(self) -> geo.AffineManifold:
         x1 = ex.coord(0)
@@ -384,6 +375,26 @@ def _expected_yamabe_wall(s: TypeBSurface) -> Prediction:
     return Prediction.exact(1)
 
 
+def _x1_only_bound(s: TypeBSurface, sym, mu: Fraction) -> Prediction:
+    """Prediction from the solutions f(x1) alone, where rho_s = sym / x1^2.
+
+    The symmetries x -> t x and x2 -> x2 + s act on the solution space, the
+    translations nilpotently, so a nonzero space holds a nonzero solution of
+    x1 alone.  With x1 f' = p f the equation reads p(p-1) - p C_11^1 = mu sym_11
+    and -p C_ij^1 = mu sym_ij for ij = 12, 22: a nonzero C_12^1 or C_22^1 pins
+    p, and otherwise the first (Euler) equation has two independent solutions.
+    """
+    pinned = [(-mu * sym[0][1], s.c12_1), (-mu * sym[1][1], s.c22_1)]
+    powers = {value / c for value, c in pinned if c}
+    if any(value and not c for value, c in pinned) or len(powers) > 1:
+        return Prediction.exact(0)
+    if not powers:
+        return Prediction.at_least(2)
+    p = powers.pop()
+    euler = p * (p - 1) - p * s.c11_1 == mu * sym[0][0]
+    return Prediction.at_least(1) if euler else Prediction.exact(0)
+
+
 def _expected_type_b(s: TypeBSurface, mu: Fraction) -> Prediction:
     full, sym = _ricci_constants_b(s)
     if exact_rank(full, 2) == 0:  # flat half-plane
@@ -402,7 +413,7 @@ def _expected_type_b(s: TypeBSurface, mu: Fraction) -> Prediction:
             return Prediction.exact(3)
         if any(_matches_wall_projflat(s, eps) for eps in (1, -1)):
             return Prediction.exact(3)
-        return Prediction.exact(0)
+        return _x1_only_bound(s, sym, mu)
     # mu outside {0, -1}
     if s.is_also_constant_type():
         # linearly equivalent to a constant chart with rank-one Ricci
@@ -413,7 +424,7 @@ def _expected_type_b(s: TypeBSurface, mu: Fraction) -> Prediction:
         return Prediction.exact(2)
     if any(_matches_wall_eigen(s, eps, mu) for eps in (1, -1)):
         return Prediction.at_least(1)
-    return Prediction.exact(0)
+    return _x1_only_bound(s, sym, mu)
 
 
 def _expected_exp3d(mu: Fraction) -> Prediction:

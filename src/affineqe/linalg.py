@@ -77,13 +77,6 @@ def exact_rank(rows: Sequence[Sequence[Fraction]], ncols: int) -> int:
     return reducer.rank
 
 
-def exact_kernel(rows: Sequence[Sequence[Fraction]], ncols: int):
-    reducer = RowReducer(ncols)
-    for row in rows:
-        reducer.add_row(row)
-    return reducer.rank, reducer.kernel_basis()
-
-
 def float_rank_kernel(rows: Sequence[Sequence[float]], ncols: int,
                       rtol: float = SVD_RTOL):
     """Numeric rank and near-kernel basis via SVD with a relative threshold."""

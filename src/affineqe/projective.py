@@ -216,11 +216,18 @@ class FlatChart:
         return len(self.base_z)
 
 
-def _chart_data_from_jets(jets, dim):
-    """z^i = phi_i/phi_0 and its x-Jacobian from the m+1 transported jets."""
+def _chart_at(manifold: geo.AffineManifold, rho_sym: geo.TensorField, jet_basis,
+              path, steps_per_segment: int) -> tuple:
+    """z^i = phi_i/phi_0 and its x-Jacobian at the end of ``path``, from the
+    m+1 basis jets transported along it."""
+    mu_m = qs.distinguished_eigenvalue(manifold.dim)
+    jets = [qs.transport_jet(manifold, mu_m, path, [float(c) for c in jet],
+                             steps_per_segment, ricci_sym=rho_sym)
+            for jet in jet_basis]
     phi0 = jets[0]
     if abs(phi0[0]) < 1e-12:
         raise FlatnessError("phi_0 vanishes on the grid; shrink the chart region")
+    dim = manifold.dim
     z = [jets[i][0] / phi0[0] for i in range(1, dim + 1)]
     jac = [[(jets[i][1 + j] * phi0[0] - jets[i][0] * phi0[1 + j]) / phi0[0] ** 2
             for j in range(dim)] for i in range(1, dim + 1)]
@@ -245,24 +252,18 @@ def flat_chart(manifold: geo.AffineManifold, basepoint, grid,
     jet_basis = tuple(tuple(Fraction(1) if a == i else Fraction(0)
                             for a in range(m + 1)) for i in range(m + 1))
     rho_sym = geo.ricci(manifold).sym
-
-    def transported(path):
-        return [qs.transport_jet(manifold, mu_m, path, [float(c) for c in jet],
-                                 steps_per_segment, ricci_sym=rho_sym)
-                for jet in jet_basis]
-
     z_values = []
     z_jacobians = []
     base = tuple(float(c) for c in basepoint)
     for point in grid:
-        jets = transported([base, tuple(float(c) for c in point)])
-        z, jac = _chart_data_from_jets(jets, m)
+        z, jac = _chart_at(manifold, rho_sym, jet_basis,
+                           [base, tuple(float(c) for c in point)], steps_per_segment)
         z_values.append(z)
         z_jacobians.append(jac)
     # out-and-back: a nondegenerate closed path measuring base-invariant error
     probe = tuple(c + (0.1 if i == 0 else 0.0) for i, c in enumerate(base))
-    jets = transported([base, probe, base])
-    base_z, base_jac = _chart_data_from_jets(jets, m)
+    base_z, base_jac = _chart_at(manifold, rho_sym, jet_basis, [base, probe, base],
+                                 steps_per_segment)
     return FlatChart(base, jet_basis, tuple(tuple(p) for p in grid),
                      tuple(z_values), tuple(z_jacobians), base_z, base_jac)
 
@@ -306,24 +307,6 @@ def box_grid(basepoint, radius: float, per_axis: int = 3) -> list:
 # geodesics
 
 
-def _geodesic_rhs(manifold: geo.AffineManifold):
-    compiled = {}
-    for i in range(manifold.dim):
-        for j in range(manifold.dim):
-            for k in range(manifold.dim):
-                g = manifold.gamma[i][j][k]
-                if g != ex.ZERO:
-                    compiled[(i, j, k)] = ex.compile_float(g)
-
-    def rhs(x, v):
-        acc = [0.0] * len(v)
-        for (i, j, k), fn in compiled.items():
-            acc[k] -= fn(x) * v[i] * v[j]
-        return acc
-
-    return rhs
-
-
 def integrate_geodesic(manifold: geo.AffineManifold, start, velocity,
                        horizon: float, samples: int = 10,
                        steps: int = 400,
@@ -334,29 +317,23 @@ def integrate_geodesic(manifold: geo.AffineManifold, start, velocity,
     ``max_distance`` is given, integration stops once the trajectory leaves
     that ball around the start.
     """
-    rhs = _geodesic_rhs(manifold)
-    x = [float(c) for c in start]
-    origin = list(x)
-    v = [float(c) * horizon for c in velocity]  # reparametrize to unit time
-    h = 1.0 / steps
-    trail = [tuple(x)]
-    for _step in range(steps):
-        def deriv(state):
-            return state[1], rhs(state[0], state[1])
+    m = manifold.dim
+    symbols = qs.compile_symbols(manifold.gamma)
 
-        k1x, k1v = deriv((x, v))
-        k2x, k2v = deriv(([x[i] + h / 2 * k1x[i] for i in range(len(x))],
-                          [v[i] + h / 2 * k1v[i] for i in range(len(x))]))
-        k3x, k3v = deriv(([x[i] + h / 2 * k2x[i] for i in range(len(x))],
-                          [v[i] + h / 2 * k2v[i] for i in range(len(x))]))
-        k4x, k4v = deriv(([x[i] + h * k3x[i] for i in range(len(x))],
-                          [v[i] + h * k3v[i] for i in range(len(x))]))
-        x = [x[i] + h / 6 * (k1x[i] + 2 * k2x[i] + 2 * k3x[i] + k4x[i])
-             for i in range(len(x))]
-        v = [v[i] + h / 6 * (k1v[i] + 2 * k2v[i] + 2 * k3v[i] + k4v[i])
-             for i in range(len(x))]
-        if not all(math.isfinite(c) for c in x):
-            raise DomainError("geodesic integration diverged")
+    def derivative(_t, state):
+        x = state[:m]
+        v = state[m:]
+        acc = [0.0] * m
+        for (i, j, k), fn in symbols:
+            acc[k] -= fn(x) * v[i] * v[j]
+        return v + acc
+
+    origin = [float(c) for c in start]
+    # the state is (x, v), reparametrized to unit time
+    state = origin + [float(c) * horizon for c in velocity]
+    trail = [tuple(origin)]
+    for state in qs.runge_kutta(derivative, state, steps):
+        x = state[:m]
         trail.append(tuple(x))
         if max_distance is not None and math.sqrt(
                 sum((a - b) ** 2 for a, b in zip(x, origin))) > max_distance:
@@ -394,7 +371,6 @@ def geodesic_straightness(manifold: geo.AffineManifold, chart: FlatChart,
     region (phi_0 near zero or the excluded locus); persistent failure raises.
     """
     m = manifold.dim
-    mu_m = qs.distinguished_eigenvalue(m)
     rho_sym = geo.ricci(manifold).sym
     base = chart.basepoint
     span = horizon if horizon is not None else max(
@@ -409,14 +385,9 @@ def geodesic_straightness(manifold: geo.AffineManifold, chart: FlatChart,
             try:
                 samples = integrate_geodesic(manifold, base, direction, radius,
                                              max_distance=radius)
-                images = []
-                for point in samples:
-                    jets = [qs.transport_jet(manifold, mu_m, [base, point],
-                                             [float(c) for c in jet],
-                                             steps_per_segment, ricci_sym=rho_sym)
-                            for jet in chart.jet_basis]
-                    z, _ = _chart_data_from_jets(jets, m)
-                    images.append(z)
+                images = [_chart_at(manifold, rho_sym, chart.jet_basis, [base, point],
+                                    steps_per_segment)[0]
+                          for point in samples]
                 worst = max(worst, _deviation_from_chord(images))
                 break
             except (DomainError, geo.ExcludedLocusError):
@@ -474,10 +445,8 @@ def ricci_flat_residual_numeric(manifold: geo.AffineManifold,
         raise DomainError("no solution with nonzero value at the basepoint")
     base = [float(c) for c in space.basepoint]
     rho_parts = geo.ricci(manifold)
-    rho_fns = [[ex.compile_float(rho_parts.sym.comp(i, j)) for j in range(m)]
-               for i in range(m)]
-    gamma_fns = [[[ex.compile_float(manifold.gamma[i][j][k]) for k in range(m)]
-                  for j in range(m)] for i in range(m)]
+    rho_symbols = qs.compile_symbols(rho_parts.sym.components)
+    gamma_symbols = qs.compile_symbols(manifold.gamma)
 
     def jet_at(x):
         return qs.transport_jet(manifold, mu_m, [tuple(base), tuple(x)],
@@ -503,10 +472,15 @@ def ricci_flat_residual_numeric(manifold: geo.AffineManifold,
             for j in range(m):
                 d2 = (jet_up[1 + j] - jet_dn[1 + j]) / (2 * fd_step)
                 hess[i][j] += d2
+        rho = [[0.0] * m for _ in range(m)]
+        for (i, j), fn in rho_symbols:
+            rho[i][j] = fn(x)
+        gamma_grad = [[0.0] * m for _ in range(m)]
+        for (i, j, k), fn in gamma_symbols:
+            gamma_grad[i][j] += fn(x) * grad[k]
         for i in range(m):
             for j in range(m):
-                covariant = hess[i][j] - sum(
-                    gamma_fns[i][j][k](x) * grad[k] for k in range(m))
-                value = rho_fns[i][j](x) + (m - 1) * covariant / f_val
+                covariant = hess[i][j] - gamma_grad[i][j]
+                value = rho[i][j] + (m - 1) * covariant / f_val
                 worst = max(worst, abs(value))
     return worst

@@ -5,7 +5,8 @@ system ``d_i u = A_i u`` on the jet vector ``u = (f, d_1 f, ..., d_m f)``.
 Frobenius integrability produces linear constraints on admissible jets; the
 constraints are prolonged until their rank at the basepoint stabilizes, and the
 kernel of the evaluated stack is the space of admissible initial jets.  Jets
-are evaluated along paths by fixed-step classical Runge-Kutta transport.
+are evaluated along paths by fixed-step classical Runge-Kutta transport; the
+same integrator and compiled symbol table serve the geodesics of `projective`.
 """
 
 from __future__ import annotations
@@ -297,46 +298,43 @@ def solution_report(space: SolutionSpace) -> dict:
 
 
 # --------------------------------------------------------------------------
-# transport
+# float engine and transport
 
 
-class _CompiledSystem:
-    """Float-compiled sparse A_i matrices plus excluded-locus guards."""
+def compile_symbols(grid, index: tuple = ()) -> list:
+    """(index, float callable) for each nonzero expression of a nested grid, in index order."""
+    if isinstance(grid, ex.ScalarExpr):
+        return [] if grid == ex.ZERO else [(index, ex.compile_float(grid))]
+    return [pair for position, entry in enumerate(grid)
+            for pair in compile_symbols(entry, index + (position,))]
 
-    def __init__(self, system: JetSystem):
-        self.dim = system.dim
-        self.jet_size = system.jet_size
-        self.entries = []  # per direction: list of (a, b, fn)
-        for i in range(system.dim):
-            sparse = []
-            for a in range(system.jet_size):
-                for b in range(system.jet_size):
-                    e = system.matrices[i][a][b]
-                    if e != ex.ZERO:
-                        sparse.append((a, b, ex.compile_float(e)))
-            self.entries.append(sparse)
-        self.guards = [ex.compile_float(g) for g in system.manifold.excluded]
 
-    def check_guards(self, x, previous=None):
-        signs = []
-        for fn in self.guards:
-            value = fn(x)
-            if value == 0.0:
-                raise geo.ExcludedLocusError(f"path touched the excluded locus at {tuple(x)}")
-            signs.append(value > 0.0)
-        if previous is not None and signs != previous:
-            raise geo.ExcludedLocusError(f"path crossed the excluded locus near {tuple(x)}")
-        return signs
+def runge_kutta(derivative, state: list, steps: int, before_step=None):
+    """Classical Runge-Kutta for d_t y = derivative(t, y) over t in [0, 1].
 
-    def derivative(self, x, velocity, u):
-        du = [0.0] * self.jet_size
-        for i in range(self.dim):
-            v = velocity[i]
-            if v == 0.0:
-                continue
-            for a, b, fn in self.entries[i]:
-                du[a] += v * fn(x) * u[b]
-        return du
+    Yields the state after each of ``steps`` equal steps.  ``before_step(t)``
+    runs with each step's end time before the step evaluates anything.  Float
+    faults of the compiled symbols and non-finite states raise DomainError.
+    """
+    h = 1.0 / steps
+    half = h / 2
+    sixth = h / 6
+    try:
+        for step in range(steps):
+            t0 = step * h
+            if before_step is not None:
+                before_step(t0 + h)
+            k1 = derivative(t0, state)
+            k2 = derivative(t0 + half, [y + half * k for y, k in zip(state, k1)])
+            k3 = derivative(t0 + half, [y + half * k for y, k in zip(state, k2)])
+            k4 = derivative(t0 + h, [y + h * k for y, k in zip(state, k3)])
+            state = [y + sixth * (a + 2 * b + 2 * c + d)
+                     for y, a, b, c, d in zip(state, k1, k2, k3, k4)]
+            if not all(map(math.isfinite, state)):
+                raise ex.DomainError("integration produced non-finite values")
+            yield state
+    except (OverflowError, ZeroDivisionError) as err:
+        raise ex.DomainError(f"integration hit an overflow or a pole: {err}") from None
 
 
 def transport_jet(manifold: geo.AffineManifold, mu, path, u0,
@@ -346,29 +344,40 @@ def transport_jet(manifold: geo.AffineManifold, mu, path, u0,
     if len(path) < 2:
         return [float(c) for c in u0]
     system = build_jet_system(manifold, mu, ricci_sym)
-    compiled = _CompiledSystem(system)
-    if len(u0) != system.jet_size:
-        raise ValueError(f"jet must have {system.jet_size} components")
+    symbols = compile_symbols(system.matrices)
+    guards = [ex.compile_float(g) for g in manifold.excluded]
+    n = system.jet_size
+    if len(u0) != n:
+        raise ValueError(f"jet must have {n} components")
+
+    def sides(x):
+        values = [fn(x) for fn in guards]
+        if 0.0 in values:
+            raise geo.ExcludedLocusError(f"path touched the excluded locus at {tuple(x)}")
+        return [value > 0.0 for value in values]
+
     u = [float(c) for c in u0]
-    signs = compiled.check_guards([float(c) for c in path[0]])
+    signs = sides([float(c) for c in path[0]])
     for start, stop in zip(path, path[1:]):
-        p = [float(c) for c in start]
         velocity = [float(b) - float(a) for a, b in zip(start, stop)]
-        h = 1.0 / steps_per_segment
-        for step in range(steps_per_segment):
-            t0 = step * h
-            x0 = [p[i] + t0 * velocity[i] for i in range(len(p))]
-            xm = [p[i] + (t0 + h / 2) * velocity[i] for i in range(len(p))]
-            x1 = [p[i] + (t0 + h) * velocity[i] for i in range(len(p))]
-            signs = compiled.check_guards(x1, signs)
-            k1 = compiled.derivative(x0, velocity, u)
-            k2 = compiled.derivative(xm, velocity, [u[a] + h / 2 * k1[a] for a in range(len(u))])
-            k3 = compiled.derivative(xm, velocity, [u[a] + h / 2 * k2[a] for a in range(len(u))])
-            k4 = compiled.derivative(x1, velocity, [u[a] + h * k3[a] for a in range(len(u))])
-            u = [u[a] + h / 6 * (k1[a] + 2 * k2[a] + 2 * k3[a] + k4[a])
-                 for a in range(len(u))]
-            if not all(math.isfinite(v) for v in u):
-                raise ex.DomainError("transport produced non-finite jet values")
+        line = [(float(c), v) for c, v in zip(start, velocity)]
+        active = [(a, b, velocity[i], fn) for (i, a, b), fn in symbols
+                  if velocity[i] != 0.0]
+
+        def derivative(t, jet):
+            x = [c + t * v for c, v in line]
+            du = [0.0] * n
+            for a, b, v, fn in active:
+                du[a] += v * fn(x) * jet[b]
+            return du
+
+        def check_guards(t):
+            x = [c + t * v for c, v in line]
+            if sides(x) != signs:
+                raise geo.ExcludedLocusError(f"path crossed the excluded locus near {tuple(x)}")
+
+        for u in runge_kutta(derivative, u, steps_per_segment, check_guards if guards else None):
+            pass
     return u
 
 

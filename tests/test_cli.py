@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -56,6 +57,16 @@ def test_curvature_command(exp3d_path, capsys):
     out = capsys.readouterr().out
     assert "rho_12 = 5" in out
     assert "rho_33 = 10" in out
+
+
+def test_classify_wall_chart_outside_the_normal_forms(capsys):
+    # f = x1^(1/2) solves at mu = -1 although no normal form of the case
+    # analysis matches these constants
+    params = ('{"c11_1":"-1","c11_2":"1","c12_1":"-2","c12_2":"3/2",'
+              '"c22_1":"-1","c22_2":"0"}')
+    code = main(["classify", "--kind", "typeB", "--params", params, "--mu", "-1"])
+    assert code == 0
+    assert "predicted >=1, computed 1, agree" in capsys.readouterr().out
 
 
 def test_classify_agreement(capsys):
@@ -119,6 +130,26 @@ def test_flatten_wall_chart(wall_path, tmp_path, capsys):
     report = json.loads(out.read_text())
     assert report["flat"] is True
     assert report["chart"]["geodesic_deviation"] < 1e-6
+
+
+def test_flatten_report_is_pinned(wall_path, tmp_path):
+    # A fixed seed gives a byte-identical report.  The floats in the fixture
+    # are pinned on CPython with glibc's libm; another libm may move low digits.
+    out = tmp_path / "flat.json"
+    code = main(["flatten", wall_path, "--seed", "0", "--geodesics", "2",
+                 "--json", str(out)])
+    assert code == 0
+    fixture = Path(__file__).parent / "data" / "flatten_wall_seed0.json"
+    assert out.read_bytes() == fixture.read_bytes()
+
+
+def test_flatten_overflow_is_input_error(tmp_path, capsys):
+    path = tmp_path / "cubic.json"
+    path.write_text(json.dumps(
+        {"dim": 2, "christoffel": {"1,1^1": "x1^3", "1,2^2": "x1^3/2"}}))
+    code = main(["flatten", str(path), "--basepoint", "1" + "0" * 120 + ",0"])
+    assert code == 2
+    assert "error:" in capsys.readouterr().err
 
 
 def test_extend_with_metric_check(exp3d_path, capsys):

@@ -195,6 +195,14 @@ class TestGeodesics:
         deviation = pj.geodesic_straightness(m, chart, 5, random.Random(2))
         assert deviation < 1e-6
 
+    def test_overflow_in_symbols_is_domain_error(self):
+        # the geodesic of the plane deformed by -x1^3 blows up before t = 50;
+        # x1^2 then overflows inside the compiled symbols
+        change = pj.ProjectiveChange.from_potential(ex.neg(ex.coord(0) ** 3), 2)
+        deformed = pj.deform(FLAT, change)
+        with pytest.raises(ex.DomainError):
+            pj.integrate_geodesic(deformed, (0, 0), (1, 0), 50)
+
 
 class TestRicciFlatGauge:
     def test_already_flat_with_trivial_potential(self):
