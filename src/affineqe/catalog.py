@@ -291,19 +291,19 @@ class Prediction:
 NOT_COVERED = Prediction("not-covered")
 
 
+def _surface_constants(tensor: geo.TensorField, point) -> list:
+    return [[ex.evaluate(tensor.comp(i, j), point) for j in range(2)] for i in range(2)]
+
+
 def _ricci_constants_a(s: TypeASurface):
-    rho = geo.ricci(s.manifold()).full
-    point = (q(0), q(0))
-    return [[ex.evaluate(rho.comp(i, j), point) for j in range(2)] for i in range(2)]
+    return _surface_constants(geo.ricci(s.manifold()).full, (q(0), q(0)))
 
 
 def _ricci_constants_b(s: TypeBSurface):
     # every component is const / x1^2; evaluate at x1 = 1 to read the constants
     rho = geo.ricci(s.manifold())
     point = (q(1), q(0))
-    full = [[ex.evaluate(rho.full.comp(i, j), point) for j in range(2)] for i in range(2)]
-    sym = [[ex.evaluate(rho.sym.comp(i, j), point) for j in range(2)] for i in range(2)]
-    return full, sym
+    return _surface_constants(rho.full, point), _surface_constants(rho.sym, point)
 
 
 def _expected_type_a(s: TypeASurface, mu: Fraction) -> Prediction:
@@ -321,44 +321,16 @@ def _expected_type_a(s: TypeASurface, mu: Fraction) -> Prediction:
     return Prediction.exact(2 if rank == 1 else 0)
 
 
-def _matches_wall_dim1_mixed(s: TypeBSurface, eps: int) -> bool:
-    return (s.c22_1 == eps and s.c12_1 == 0
-            and s.c22_2 == 2 * eps * s.c11_2 and s.c22_2 != 0
-            and s.c11_1 == 1 + 2 * s.c12_2 + eps * s.c11_2 ** 2)
+def _is_normal_form(s: TypeBSurface, builder, *args, mu=None, value=None) -> bool:
+    """Is s the surface builder(*args), and mu the eigenvalue value(s) it pins?
 
-
-def _matches_wall_projflat(s: TypeBSurface, eps: int) -> bool:
-    return (s.c11_1 == 1 + 2 * s.c12_2 and s.c11_2 == 0 and s.c12_1 == 0
-            and s.c12_2 != 0 and s.c22_1 == eps and s.c22_2 == 0)
-
-
-def _matches_wall_eigen(s: TypeBSurface, eps: int, mu: Fraction) -> bool:
-    if not (s.c22_1 == eps and s.c12_1 == 0 and s.c22_2 == 2 * eps * s.c11_2):
+    A RegimeError from either means no match.  A wall normal form's sign eps
+    is its C_22^1, so callers pass s.c22_1 for it.
+    """
+    try:
+        return s == builder(*args) and (value is None or mu == value(s))
+    except RegimeError:
         return False
-    delta = 1 - s.c11_1 + s.c12_2
-    if delta == 0:
-        return False
-    pinned = (1 + 2 * s.c12_2 + eps * 2 * s.c11_2 ** 2
-              - (s.c11_1 - s.c12_2) ** 2) / delta ** 2
-    return mu == pinned
-
-
-def _matches_wall_eigen_pair(s: TypeBSurface, eps: int, mu: Fraction) -> bool:
-    return (s.c11_1 == -1 + s.c12_2 and s.c11_2 == 0 and s.c12_1 == 0
-            and s.c22_1 == eps and s.c22_2 == 0
-            and s.c12_2 != 0 and mu == Fraction(s.c12_2, 2))
-
-
-def _matches_wall_eigen_pair_mixed(s: TypeBSurface, eps: int, mu: Fraction) -> bool:
-    c = s.c11_2
-    if c == 0:
-        return False
-    if not (s.c11_1 == -Fraction(1, 2) * (5 + eps * 16 * c ** 2)
-            and s.c12_1 == 0
-            and s.c12_2 == -Fraction(1, 2) * (3 + eps * 8 * c ** 2)
-            and s.c22_1 == eps and s.c22_2 == 2 * eps * c):
-        return False
-    return mu == -(3 + eps * 8 * c ** 2) / (4 + eps * 8 * c ** 2)
 
 
 def _expected_yamabe_wall(s: TypeBSurface) -> Prediction:
@@ -405,24 +377,24 @@ def _expected_type_b(s: TypeBSurface, mu: Fraction) -> Prediction:
         # symmetric Ricci part vanishes: the equation is mu-independent
         return _expected_yamabe_wall(s)
     if mu == -1:
-        if s.c22_1 == 0 and s.c22_2 == s.c12_1 != 0:
+        if (_is_normal_form(s, wall_dim1_surface, s.c12_1, s.c11_1, s.c11_2, s.c12_2)
+                or _is_normal_form(s, wall_dim1_mixed_surface, s.c22_1, s.c11_2, s.c12_2)):
             return Prediction.exact(1)
-        if any(_matches_wall_dim1_mixed(s, eps) for eps in (1, -1)):
-            return Prediction.exact(1)
-        if s.is_also_constant_type():
-            return Prediction.exact(3)
-        if any(_matches_wall_projflat(s, eps) for eps in (1, -1)):
+        if (s.is_also_constant_type()
+                or _is_normal_form(s, wall_projflat_surface, s.c22_1, s.c12_2)):
             return Prediction.exact(3)
         return _x1_only_bound(s, sym, mu)
     # mu outside {0, -1}
     if s.is_also_constant_type():
         # linearly equivalent to a constant chart with rank-one Ricci
         return Prediction.exact(2)
-    if any(_matches_wall_eigen_pair(s, eps, mu) for eps in (1, -1)):
+    if (_is_normal_form(s, wall_eigen_pair_surface, s.c22_1, s.c12_2,
+                        mu=mu, value=lambda t: t.c12_2 / 2)
+            or _is_normal_form(s, wall_eigen_pair_mixed_surface, s.c22_1, s.c11_2,
+                               mu=mu, value=wall_eigen_pair_mixed_value)):
         return Prediction.exact(2)
-    if any(_matches_wall_eigen_pair_mixed(s, eps, mu) for eps in (1, -1)):
-        return Prediction.exact(2)
-    if any(_matches_wall_eigen(s, eps, mu) for eps in (1, -1)):
+    if _is_normal_form(s, wall_eigen_surface, s.c22_1, s.c11_1, s.c11_2, s.c12_2,
+                       mu=mu, value=wall_eigen_value):
         return Prediction.at_least(1)
     return _x1_only_bound(s, sym, mu)
 
@@ -527,7 +499,7 @@ def sweep(kind: str, param_grid: Sequence[dict], mu_list: Sequence,
             ricci_parts = geo.ricci(manifold)
             rho_rank = None
             if isinstance(obj, TypeASurface):
-                rho_rank = exact_rank(_ricci_constants_a(obj), 2)
+                rho_rank = exact_rank(_surface_constants(ricci_parts.full, (q(0), q(0))), 2)
             for mu in mu_list:
                 mu = q(mu)
                 space = qs.solution_dimension(manifold, mu, point,

@@ -64,6 +64,14 @@ class ScalarExpr:
     def rational_only(self) -> bool:
         return _rational_only(self)
 
+    @property
+    def is_zero(self) -> bool:
+        """Structurally zero; `is_identically_zero` decides the value."""
+        return self == ZERO
+
+    def diff(self, index: int) -> "ScalarExpr":
+        return differentiate(self, index)
+
     def __add__(self, other):
         return add(self, as_expr(other))
 
@@ -542,7 +550,10 @@ def differentiate(e: ScalarExpr, index: int) -> ScalarExpr:
 
 
 def evaluate(e: ScalarExpr, point: EvalPoint, mode: str = "exact"):
-    """Evaluate at a point; 'exact' keeps Fractions, 'float' uses doubles."""
+    """Evaluate at a point; 'exact' keeps Fractions, 'float' uses doubles.
+
+    Poles, logs of non-positive values and float overflow raise DomainError.
+    """
     if mode not in ("exact", "float"):
         raise ValueError("mode must be 'exact' or 'float'")
     exact = mode == "exact"
@@ -583,11 +594,7 @@ def evaluate(e: ScalarExpr, point: EvalPoint, mode: str = "exact"):
         elif isinstance(node, Exp):
             if exact:
                 raise ExactModeError("exp is not available in exact mode")
-            arg = walk(node.arg)
-            try:
-                result = _math.exp(arg)
-            except OverflowError as err:
-                raise DomainError(f"exp overflow: {err}") from None
+            result = _math.exp(walk(node.arg))
         elif isinstance(node, Log):
             if exact:
                 raise ExactModeError("log is not available in exact mode")
@@ -600,7 +607,10 @@ def evaluate(e: ScalarExpr, point: EvalPoint, mode: str = "exact"):
         memo[id(node)] = result
         return result
 
-    return walk(e)
+    try:
+        return walk(e)
+    except OverflowError as err:
+        raise DomainError(f"float overflow: {err}") from None
 
 
 def to_ratfunc(e: ScalarExpr) -> RationalFunc:

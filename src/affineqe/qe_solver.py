@@ -4,21 +4,27 @@ The second-order equation ``H f = mu f rho_s`` is rewritten as the first-order
 system ``d_i u = A_i u`` on the jet vector ``u = (f, d_1 f, ..., d_m f)``.
 Frobenius integrability produces linear constraints on admissible jets; the
 constraints are prolonged until their rank at the basepoint stabilizes, and the
-kernel of the evaluated stack is the space of admissible initial jets.  Jets
-are evaluated along paths by fixed-step classical Runge-Kutta transport; the
-same integrator and compiled symbol table serve the geodesics of `projective`.
+kernel of the evaluated stack is the space of admissible initial jets.  When
+the system is rational, constraint rows are `poly.RationalFunc` tuples built
+from the matrices converted once; exp/log systems keep expression-tree rows,
+simplified after each step.  Jets are evaluated along paths by fixed-step
+classical Runge-Kutta transport from the tree matrices; the same integrator
+and compiled symbol table serve the geodesics of `projective`.
 """
 
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Sequence
 
 from . import expr as ex
 from . import geometry as geo
 from .linalg import RowReducer, float_rank_kernel
+from .poly import RationalFunc
 
 
 def distinguished_eigenvalue(dim: int) -> Fraction:
@@ -55,6 +61,14 @@ class JetSystem:
         return all(entry.rational_only
                    for grid in self.matrices for row in grid for entry in row)
 
+    @cached_property
+    def row_matrices(self) -> tuple:
+        """The matrices in the type of the constraint rows: RationalFunc if rational."""
+        if not self.rational_only:
+            return self.matrices
+        return tuple(tuple(tuple(ex.to_ratfunc(entry) for entry in row) for row in grid)
+                     for grid in self.matrices)
+
 
 def build_jet_system(manifold: geo.AffineManifold, mu,
                      ricci_sym: geo.TensorField | None = None) -> JetSystem:
@@ -83,12 +97,24 @@ def build_jet_system(manifold: geo.AffineManifold, mu,
 
 @dataclass(frozen=True)
 class ConstraintRow:
-    entries: tuple  # jet_size ScalarExpr; the constraint is entries . u = 0
+    entries: tuple  # jet_size RationalFunc or ScalarExpr; the constraint is entries . u = 0
     generation: int
 
     @property
     def is_structurally_zero(self) -> bool:
-        return all(e is ex.ZERO or e == ex.ZERO for e in self.entries)
+        return all(e.is_zero for e in self.entries)
+
+    def values(self, point) -> list:
+        """The entries at a point: Fractions at an exact point, else floats."""
+        exact = _is_exact_point(point)
+        if not isinstance(self.entries[0], RationalFunc):
+            return [ex.evaluate(e, point, "exact" if exact else "float") for e in self.entries]
+        try:
+            return [e.eval(point) if exact else float(e.eval(point)) for e in self.entries]
+        except ZeroDivisionError:
+            raise ex.DomainError("division by zero at evaluation point") from None
+        except OverflowError as err:
+            raise ex.DomainError(f"float overflow: {err}") from None
 
 
 @dataclass
@@ -103,18 +129,23 @@ class ConstraintStack:
         return max((r.generation for r in self.rows), default=0)
 
 
+def _tidy(entry):
+    """Tree entries are simplified after each row operation; RationalFunc needs nothing."""
+    return entry if isinstance(entry, RationalFunc) else ex.simplify_rational(entry)
+
+
 def _commutator_rows(system: JetSystem, i: int, j: int):
     """Rows of d_i A_j - d_j A_i + A_j A_i - A_i A_j."""
-    a_i = system.matrices[i]
-    a_j = system.matrices[j]
+    a_i = system.row_matrices[i]
+    a_j = system.row_matrices[j]
     n = system.jet_size
     for a in range(n):
         entries = []
         for b in range(n):
-            total = ex.differentiate(a_j[a][b], i) - ex.differentiate(a_i[a][b], j)
+            total = a_j[a][b].diff(i) - a_i[a][b].diff(j)
             for s in range(n):
                 total = total + a_j[a][s] * a_i[s][b] - a_i[a][s] * a_j[s][b]
-            entries.append(ex.simplify_rational(total))
+            entries.append(_tidy(total))
         yield tuple(entries)
 
 
@@ -130,16 +161,16 @@ def integrability_constraints(system: JetSystem) -> ConstraintStack:
 
 def _prolong_row(system: JetSystem, entries: tuple, direction: int) -> tuple:
     """d_i c + c . A_i, valid on solution jets whenever c . u = 0 is."""
-    a = system.matrices[direction]
+    a = system.row_matrices[direction]
     n = system.jet_size
     new = []
     for b in range(n):
-        total = ex.differentiate(entries[b], direction)
+        total = entries[b].diff(direction)
         for s in range(n):
-            if entries[s] == ex.ZERO or a[s][b] == ex.ZERO:
+            if entries[s].is_zero or a[s][b].is_zero:
                 continue
             total = total + entries[s] * a[s][b]
-        new.append(ex.simplify_rational(total))
+        new.append(_tidy(total))
     return tuple(new)
 
 
@@ -153,7 +184,7 @@ def prolong(system: JetSystem, stack: ConstraintStack,
     for row in source:
         for i in range(system.dim):
             entries = _prolong_row(system, row.entries, i)
-            if all(e == ex.ZERO for e in entries) or entries in seen:
+            if all(e.is_zero for e in entries) or entries in seen:
                 continue
             seen.add(entries)
             new_rows.append(ConstraintRow(entries, generation))
@@ -198,54 +229,25 @@ def solution_dimension(manifold: geo.AffineManifold, mu, basepoint,
     point = tuple(Fraction(c) for c in basepoint) if exact \
         else tuple(float(c) for c in basepoint)
 
-    def eval_row(row: ConstraintRow):
-        mode = "exact" if exact else "float"
-        return [ex.evaluate(e, point, mode) for e in row.entries]
-
     stack = integrability_constraints(system)
     latest = stack.effective_rows()
     reducer = RowReducer(n) if exact else None
     float_rows: list = []
-
-    def current_rank() -> int:
-        if exact:
-            return reducer.rank
-        rank, _ = float_rank_kernel(float_rows, n)
-        return rank
-
-    for row in latest:
-        values = eval_row(row)
-        if exact:
-            reducer.add_row(values)
-        else:
-            float_rows.append(values)
-    history = [current_rank()]
-    stabilized = False
-
-    generation = 0
+    history: list = []
     while True:
-        if history[-1] == n:
-            stabilized = True
+        for row in latest:
+            if exact:
+                reducer.add_row(row.values(point))
+            else:
+                float_rows.append(row.values(point))
+        history.append(reducer.rank if exact else float_rank_kernel(float_rows, n)[0])
+        stabilized = (history[-1] == n or not latest
+                      or len(history) >= 3 and history[-1] == history[-2] == history[-3])
+        if stabilized or len(history) > cap:
             break
-        if not latest:
-            stabilized = True
-            break
-        if len(history) >= 3 and history[-1] == history[-2] == history[-3]:
-            stabilized = True
-            break
-        if generation >= cap:
-            break
-        generation += 1
         before = len(stack.rows)
         stack = prolong(system, stack, rows=latest)
-        latest = [r for r in stack.rows[before:]]
-        for row in latest:
-            values = eval_row(row)
-            if exact:
-                reducer.add_row(values)
-            else:
-                float_rows.append(values)
-        history.append(current_rank())
+        latest = stack.rows[before:]
 
     if exact:
         basis = tuple(reducer.kernel_basis())
@@ -309,6 +311,15 @@ def compile_symbols(grid, index: tuple = ()) -> list:
             for pair in compile_symbols(entry, index + (position,))]
 
 
+@contextmanager
+def _float_faults():
+    """Float overflow and division by zero in the block raise DomainError."""
+    try:
+        yield
+    except (OverflowError, ZeroDivisionError) as err:
+        raise ex.DomainError(f"integration hit an overflow or a pole: {err}") from None
+
+
 def runge_kutta(derivative, state: list, steps: int, before_step=None):
     """Classical Runge-Kutta for d_t y = derivative(t, y) over t in [0, 1].
 
@@ -319,7 +330,7 @@ def runge_kutta(derivative, state: list, steps: int, before_step=None):
     h = 1.0 / steps
     half = h / 2
     sixth = h / 6
-    try:
+    with _float_faults():
         for step in range(steps):
             t0 = step * h
             if before_step is not None:
@@ -333,8 +344,6 @@ def runge_kutta(derivative, state: list, steps: int, before_step=None):
             if not all(map(math.isfinite, state)):
                 raise ex.DomainError("integration produced non-finite values")
             yield state
-    except (OverflowError, ZeroDivisionError) as err:
-        raise ex.DomainError(f"integration hit an overflow or a pole: {err}") from None
 
 
 def transport_jet(manifold: geo.AffineManifold, mu, path, u0,
@@ -357,7 +366,8 @@ def transport_jet(manifold: geo.AffineManifold, mu, path, u0,
         return [value > 0.0 for value in values]
 
     u = [float(c) for c in u0]
-    signs = sides([float(c) for c in path[0]])
+    with _float_faults():
+        signs = sides([float(c) for c in path[0]])
     for start, stop in zip(path, path[1:]):
         velocity = [float(b) - float(a) for a, b in zip(start, stop)]
         line = [(float(c), v) for c, v in zip(start, velocity)]

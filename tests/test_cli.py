@@ -11,6 +11,27 @@ EXP3D_DOC = {
     "christoffel": {"1,2^3": "1", "1,3^1": "3", "2,3^2": "4", "3,3^3": "5"},
 }
 
+# symbols C/x1 with (C11^1, C11^2, C12^1, C12^2, C22^1, C22^2) = (-1, 1, -2, 3/2, -1, 0)
+WALL_X1_DOC = {
+    "dim": 2,
+    "coords": ["x1", "x2"],
+    "christoffel": {"1,1^1": "-1/x1", "1,1^2": "1/x1", "1,2^1": "-2/x1",
+                    "1,2^2": "3/(2*x1)", "2,2^1": "-1/x1"},
+    "excluded": ["x1"],
+}
+
+LINEAR_DOC = {
+    "dim": 2,
+    "coords": ["x1", "x2"],
+    "christoffel": {"1,2^1": "-2*x1", "1,2^2": "-2*x1", "2,2^2": "-2*x1"},
+}
+
+CUBIC_DOC = {
+    "dim": 2,
+    "christoffel": {"1,1^1": "x1^3", "1,2^2": "x1^3/2"},
+    "excluded": ["x1^3+1"],
+}
+
 WALL_DOC = {
     "dim": 2,
     "coords": ["x1", "x2"],
@@ -42,6 +63,29 @@ def test_qe_dim_reports_dimension(exp3d_path, tmp_path, capsys):
     report = json.loads(out.read_text())
     assert report["results"][0]["dim"] == 2
     assert report["results"][0]["mu"] == "-3/5"
+
+
+# qe-dim reports pinned byte for byte, rank histories and basis jets included.
+# The fixtures were computed on expression-tree constraint rows, so they tie
+# the rational-function rows to the tree results.
+QE_DIM_PINNED = {
+    "qe_dim_exp3d.json": (EXP3D_DOC, ["--mu", "-3/5", "--mu", "0", "--mu", "1",
+                                      "--basepoint", "0,0,0"]),
+    "qe_dim_wall.json": (WALL_X1_DOC, ["--mu", "-1", "--mu", "1/3", "--mu", "0"]),
+    "qe_dim_linear.json": (LINEAR_DOC, ["--mu", "2", "--mu", "-1", "--mu", "0",
+                                        "--basepoint", "3/7,-5/11"]),
+}
+
+
+@pytest.mark.parametrize("fixture", sorted(QE_DIM_PINNED))
+def test_qe_dim_report_is_pinned(fixture, tmp_path):
+    document, flags = QE_DIM_PINNED[fixture]
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(document))
+    out = tmp_path / "report.json"
+    assert main(["qe-dim", str(path), *flags, "--json", str(out)]) == 0
+    assert out.read_bytes() == (Path(__file__).parent / "data" / fixture).read_bytes()
+
 
 def test_qe_dim_missing_file_is_input_error(capsys):
     assert main(["qe-dim", "missing.json", "--mu", "0"]) == 2
@@ -150,6 +194,17 @@ def test_flatten_overflow_is_input_error(tmp_path, capsys):
     code = main(["flatten", str(path), "--basepoint", "1" + "0" * 120 + ",0"])
     assert code == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("grid", [[], ["--grid", "0.1"]])
+def test_flatten_overflow_off_the_integrator_is_input_error(grid, tmp_path, capsys):
+    # without --grid the overflow comes from chart_radius, with it from the
+    # guard check at the first point of a transport path
+    path = tmp_path / "cubic.json"
+    path.write_text(json.dumps(CUBIC_DOC))
+    code = main(["flatten", str(path), "--basepoint", "1" + "0" * 120 + ",0", *grid])
+    assert code == 2
+    assert "overflow" in capsys.readouterr().err
 
 
 def test_extend_with_metric_check(exp3d_path, capsys):

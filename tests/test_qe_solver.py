@@ -6,6 +6,7 @@ import pytest
 
 from affineqe import expr as ex
 from affineqe import geometry as geo
+from affineqe import projective as pj
 from affineqe import qe_solver as qs
 from affineqe.expr import Verdict
 from affineqe.linalg import exact_rank
@@ -104,20 +105,17 @@ class TestConstraints:
     def test_sheared_plane_stack(self):
         system = qs.build_jet_system(sheared_flat_plane(), q(-1))
         stack = qs.integrability_constraints(system)
-        rows = [[ex.evaluate(e, (q(1, 3), q(5, 7))) for e in r.entries]
-                for r in stack.effective_rows()]
+        rows = [r.values((q(1, 3), q(5, 7))) for r in stack.effective_rows()]
         # the commutator rows alone leave a line; one prolongation kills it
         assert exact_rank(rows, 3) == 2
         prolonged = qs.prolong(system, stack)
-        rows = [[ex.evaluate(e, (q(1, 3), q(5, 7))) for e in r.entries]
-                for r in prolonged.effective_rows()]
+        rows = [r.values((q(1, 3), q(5, 7))) for r in prolonged.effective_rows()]
         assert exact_rank(rows, 3) == 3
 
     def test_b1_stack_already_full_rank_off_spectrum(self):
         system = qs.build_jet_system(example_b1(), q(1))
         stack = qs.integrability_constraints(system)
-        rows = [[ex.evaluate(e, ORIGIN3) for e in r.entries]
-                for r in stack.effective_rows()]
+        rows = [r.values(ORIGIN3) for r in stack.effective_rows()]
         assert exact_rank(rows, 4) == 4  # kernel empty before any prolongation
 
     def test_commutator_annihilates_known_solution_jets(self):
@@ -129,8 +127,7 @@ class TestConstraints:
         jet = [ex.evaluate(fn, point, "float")] + [
             ex.evaluate(ex.differentiate(fn, i), point, "float") for i in range(3)]
         for row in stack.effective_rows():
-            value = sum(ex.evaluate(e, point, "float") * j
-                        for e, j in zip(row.entries, jet))
+            value = sum(e * j for e, j in zip(row.values(point), jet))
             assert abs(value) < 1e-12
 
     def test_prolong_empty_stack(self):
@@ -153,8 +150,7 @@ class TestConstraints:
         jet = [ex.evaluate(fn, point, "float")] + [
             ex.evaluate(ex.differentiate(fn, i), point, "float") for i in range(3)]
         for row in stack.effective_rows():
-            value = sum(ex.evaluate(e, point, "float") * j
-                        for e, j in zip(row.entries, jet))
+            value = sum(e * j for e, j in zip(row.values(point), jet))
             assert abs(value) < 1e-10
 
 
@@ -187,6 +183,24 @@ class TestSolutionDimension:
     def test_projective_shear_destroys_solutions(self):
         assert qs.solution_dimension(geo.flat_manifold(2), q(-1), ORIGIN2).dim == 3
         assert qs.solution_dimension(sheared_flat_plane(), q(-1), ORIGIN2).dim == 0
+
+    def test_exp_deformation_keeps_the_maximal_space(self):
+        # strong projective invariance at -1/(m-1), solved on expression-tree rows
+        g = ex.parse_scalar("exp(x1 - x2)/2", X2)
+        m = pj.deform(geo.flat_manifold(2), pj.ProjectiveChange.from_potential(g, 2))
+        assert not qs.build_jet_system(m, q(-1)).rational_only
+        space = qs.solution_dimension(m, qs.distinguished_eigenvalue(2), ORIGIN2)
+        assert not space.exact
+        assert space.dim == 3
+
+    @pytest.mark.parametrize("point", [(q(1), q(0)), (1.0, 0.0)])
+    def test_pole_at_basepoint_is_domain_error(self, point):
+        # symbols C/(x1 - 1) with no excluded locus declared
+        pole = ex.coord(0) - 1
+        m = geo.from_christoffel(2, X2, {(0, 0, 0): 3 / pole, (0, 1, 0): 1 / pole,
+                                         (1, 1, 1): 1 / pole})
+        with pytest.raises(ex.DomainError):
+            qs.solution_dimension(m, q(-1), point)
 
     def test_point_on_excluded_locus_rejected(self):
         m = type_b(c12_1=1, c22_2=1)
