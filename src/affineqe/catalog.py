@@ -11,6 +11,7 @@ solver alone (``crosscheck`` / ``sweep``).
 
 from __future__ import annotations
 
+import inspect
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -200,49 +201,46 @@ def wall_eigen_pair_mixed_value(surface: TypeBSurface) -> Fraction:
 # generic entry points
 
 
-_SURFACE_KINDS = ("typeA", "typeB")
-MODEL_KINDS = ("typeA", "typeB", "exp3d", "family3d", "expSurface",
-               "parallelSurface", "wallDim1", "wallDim1Mixed", "wallProjFlat",
-               "wallEigen", "wallEigenPair", "wallEigenPairMixed")
-
 _SIX = ("c11_1", "c11_2", "c12_1", "c12_2", "c22_1", "c22_2")
 
-
-def _six_constants(params: dict) -> list:
-    try:
-        return [q(params[name]) for name in _SIX]
-    except KeyError as err:
-        raise RegimeError(f"missing surface constant {err}") from None
+_BUILDERS = {
+    "typeA": TypeASurface,
+    "typeB": TypeBSurface,
+    "exp3d": exp3d_model,
+    "family3d": Family3dParams,
+    "expSurface": exp_surface,
+    "parallelSurface": parallel_surface,
+    "wallDim1": wall_dim1_surface,
+    "wallDim1Mixed": wall_dim1_mixed_surface,
+    "wallProjFlat": wall_projflat_surface,
+    "wallEigen": wall_eigen_surface,
+    "wallEigenPair": wall_eigen_pair_surface,
+    "wallEigenPairMixed": wall_eigen_pair_mixed_surface,
+}
+MODEL_KINDS = tuple(_BUILDERS)
 
 
 def model_for(kind: str, params: dict | None = None):
-    """Catalog object (surface record or manifold) for a kind/params pair."""
-    params = params or {}
-    if kind == "typeA":
-        return TypeASurface(*_six_constants(params))
-    if kind == "typeB":
-        return TypeBSurface(*_six_constants(params))
-    if kind == "exp3d":
-        return exp3d_model()
-    if kind == "family3d":
-        try:
-            return Family3dParams(q(params["x"]), q(params["y"]),
-                                  q(params["z"]), q(params["w"]))
-        except KeyError as err:
-            raise RegimeError(f"missing family parameter {err}") from None
-    builders = {
-        "expSurface": exp_surface,
-        "parallelSurface": parallel_surface,
-        "wallDim1": wall_dim1_surface,
-        "wallDim1Mixed": wall_dim1_mixed_surface,
-        "wallProjFlat": wall_projflat_surface,
-        "wallEigen": wall_eigen_surface,
-        "wallEigenPair": wall_eigen_pair_surface,
-        "wallEigenPairMixed": wall_eigen_pair_mixed_surface,
-    }
-    if kind not in builders:
+    """Catalog object (surface record or manifold) for a kind/params pair.
+
+    Parameter records (the surface families, family3d) need every parameter;
+    the named builders default the ones left out.  Unknown names are rejected.
+    """
+    if kind not in _BUILDERS:
         raise RegimeError(f"unknown model kind {kind!r}; expected one of {MODEL_KINDS}")
-    return builders[kind](**params)
+    builder = _BUILDERS[kind]
+    names = tuple(inspect.signature(builder).parameters)
+    params = params or {}
+    unknown = [key for key in params if key not in names]
+    if unknown:
+        raise RegimeError(f"unknown parameter {unknown[0]!r} for {kind}; "
+                          f"expected {', '.join(names) or 'none'}")
+    if isinstance(builder, type):
+        missing = [name for name in names if name not in params]
+        if missing:
+            raise RegimeError(f"missing parameter {missing[0]!r} for {kind}")
+        return builder(**{name: q(params[name]) for name in names})
+    return builder(**params)
 
 
 def build_model(kind: str, params: dict | None = None) -> geo.AffineManifold:
@@ -296,12 +294,12 @@ def _surface_constants(tensor: geo.TensorField, point) -> list:
 
 
 def _ricci_constants_a(s: TypeASurface):
-    return _surface_constants(geo.ricci(s.manifold()).full, (q(0), q(0)))
+    return _surface_constants(s.manifold().ricci_parts.full, (q(0), q(0)))
 
 
 def _ricci_constants_b(s: TypeBSurface):
     # every component is const / x1^2; evaluate at x1 = 1 to read the constants
-    rho = geo.ricci(s.manifold())
+    rho = s.manifold().ricci_parts
     point = (q(1), q(0))
     return _surface_constants(rho.full, point), _surface_constants(rho.sym, point)
 
@@ -496,14 +494,13 @@ def sweep(kind: str, param_grid: Sequence[dict], mu_list: Sequence,
             manifold = obj if isinstance(obj, geo.AffineManifold) else obj.manifold()
             point = tuple(basepoint) if basepoint is not None \
                 else default_basepoint(manifold)
-            ricci_parts = geo.ricci(manifold)
             rho_rank = None
             if isinstance(obj, TypeASurface):
-                rho_rank = exact_rank(_surface_constants(ricci_parts.full, (q(0), q(0))), 2)
+                rho_rank = exact_rank(
+                    _surface_constants(manifold.ricci_parts.full, (q(0), q(0))), 2)
             for mu in mu_list:
                 mu = q(mu)
-                space = qs.solution_dimension(manifold, mu, point,
-                                              ricci_sym=ricci_parts.sym)
+                space = qs.solution_dimension(manifold, mu, point)
                 if not space.stabilized:
                     violations.append(f"{kind} {params} mu={mu}: not stabilized")
                 if space.dim > manifold.dim + 1:
@@ -559,11 +556,10 @@ def alpha_invariant(manifold: geo.AffineManifold) -> ex.ScalarExpr:
     covariant derivative of the Ricci tensor is a multiple of dx1 (x) dx1 (x) dx1;
     it is unchanged under chart maps fixing that regime.
     """
-    parts = geo.ricci(manifold)
-    rho11 = parts.full.comp(0, 0)
+    rho11 = manifold.ricci_parts.full.comp(0, 0)
     if ex.is_identically_zero(rho11) is not Verdict.NONZERO:
         raise RegimeError("rho_11 is identically zero")
-    nabla = geo.nabla_ricci(manifold, parts)
+    nabla = geo.nabla_ricci(manifold)
     m = manifold.dim
     for i in range(m):
         for j in range(m):

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import random
 import re
 import sys
@@ -46,7 +47,16 @@ def _parse_params(text: str | None) -> dict | None:
     if not text:
         return None
     raw = json.loads(text)
+    if not isinstance(raw, dict):
+        raise ValueError("--params must be a JSON object of model parameters")
     return {key: ex.parse_rational(str(value)) for key, value in raw.items()}
+
+
+def _count(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a count >= 1, got {text!r}")
+    return value
 
 
 def _emit(args, report: dict, text: str) -> None:
@@ -65,7 +75,7 @@ def _emit(args, report: dict, text: str) -> None:
 
 def _cmd_curvature(args) -> tuple:
     manifold = _load_manifold(args.manifold)
-    parts = geo.ricci(manifold)
+    parts = manifold.ricci_parts
     curvature_zero = geo.tensor_zero_verdict(geo.curvature(manifold))
     lines = [f"dim {manifold.dim}, curvature {'zero' if curvature_zero else 'nonzero'}"]
     components = {}
@@ -91,10 +101,9 @@ def _cmd_qe_dim(args) -> tuple:
     basepoint = _parse_basepoint(args.basepoint, manifold)
     results = []
     lines = []
-    ricci_sym = geo.ricci(manifold).sym
     for mu_text in args.mu:
         mu = ex.parse_rational(mu_text)
-        space = qs.solution_dimension(manifold, mu, basepoint, ricci_sym=ricci_sym)
+        space = qs.solution_dimension(manifold, mu, basepoint)
         results.append(qs.solution_report(space))
         flag = "" if space.stabilized else "  [not stabilized]"
         lines.append(f"mu = {mu}: dim = {space.dim}{flag}")
@@ -187,7 +196,11 @@ def _parse_grid_spec(text: str | None):
     if not text:
         return None, 1
     radius, _, per_axis = text.partition(":")
-    return float(radius), int(per_axis) if per_axis else 1
+    radius, per_axis = float(radius), int(per_axis) if per_axis else 1
+    if not (math.isfinite(radius) and radius > 0) or per_axis < 1:
+        raise ValueError(f"bad --grid {text!r}; expected a finite radius > 0 "
+                         "and per_axis >= 1")
+    return radius, per_axis
 
 
 def _cmd_flatten(args) -> tuple:
@@ -233,6 +246,8 @@ def _parse_phi(entries, manifold):
             i, j = (int(part) - 1 for part in key.split(","))
         except ValueError:
             raise ValueError(f"bad --phi entry {item!r}; expected 'i,j=expr'") from None
+        if not (0 <= i < m and 0 <= j < m):
+            raise ValueError(f"bad --phi entry {item!r}; indices run from 1 to {m}")
         value = ex.parse_scalar(text, manifold.coords)
         grid[i][j] = value
         grid[j][i] = value
@@ -274,7 +289,7 @@ def _cmd_verify(args) -> tuple:
     basepoint = _parse_basepoint(args.basepoint, manifold)
     checks = {}
 
-    parts = geo.ricci(manifold)
+    parts = manifold.ricci_parts
     split = geo.tensor_from(
         (manifold.dim, manifold.dim),
         lambda i, j: parts.sym.comp(i, j) + parts.alt.comp(i, j) - parts.full.comp(i, j),
@@ -294,7 +309,7 @@ def _cmd_verify(args) -> tuple:
     bound = True
     for mu_text in args.mu or ["0", "-1"]:
         mu = ex.parse_rational(mu_text)
-        space = qs.solution_dimension(manifold, mu, basepoint, ricci_sym=parts.sym)
+        space = qs.solution_dimension(manifold, mu, basepoint)
         stabilized = stabilized and space.stabilized
         bound = bound and space.dim <= manifold.dim + 1
     checks["solver_stabilized"] = stabilized
@@ -351,7 +366,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--family", required=True,
                    choices=("typeA", "typeB", "family3d"))
     p.add_argument("--mu", action="append", required=True)
-    p.add_argument("--n", type=int, default=100, help="random draws per family")
+    p.add_argument("--n", type=_count, default=100, help="random draws per family")
     p.set_defaults(handler=_cmd_sweep)
 
     p = sub.add_parser("deform", help="projective deformation of a connection")
@@ -364,7 +379,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--basepoint")
     p.add_argument("--grid", help="chart grid 'radius[:per_axis]' (default: auto)")
-    p.add_argument("--geodesics", type=int, default=5)
+    p.add_argument("--geodesics", type=_count, default=5)
     p.set_defaults(handler=_cmd_flatten)
 
     p = sub.add_parser("extend", help="cotangent extension residual report")

@@ -439,10 +439,6 @@ def parse_rational(text: str) -> Fraction:
         raise ExprSyntaxError(f"bad rational literal {text!r}: {err}", 0) from None
 
 
-def format_rational(value: Fraction) -> str:
-    return str(Fraction(value))
-
-
 # --------------------------------------------------------------------------
 # printing
 
@@ -731,26 +727,11 @@ def random_rational_point(nvars: int, rng: random.Random,
     raise DomainError("could not sample a point off the excluded locus")
 
 
-def random_float_point(nvars: int, rng: random.Random,
-                       avoid: Sequence[ScalarExpr] = (),
-                       center: Sequence[float] | None = None,
-                       radius: float = 1.0,
-                       positive: bool = False,
-                       max_tries: int = 100) -> tuple:
-    for _ in range(max_tries):
-        if positive:
-            point = tuple(0.05 + radius * rng.random() for _ in range(nvars))
-        elif center is not None:
-            point = tuple(c + radius * (2 * rng.random() - 1)
-                          for c in center)
-        else:
-            point = tuple(radius * (2 * rng.random() - 1) for _ in range(nvars))
-        try:
-            if all(abs(evaluate(a, point, "float")) > 1e-6 for a in avoid):
-                return point
-        except DomainError:
-            continue
-    raise DomainError("could not sample a float point off the excluded locus")
+def random_float_point(nvars: int, rng: random.Random, radius: float = 1.0,
+                       positive: bool = False) -> tuple:
+    if positive:
+        return tuple(0.05 + radius * rng.random() for _ in range(nvars))
+    return tuple(radius * (2 * rng.random() - 1) for _ in range(nvars))
 
 
 def _sample_verdict(e: ScalarExpr, rng: random.Random,

@@ -15,6 +15,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -40,6 +41,11 @@ class PseudoMetric:
 
     def comp(self, a: int, b: int) -> ScalarExpr:
         return self.components[a][b]
+
+    @cached_property
+    def inverse(self) -> tuple:
+        """The exact inverse component grid, computed once per metric."""
+        return inverse_metric(self)
 
 
 def _symmetric_or_raise(grid, size, what):
@@ -162,7 +168,7 @@ class MetricConnection:
 def levi_civita(metric: PseudoMetric) -> MetricConnection:
     """Koszul symbols (1/2) g^{kl} (d_i g_jl + d_j g_il - d_l g_ij)."""
     n = metric.n
-    inverse = inverse_metric(metric)
+    inverse = metric.inverse
     half = Fraction(1, 2)
     # first derivatives d_i g_jl, computed once
     dgrid = [[[ex.differentiate(metric.comp(j, l), i) for l in range(n)]
@@ -213,13 +219,11 @@ class ExtensionResiduals:
 
 
 def extension_identities_residuals(manifold: geo.AffineManifold,
-                                   phi, f: ScalarExpr,
-                                   connection: MetricConnection | None = None
-                                   ) -> ExtensionResiduals:
+                                   phi, f: ScalarExpr) -> ExtensionResiduals:
     """Residuals of the three pullback identities; all vanish for any Phi."""
     m = manifold.dim
     metric = deformed_extension(manifold, phi)
-    conn = connection if connection is not None else levi_civita(metric)
+    conn = levi_civita(metric)
     n = metric.n
 
     lifted_hessian = geo.hessian(conn.manifold, f)
@@ -229,14 +233,14 @@ def extension_identities_residuals(manifold: geo.AffineManifold,
         want = base_hessian.comp(a, b) if a < m and b < m else ex.ZERO
         return ex.simplify_rational(lifted_hessian.comp(a, b) - want)
 
-    rho_total = geo.ricci(conn.manifold).full
-    rho_base = geo.ricci(manifold).sym
+    rho_total = conn.manifold.ricci_parts.full
+    rho_base = manifold.ricci_parts.sym
 
     def ricci_fill(a, b):
         want = 2 * rho_base.comp(a, b) if a < m and b < m else ex.ZERO
         return ex.simplify_rational(rho_total.comp(a, b) - want)
 
-    inverse = inverse_metric(metric)
+    inverse = metric.inverse
     df = [ex.differentiate(f, a) for a in range(n)]
     norm = ex.ZERO
     for a in range(n):
@@ -256,16 +260,14 @@ def extension_identities_residuals(manifold: geo.AffineManifold,
 # quasi-Einstein verification
 
 
-def quasi_einstein_residual(metric: PseudoMetric, psi: ScalarExpr, mu, lam,
-                            connection: MetricConnection | None = None
-                            ) -> geo.TensorField:
+def quasi_einstein_residual(metric: PseudoMetric, psi: ScalarExpr, mu, lam) -> geo.TensorField:
     """Component grid of H psi + rho - mu dpsi (x) dpsi - lambda g."""
     mu = Fraction(mu)
     lam = Fraction(lam)
-    conn = connection if connection is not None else levi_civita(metric)
+    conn = levi_civita(metric)
     n = metric.n
     hess = geo.hessian(conn.manifold, psi)
-    rho = geo.ricci(conn.manifold).full
+    rho = conn.manifold.ricci_parts.full
     dpsi = [ex.differentiate(psi, a) for a in range(n)]
 
     def fill(a, b):

@@ -14,6 +14,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Callable, Sequence
 
 from . import expr as ex
@@ -68,10 +69,10 @@ class AffineManifold:
                 raise ExcludedLocusError(
                     f"point {tuple(point)} lies on the excluded locus")
 
-    def random_point(self, rng: random.Random, mode: str = "exact"):
-        if mode == "exact":
-            return ex.random_rational_point(self.dim, rng, avoid=self.excluded)
-        return ex.random_float_point(self.dim, rng, avoid=self.excluded)
+    @cached_property
+    def ricci_parts(self) -> RicciTensors:
+        """The Ricci tensor and its split, computed once per manifold."""
+        return ricci(self)
 
 
 @dataclass(frozen=True)
@@ -179,6 +180,12 @@ def _parse_key(key: str) -> tuple:
             f"bad christoffel key {key!r}; expected 'i,j^k'") from None
 
 
+def _strings(value, name: str) -> list:
+    if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
+        raise ManifoldFormatError(f"{name!r} must be a list of strings")
+    return value
+
+
 def load_manifold(document: dict) -> AffineManifold:
     """Build a manifold from its JSON document form.
 
@@ -189,15 +196,23 @@ def load_manifold(document: dict) -> AffineManifold:
         dim = int(document["dim"])
     except (KeyError, TypeError, ValueError):
         raise ManifoldFormatError("missing or bad 'dim'") from None
-    coords = document.get("coords") or [f"x{i + 1}" for i in range(dim)]
+    coords = _strings(document.get("coords") or [f"x{i + 1}" for i in range(dim)],
+                      "coords")
     if len(coords) != dim:
         raise ManifoldFormatError("coords length does not match dim")
+    if len(set(coords)) != dim:
+        raise ManifoldFormatError("coordinate names must be distinct")
+    christoffel = document.get("christoffel") or {}
+    if not isinstance(christoffel, dict):
+        raise ManifoldFormatError("'christoffel' must be an object of 'i,j^k': expression")
     entries = {}
-    for key, text in (document.get("christoffel") or {}).items():
+    for key, text in christoffel.items():
         i, j, k = _parse_key(key)
+        if not isinstance(text, str):
+            raise ManifoldFormatError(f"christoffel entry {key!r} must be an expression string")
         entries[(i, j, k)] = ex.parse_scalar(text, coords)
     excluded = tuple(ex.parse_scalar(text, coords)
-                     for text in document.get("excluded") or [])
+                     for text in _strings(document.get("excluded") or [], "excluded"))
     return from_christoffel(dim, coords, entries, excluded)
 
 
@@ -283,9 +298,9 @@ def hessian(m: AffineManifold, f: ScalarExpr) -> TensorField:
     return tensor_from((m.dim, m.dim), fill, 2)
 
 
-def nabla_ricci(m: AffineManifold, r: RicciTensors | None = None) -> TensorField:
+def nabla_ricci(m: AffineManifold) -> TensorField:
     """Covariant derivative of the full Ricci tensor, derivative slot first."""
-    rho = (r or ricci(m)).full
+    rho = m.ricci_parts.full
 
     def fill(i, j, k):
         total = ex.differentiate(rho.comp(j, k), i)
@@ -317,10 +332,9 @@ def is_totally_symmetric(t: TensorField, rng: random.Random | None = None) -> Ve
     return combine_verdicts(verdicts)
 
 
-def apply_qe_operator(m: AffineManifold, mu: Fraction, f: ScalarExpr,
-                      ricci_sym: TensorField | None = None) -> TensorField:
+def apply_qe_operator(m: AffineManifold, mu: Fraction, f: ScalarExpr) -> TensorField:
     """Residual H f - mu f rho_s; f solves the eigen-equation iff this is zero."""
-    rho_s = ricci_sym if ricci_sym is not None else ricci(m).sym
+    rho_s = m.ricci_parts.sym
     hess = hessian(m, f)
     mu = Fraction(mu)
     return tensor_map(lambda h, r: ex.simplify_rational(h - mu * f * r), hess, rho_s)

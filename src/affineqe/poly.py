@@ -93,10 +93,6 @@ class Poly:
     def __hash__(self) -> int:
         return hash(frozenset(self.terms.items()))
 
-    def key(self) -> tuple:
-        """Canonical ordering key (sorted monomials with coefficients)."""
-        return tuple(sorted(self.terms.items()))
-
     def __add__(self, other: "Poly") -> "Poly":
         if self.is_zero:
             return other
@@ -269,9 +265,6 @@ class RationalFunc:
             inv = 1 / scale
             self.num = self.num.scale(inv)
             self.den = self.den.scale(inv)
-
-    def key(self) -> tuple:
-        return (self.num.key(), self.den.key())
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, RationalFunc)

@@ -121,8 +121,8 @@ def ricci_transform_residual(manifold: geo.AffineManifold,
     m = manifold.dim
     change = ProjectiveChange.from_potential(potential, m)
     deformed = deform(manifold, change)
-    rho_before = geo.ricci(manifold).sym
-    rho_after = geo.ricci(deformed).sym
+    rho_before = manifold.ricci_parts.sym
+    rho_after = deformed.ricci_parts.sym
     hess = geo.hessian(manifold, potential)
     dg = change.omega
 
@@ -155,7 +155,7 @@ def liouville_check(manifold: geo.AffineManifold, potential: ScalarExpr,
     m = manifold.dim
     change = ProjectiveChange.from_potential(potential, m)
     deformed = deform(manifold, change)
-    diff = geo.tensor_sub(geo.ricci(deformed).sym, geo.ricci(manifold).sym)
+    diff = geo.tensor_sub(deformed.ricci_parts.sym, manifold.ricci_parts.sym)
     ricci_preserved = geo.tensor_zero_verdict(diff, rng)
     hess = geo.hessian(manifold, potential)
     dg = change.omega
@@ -191,9 +191,8 @@ def strong_flatness_test(manifold: geo.AffineManifold, basepoint,
     surface_symmetry = None
     agree = None
     if manifold.dim == 2:
-        parts = geo.ricci(manifold)
-        sym_rho = geo.is_totally_symmetric(parts.full, rng)
-        sym_nabla = geo.is_totally_symmetric(geo.nabla_ricci(manifold, parts), rng)
+        sym_rho = geo.is_totally_symmetric(manifold.ricci_parts.full, rng)
+        sym_nabla = geo.is_totally_symmetric(geo.nabla_ricci(manifold), rng)
         surface_symmetry = combine_verdicts([sym_rho, sym_nabla])
         agree = bool(surface_symmetry) == flat
     return FlatnessReport(flat, space.dim, space, surface_symmetry, agree)
@@ -216,13 +215,13 @@ class FlatChart:
         return len(self.base_z)
 
 
-def _chart_at(manifold: geo.AffineManifold, rho_sym: geo.TensorField, jet_basis,
-              path, steps_per_segment: int) -> tuple:
+def _chart_at(manifold: geo.AffineManifold, jet_basis, path,
+              steps_per_segment: int) -> tuple:
     """z^i = phi_i/phi_0 and its x-Jacobian at the end of ``path``, from the
     m+1 basis jets transported along it."""
     mu_m = qs.distinguished_eigenvalue(manifold.dim)
     jets = [qs.transport_jet(manifold, mu_m, path, [float(c) for c in jet],
-                             steps_per_segment, ricci_sym=rho_sym)
+                             steps_per_segment)
             for jet in jet_basis]
     phi0 = jets[0]
     if abs(phi0[0]) < 1e-12:
@@ -251,18 +250,17 @@ def flat_chart(manifold: geo.AffineManifold, basepoint, grid,
     # the kernel is the whole jet space, so the normalized basis is standard
     jet_basis = tuple(tuple(Fraction(1) if a == i else Fraction(0)
                             for a in range(m + 1)) for i in range(m + 1))
-    rho_sym = geo.ricci(manifold).sym
     z_values = []
     z_jacobians = []
     base = tuple(float(c) for c in basepoint)
     for point in grid:
-        z, jac = _chart_at(manifold, rho_sym, jet_basis,
+        z, jac = _chart_at(manifold, jet_basis,
                            [base, tuple(float(c) for c in point)], steps_per_segment)
         z_values.append(z)
         z_jacobians.append(jac)
     # out-and-back: a nondegenerate closed path measuring base-invariant error
     probe = tuple(c + (0.1 if i == 0 else 0.0) for i, c in enumerate(base))
-    base_z, base_jac = _chart_at(manifold, rho_sym, jet_basis, [base, probe, base],
+    base_z, base_jac = _chart_at(manifold, jet_basis, [base, probe, base],
                                  steps_per_segment)
     return FlatChart(base, jet_basis, tuple(tuple(p) for p in grid),
                      tuple(z_values), tuple(z_jacobians), base_z, base_jac)
@@ -371,7 +369,6 @@ def geodesic_straightness(manifold: geo.AffineManifold, chart: FlatChart,
     region (phi_0 near zero or the excluded locus); persistent failure raises.
     """
     m = manifold.dim
-    rho_sym = geo.ricci(manifold).sym
     base = chart.basepoint
     span = horizon if horizon is not None else max(
         abs(b - a) for p in chart.grid_points for a, b in zip(base, p))
@@ -385,7 +382,7 @@ def geodesic_straightness(manifold: geo.AffineManifold, chart: FlatChart,
             try:
                 samples = integrate_geodesic(manifold, base, direction, radius,
                                              max_distance=radius)
-                images = [_chart_at(manifold, rho_sym, chart.jet_basis, [base, point],
+                images = [_chart_at(manifold, chart.jet_basis, [base, point],
                                     steps_per_segment)[0]
                           for point in samples]
                 worst = max(worst, _deviation_from_chord(images))
@@ -423,7 +420,7 @@ def ricci_flat_gauge(manifold: geo.AffineManifold, potential: ScalarExpr,
         raise DomainError(
             "e^{-g} does not solve the eigen-equation at -1/(m-1)")
     deformed = deform(manifold, ProjectiveChange.from_potential(potential, manifold.dim))
-    rho_sym = geo.ricci(deformed).sym
+    rho_sym = deformed.ricci_parts.sym
     return GaugeResult(deformed, rho_sym, geo.tensor_zero_verdict(rho_sym, rng))
 
 
@@ -444,14 +441,12 @@ def ricci_flat_residual_numeric(manifold: geo.AffineManifold,
     if jet is None:
         raise DomainError("no solution with nonzero value at the basepoint")
     base = [float(c) for c in space.basepoint]
-    rho_parts = geo.ricci(manifold)
-    rho_symbols = qs.compile_symbols(rho_parts.sym.components)
+    rho_symbols = qs.compile_symbols(manifold.ricci_parts.sym.components)
     gamma_symbols = qs.compile_symbols(manifold.gamma)
 
     def jet_at(x):
         return qs.transport_jet(manifold, mu_m, [tuple(base), tuple(x)],
-                                [float(c) for c in jet], steps_per_segment,
-                                ricci_sym=rho_parts.sym)
+                                [float(c) for c in jet], steps_per_segment)
 
     worst = 0.0
     for point in points:

@@ -53,10 +53,6 @@ class JetSystem:
         return self.manifold.dim + 1
 
     @property
-    def mu_m(self) -> Fraction:
-        return distinguished_eigenvalue(self.manifold.dim)
-
-    @property
     def rational_only(self) -> bool:
         return all(entry.rational_only
                    for grid in self.matrices for row in grid for entry in row)
@@ -70,11 +66,10 @@ class JetSystem:
                      for grid in self.matrices)
 
 
-def build_jet_system(manifold: geo.AffineManifold, mu,
-                     ricci_sym: geo.TensorField | None = None) -> JetSystem:
+def build_jet_system(manifold: geo.AffineManifold, mu) -> JetSystem:
     """First-order form of the eigen-equation: d_i d_j f = G_ij^k d_k f + mu rho_s_ij f."""
     mu = Fraction(mu)
-    rho_s = ricci_sym if ricci_sym is not None else geo.ricci(manifold).sym
+    rho_s = manifold.ricci_parts.sym
     m = manifold.dim
     matrices = []
     for i in range(m):
@@ -213,7 +208,6 @@ def _is_exact_point(point) -> bool:
 
 
 def solution_dimension(manifold: geo.AffineManifold, mu, basepoint,
-                       ricci_sym: geo.TensorField | None = None,
                        max_generations: int | None = None) -> SolutionSpace:
     """Dimension and jet basis of the local solution space at ``basepoint``.
 
@@ -222,7 +216,7 @@ def solution_dimension(manifold: geo.AffineManifold, mu, basepoint,
     generation cap without that is reported via ``stabilized=False``.
     """
     manifold.check_point(basepoint)
-    system = build_jet_system(manifold, mu, ricci_sym)
+    system = build_jet_system(manifold, mu)
     n = system.jet_size
     cap = max_generations if max_generations is not None else 2 * manifold.dim + 6
     exact = system.rational_only and _is_exact_point(basepoint)
@@ -347,12 +341,11 @@ def runge_kutta(derivative, state: list, steps: int, before_step=None):
 
 
 def transport_jet(manifold: geo.AffineManifold, mu, path, u0,
-                  steps_per_segment: int = 1000,
-                  ricci_sym: geo.TensorField | None = None):
+                  steps_per_segment: int = 1000):
     """Integrate d_t u = velocity^i A_i u along a polyline with classical RK4."""
     if len(path) < 2:
         return [float(c) for c in u0]
-    system = build_jet_system(manifold, mu, ricci_sym)
+    system = build_jet_system(manifold, mu)
     symbols = compile_symbols(system.matrices)
     guards = [ex.compile_float(g) for g in manifold.excluded]
     n = system.jet_size
@@ -392,12 +385,11 @@ def transport_jet(manifold: geo.AffineManifold, mu, path, u0,
 
 
 def holonomy_defect(manifold: geo.AffineManifold, mu, loop, u0,
-                    steps_per_segment: int = 1000,
-                    ricci_sym: geo.TensorField | None = None) -> float:
+                    steps_per_segment: int = 1000) -> float:
     """Norm of (transport around the closed loop) - identity applied to u0."""
     first = [float(c) for c in loop[0]]
     last = [float(c) for c in loop[-1]]
     if any(abs(a - b) > 0.0 for a, b in zip(first, last)):
         raise ValueError("loop is not closed")
-    transported = transport_jet(manifold, mu, loop, u0, steps_per_segment, ricci_sym)
+    transported = transport_jet(manifold, mu, loop, u0, steps_per_segment)
     return math.sqrt(sum((t - float(u)) ** 2 for t, u in zip(transported, u0)))

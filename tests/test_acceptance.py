@@ -32,10 +32,9 @@ def passed(number: int, text: str) -> None:
 
 def test_criterion_01_exp3d_dimension_table():
     m = cat.exp3d_model()
-    rho_sym = geo.ricci(m).sym
     table = {q(-3, 5): 2, q(0): 1, q(-1): 0, q(-1, 2): 0, q(1): 0, q(3, 5): 0, q(2): 0}
     for mu, want in table.items():
-        space = qs.solution_dimension(m, mu, ORIGIN3, ricci_sym=rho_sym)
+        space = qs.solution_dimension(m, mu, ORIGIN3)
         assert space.stabilized
         assert space.dim == want, f"mu={mu}: got {space.dim}, want {want}"
     passed(1, "3d exponential model dimension table reproduced exactly")

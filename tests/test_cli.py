@@ -207,6 +207,43 @@ def test_flatten_overflow_off_the_integrator_is_input_error(grid, tmp_path, caps
     assert "overflow" in capsys.readouterr().err
 
 
+def _assert_input_error(code, capsys, says):
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error:") and says in err and "Traceback" not in err
+
+
+# each of these used to end in a traceback, a misleading message or, for
+# index 0, a silent write to Phi_31
+@pytest.mark.parametrize("entry", ["1,4=x1", "0,1=x1"])
+def test_extend_phi_index_out_of_range_is_input_error(entry, exp3d_path, capsys):
+    _assert_input_error(main(["extend", exp3d_path, "--phi", entry]), capsys,
+                        "indices run from 1 to 3")
+
+
+@pytest.mark.parametrize("params, says", [('{"bogus": 1}', "unknown parameter 'bogus'"),
+                                          ("[1, 2]", "JSON object")])
+def test_classify_bad_params_is_input_error(params, says, capsys):
+    _assert_input_error(main(["classify", "--kind", "wallDim1", "--params", params,
+                              "--mu", "-1"]), capsys, says)
+
+
+@pytest.mark.parametrize("grid", ["0.1:0", "0.1:-1", "nan"])
+def test_flatten_bad_grid_is_input_error(grid, wall_path, capsys):
+    _assert_input_error(main(["flatten", wall_path, "--basepoint", "1,0",
+                              "--grid", grid]), capsys, "bad --grid")
+
+
+@pytest.mark.parametrize("command, flag", [("sweep", "--n"), ("flatten", "--geodesics")])
+def test_counts_below_one_are_input_errors(command, flag, wall_path, capsys):
+    # these used to exit 0 with "0 cells" or a geodesic deviation of 0 from no geodesic
+    args = ["--family", "typeB", "--mu", "-1"] if command == "sweep" else [wall_path]
+    with pytest.raises(SystemExit) as stop:
+        main([command, *args, flag, "-2"])
+    assert stop.value.code == 2
+    assert "expected a count >= 1" in capsys.readouterr().err
+
+
 def test_extend_with_metric_check(exp3d_path, capsys):
     code = main(["extend", exp3d_path, "--phi", "1,1=x3", "--f", "exp(3*x3)",
                  "--mu", "-3/5"])

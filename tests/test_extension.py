@@ -138,6 +138,19 @@ class TestPullbackIdentities:
         residuals = xt.extension_identities_residuals(base, None, ex.coord(0))
         assert geo.tensor_zero_verdict(residuals.ricci_defect) is Verdict.ZERO
 
+    def test_derived_geometry_is_computed_once(self, monkeypatch):
+        # one Ricci per manifold (the base and the Levi-Civita chart) and one
+        # inverse for the extension metric
+        ricci_calls, inverse_calls = [], []
+        ricci, inverse = geo.ricci, xt.inverse_metric
+        monkeypatch.setattr(geo, "ricci", lambda m: ricci_calls.append(m) or ricci(m))
+        monkeypatch.setattr(xt, "inverse_metric",
+                            lambda g: inverse_calls.append(g) or inverse(g))
+        base = cat.exp3d_model()
+        xt.extension_identities_residuals(base, None, ex.coord(0))
+        assert sorted(m.dim for m in ricci_calls) == [3, 6]
+        assert len(inverse_calls) == 1
+
     def test_extension_ricci_is_fiber_independent(self):
         rng = random.Random(3)
         base = cat.exp3d_model()

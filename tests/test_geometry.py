@@ -68,6 +68,17 @@ class TestLoadManifold:
             geo.load_manifold({"dim": 2, "coords": X2,
                                "christoffel": {"1,1^1": "x9"}})
 
+    @pytest.mark.parametrize("doc", [
+        {"dim": 2, "christoffel": ["1,1^1", "x1"]},
+        {"dim": 2, "christoffel": {"1,1^1": 3}},
+        {"dim": 2, "christoffel": {}, "excluded": 5},
+        {"dim": 2, "coords": ["x1", "x1"], "christoffel": {"1,2^1": "x1"}},
+    ], ids=["christoffel-not-object", "symbol-not-string", "excluded-not-list",
+            "repeated-coordinate"])
+    def test_malformed_document_rejected(self, doc):
+        with pytest.raises(geo.ManifoldFormatError):
+            geo.load_manifold(doc)
+
     def test_excluded_locus_recorded(self):
         m = geo.load_manifold({"dim": 2, "coords": X2,
                                "christoffel": {"1,1^1": "-1/x1"},
@@ -313,13 +324,12 @@ class TestInvariants:
         # translations map eigen-solutions to eigen-solutions
         m = example_b1()
         mu = q(-3, 5)
-        rho_s = geo.ricci(m).sym
         span = [parse_scalar("exp(3*x3)", X3), parse_scalar("x1*exp(3*x3)", X3)]
         for f in span:
             assert geo.tensor_zero_verdict(
-                geo.apply_qe_operator(m, mu, f, rho_s)) is Verdict.NUMERIC_ONLY
+                geo.apply_qe_operator(m, mu, f)) is Verdict.NUMERIC_ONLY
             for direction in range(3):
                 xf = ex.differentiate(f, direction)
-                res = geo.apply_qe_operator(m, mu, xf, rho_s)
+                res = geo.apply_qe_operator(m, mu, xf)
                 verdict = geo.tensor_zero_verdict(res)
                 assert verdict in (Verdict.ZERO, Verdict.NUMERIC_ONLY)

@@ -2,9 +2,12 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from affineqe import catalog as cat
 from affineqe import expr as ex
+from affineqe import extension as xt
 from affineqe import geometry as geo
 from affineqe import projective as pj
 from affineqe import qe_solver as qs
@@ -109,6 +112,43 @@ class TestRicciTransform:
             assert geo.tensor_zero_verdict(residual) is Verdict.ZERO
 
 
+coefficients = st.fractions(min_value=-2, max_value=2, max_denominator=3)
+
+
+@st.composite
+def linear_charts_with_potentials(draw):
+    """A 2- or 3-dim chart with random linear symbols and a quadratic potential."""
+    m = draw(st.sampled_from([2, 3]))
+    x = [ex.coord(i) for i in range(m)]
+
+    def polynomial(monomials):
+        total = ex.ZERO
+        for monomial in monomials:
+            c = draw(coefficients)
+            if c:
+                total = total + ex.mul(ex.const(c), *monomial)
+        return total
+
+    linear = [()] + [(xi,) for xi in x]
+    entries = {(i, j, k): polynomial(linear)
+               for i in range(m) for j in range(i, m) for k in range(m)
+               if draw(st.booleans())}
+    quadratic = linear + [(x[i], x[j]) for i in range(m) for j in range(i, m)]
+    return geo.from_christoffel(m, [f"x{i + 1}" for i in range(m)], entries), \
+        polynomial(quadratic)
+
+
+@given(linear_charts_with_potentials())
+@settings(max_examples=20, deadline=None)
+def test_ricci_identities_on_non_homogeneous_charts(chart):
+    m, g = chart
+    residual = pj.ricci_transform_residual(m, g)
+    assert geo.tensor_zero_verdict(residual) is Verdict.ZERO
+    if m.dim == 2:
+        defect = xt.extension_identities_residuals(m, None, g).ricci_defect
+        assert geo.tensor_zero_verdict(defect) is Verdict.ZERO
+
+
 class TestLiouville:
     def test_exponential_family_potential(self):
         m = cat.exp_surface(0, q(1, 2), 0).manifold()
@@ -194,6 +234,17 @@ class TestGeodesics:
         chart = pj.flat_chart(m, WALL_BASE, pj.box_grid(WALL_BASE, radius, per_axis=1))
         deviation = pj.geodesic_straightness(m, chart, 5, random.Random(2))
         assert deviation < 1e-6
+
+    def test_ricci_is_computed_once_per_manifold(self, monkeypatch):
+        # the solve, every transport and the geodesic check read the Ricci
+        # tensor the manifold caches
+        calls = []
+        ricci = geo.ricci
+        monkeypatch.setattr(geo, "ricci", lambda m: calls.append(m) or ricci(m))
+        m = cat.wall_projflat_surface(1, 1).manifold()
+        chart = pj.flat_chart(m, WALL_BASE, [(1.1, 0.05)], steps_per_segment=100)
+        pj.geodesic_straightness(m, chart, 2, random.Random(2), steps_per_segment=100)
+        assert len(calls) == 1 and calls[0] is m
 
     def test_overflow_in_symbols_is_domain_error(self):
         # the geodesic of the plane deformed by -x1^3 blows up before t = 50;
