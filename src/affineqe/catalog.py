@@ -15,6 +15,7 @@ import inspect
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Sequence
 
 from . import expr as ex
@@ -55,12 +56,17 @@ class SixConstantSurface:
     def constants_dict(self) -> dict:
         return {name: getattr(self, name) for name in _SIX}
 
+    def manifold(self) -> geo.AffineManifold:
+        """The chart, built once per record, so its derived geometry is shared."""
+        return self._chart
+
 
 @dataclass(frozen=True)
 class TypeASurface(SixConstantSurface):
     """Constant Christoffel symbols on the plane."""
 
-    def manifold(self) -> geo.AffineManifold:
+    @cached_property
+    def _chart(self) -> geo.AffineManifold:
         entries = {idx: ex.const(v) for idx, v in self.constants().items() if v}
         return geo.from_christoffel(2, ("x1", "x2"), entries)
 
@@ -69,7 +75,8 @@ class TypeASurface(SixConstantSurface):
 class TypeBSurface(SixConstantSurface):
     """Symbols C_ij^k / x1 on the half-plane x1 > 0."""
 
-    def manifold(self) -> geo.AffineManifold:
+    @cached_property
+    def _chart(self) -> geo.AffineManifold:
         x1 = ex.coord(0)
         entries = {idx: ex.const(v) / x1
                    for idx, v in self.constants().items() if v}
@@ -243,9 +250,12 @@ def model_for(kind: str, params: dict | None = None):
     return builder(**params)
 
 
+def _chart_of(model) -> geo.AffineManifold:
+    return model if isinstance(model, geo.AffineManifold) else model.manifold()
+
+
 def build_model(kind: str, params: dict | None = None) -> geo.AffineManifold:
-    obj = model_for(kind, params)
-    return obj if isinstance(obj, geo.AffineManifold) else obj.manifold()
+    return _chart_of(model_for(kind, params))
 
 
 def default_basepoint(manifold: geo.AffineManifold) -> tuple:
@@ -418,19 +428,21 @@ def _expected_family3d(p: Family3dParams, mu: Fraction) -> Prediction:
     return Prediction.exact(1 if w == (x + 2 * x * z - x * z ** 2) / (2 * z) else 0)
 
 
-def expected_dimension(kind: str, params: dict | None, mu) -> Prediction:
-    """Published case analysis, evaluated literally on normal-form parameters."""
-    mu = q(mu)
-    obj = model_for(kind, params)
-    if isinstance(obj, TypeASurface):
-        return _expected_type_a(obj, mu)
-    if isinstance(obj, TypeBSurface):
-        return _expected_type_b(obj, mu)
-    if isinstance(obj, Family3dParams):
-        return _expected_family3d(obj, mu)
+def _prediction(kind: str, model, mu: Fraction) -> Prediction:
+    if isinstance(model, TypeASurface):
+        return _expected_type_a(model, mu)
+    if isinstance(model, TypeBSurface):
+        return _expected_type_b(model, mu)
+    if isinstance(model, Family3dParams):
+        return _expected_family3d(model, mu)
     if kind == "exp3d":
         return _expected_exp3d(mu)
     return NOT_COVERED
+
+
+def expected_dimension(kind: str, params: dict | None, mu) -> Prediction:
+    """Published case analysis, evaluated literally on normal-form parameters."""
+    return _prediction(kind, model_for(kind, params), q(mu))
 
 
 # --------------------------------------------------------------------------
@@ -448,13 +460,24 @@ class CrosscheckReport:
     agree: bool
 
 
-def crosscheck(kind: str, params: dict | None, mu, basepoint=None) -> CrosscheckReport:
-    manifold = build_model(kind, params)
+def crosschecks(kind: str, params: dict | None, mus: Sequence,
+                basepoint=None) -> list:
+    """Prediction against the solver at each eigenvalue, on one model, so that
+    the prediction and every solve share its chart and Ricci tensor."""
+    model = model_for(kind, params)
+    manifold = _chart_of(model)
     point = tuple(basepoint) if basepoint is not None else default_basepoint(manifold)
-    predicted = expected_dimension(kind, params, mu)
-    computed = qs.solution_dimension(manifold, mu, point).dim
-    return CrosscheckReport(kind, dict(params or {}), q(mu), point,
-                            predicted, computed, predicted.matches(computed))
+    reports = []
+    for mu in mus:
+        predicted = _prediction(kind, model, q(mu))
+        computed = qs.solution_dimension(manifold, mu, point).dim
+        reports.append(CrosscheckReport(kind, dict(params or {}), q(mu), point,
+                                        predicted, computed, predicted.matches(computed)))
+    return reports
+
+
+def crosscheck(kind: str, params: dict | None, mu, basepoint=None) -> CrosscheckReport:
+    return crosschecks(kind, params, [mu], basepoint)[0]
 
 
 @dataclass
@@ -491,7 +514,7 @@ def sweep(kind: str, param_grid: Sequence[dict], mu_list: Sequence,
     for params in param_grid:
         try:
             obj = model_for(kind, params)
-            manifold = obj if isinstance(obj, geo.AffineManifold) else obj.manifold()
+            manifold = _chart_of(obj)
             point = tuple(basepoint) if basepoint is not None \
                 else default_basepoint(manifold)
             rho_rank = None

@@ -117,9 +117,8 @@ def _cmd_classify(args) -> tuple:
     lines = []
     reports = []
     ok = True
-    for mu_text in args.mu:
-        report = cat.crosscheck(args.kind, params, ex.parse_rational(mu_text),
-                                basepoint=None)
+    mus = [ex.parse_rational(mu_text) for mu_text in args.mu]
+    for report in cat.crosschecks(args.kind, params, mus):
         reports.append({
             "kind": report.kind,
             "params": {k: str(v) for k, v in report.params.items()},

@@ -807,3 +807,11 @@ def compile_float(e: ScalarExpr) -> Callable[[Sequence[float]], float]:
 
     source = f"lambda c: {emit(e)}"
     return eval(source, {"_exp": _math.exp, "_log": _math.log})  # noqa: S307
+
+
+def compile_symbols(grid, index: tuple = ()) -> list:
+    """(index, float callable) for each nonzero expression of a nested grid, in index order."""
+    if isinstance(grid, ScalarExpr):
+        return [] if grid == ZERO else [(index, compile_float(grid))]
+    return [pair for position, entry in enumerate(grid)
+            for pair in compile_symbols(entry, index + (position,))]

@@ -74,6 +74,21 @@ class AffineManifold:
         """The Ricci tensor and its split, computed once per manifold."""
         return ricci(self)
 
+    @cached_property
+    def float_gamma(self) -> list:
+        """((i, j, k), float callable) per nonzero symbol, compiled once per manifold."""
+        return ex.compile_symbols(self.gamma)
+
+    @cached_property
+    def float_guards(self) -> list:
+        """The excluded-locus expressions as float callables, compiled once."""
+        return [ex.compile_float(g) for g in self.excluded]
+
+    @cached_property
+    def float_jet_systems(self) -> dict:
+        """mu -> the compiled jet system at mu, filled by `qe_solver.transport_jet`."""
+        return {}
+
 
 @dataclass(frozen=True)
 class TensorField:

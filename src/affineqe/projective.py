@@ -218,11 +218,9 @@ class FlatChart:
 def _chart_at(manifold: geo.AffineManifold, jet_basis, path,
               steps_per_segment: int) -> tuple:
     """z^i = phi_i/phi_0 and its x-Jacobian at the end of ``path``, from the
-    m+1 basis jets transported along it."""
+    m+1 basis jets transported along it in one run."""
     mu_m = qs.distinguished_eigenvalue(manifold.dim)
-    jets = [qs.transport_jet(manifold, mu_m, path, [float(c) for c in jet],
-                             steps_per_segment)
-            for jet in jet_basis]
+    jets = qs.transport_jet(manifold, mu_m, path, jet_basis, steps_per_segment)
     phi0 = jets[0]
     if abs(phi0[0]) < 1e-12:
         raise FlatnessError("phi_0 vanishes on the grid; shrink the chart region")
@@ -316,7 +314,7 @@ def integrate_geodesic(manifold: geo.AffineManifold, start, velocity,
     that ball around the start.
     """
     m = manifold.dim
-    symbols = qs.compile_symbols(manifold.gamma)
+    symbols = manifold.float_gamma
 
     def derivative(_t, state):
         x = state[:m]
@@ -441,8 +439,8 @@ def ricci_flat_residual_numeric(manifold: geo.AffineManifold,
     if jet is None:
         raise DomainError("no solution with nonzero value at the basepoint")
     base = [float(c) for c in space.basepoint]
-    rho_symbols = qs.compile_symbols(manifold.ricci_parts.sym.components)
-    gamma_symbols = qs.compile_symbols(manifold.gamma)
+    rho_symbols = ex.compile_symbols(manifold.ricci_parts.sym.components)
+    gamma_symbols = manifold.float_gamma
 
     def jet_at(x):
         return qs.transport_jet(manifold, mu_m, [tuple(base), tuple(x)],

@@ -7,9 +7,11 @@ constraints are prolonged until their rank at the basepoint stabilizes, and the
 kernel of the evaluated stack is the space of admissible initial jets.  When
 the system is rational, constraint rows are `poly.RationalFunc` tuples built
 from the matrices converted once; exp/log systems keep expression-tree rows,
-simplified after each step.  Jets are evaluated along paths by fixed-step
-classical Runge-Kutta transport from the tree matrices; the same integrator
-and compiled symbol table serve the geodesics of `projective`.
+simplified after each step.  Transport moves a list of jets along one path
+in a single fixed-step classical Runge-Kutta run (the m+1 basis jets move as
+the fundamental matrix), from the tree matrices compiled to floats once per
+(manifold, mu) and kept on the manifold; the same integrator serves the
+geodesics of `projective`.
 """
 
 from __future__ import annotations
@@ -297,14 +299,6 @@ def solution_report(space: SolutionSpace) -> dict:
 # float engine and transport
 
 
-def compile_symbols(grid, index: tuple = ()) -> list:
-    """(index, float callable) for each nonzero expression of a nested grid, in index order."""
-    if isinstance(grid, ex.ScalarExpr):
-        return [] if grid == ex.ZERO else [(index, ex.compile_float(grid))]
-    return [pair for position, entry in enumerate(grid)
-            for pair in compile_symbols(entry, index + (position,))]
-
-
 @contextmanager
 def _float_faults():
     """Float overflow and division by zero in the block raise DomainError."""
@@ -340,17 +334,32 @@ def runge_kutta(derivative, state: list, steps: int, before_step=None):
             yield state
 
 
+def _float_jet_system(manifold: geo.AffineManifold, mu) -> list:
+    """The nonzero entries of the A_i as float callables, compiled once per (manifold, mu)."""
+    compiled = manifold.float_jet_systems
+    mu = Fraction(mu)
+    if mu not in compiled:
+        compiled[mu] = ex.compile_symbols(build_jet_system(manifold, mu).matrices)
+    return compiled[mu]
+
+
 def transport_jet(manifold: geo.AffineManifold, mu, path, u0,
                   steps_per_segment: int = 1000):
-    """Integrate d_t u = velocity^i A_i u along a polyline with classical RK4."""
-    if len(path) < 2:
-        return [float(c) for c in u0]
-    system = build_jet_system(manifold, mu)
-    symbols = compile_symbols(system.matrices)
-    guards = [ex.compile_float(g) for g in manifold.excluded]
-    n = system.jet_size
-    if len(u0) != n:
+    """Integrate d_t u = velocity^i A_i u along a polyline with classical RK4.
+
+    ``u0`` is one jet, or a list of jets moved in one run (the m+1 basis jets
+    move as the fundamental matrix); the result has the same form.  Each stage
+    evaluates every compiled entry once and applies it to each jet in the
+    one-jet order, so a jet's floats do not depend on its companions.
+    """
+    batched = len(u0) > 0 and isinstance(u0[0], (list, tuple))
+    jets = [[float(c) for c in jet] for jet in (u0 if batched else [u0])]
+    n = manifold.dim + 1
+    if any(len(jet) != n for jet in jets):
         raise ValueError(f"jet must have {n} components")
+    if not path:
+        raise ValueError("path has no points")
+    guards = manifold.float_guards
 
     def sides(x):
         values = [fn(x) for fn in guards]
@@ -358,20 +367,24 @@ def transport_jet(manifold: geo.AffineManifold, mu, path, u0,
             raise geo.ExcludedLocusError(f"path touched the excluded locus at {tuple(x)}")
         return [value > 0.0 for value in values]
 
-    u = [float(c) for c in u0]
     with _float_faults():
         signs = sides([float(c) for c in path[0]])
+    state = [c for jet in jets for c in jet]
+    offsets = range(0, len(state), n)
+    symbols = _float_jet_system(manifold, mu)
     for start, stop in zip(path, path[1:]):
         velocity = [float(b) - float(a) for a, b in zip(start, stop)]
         line = [(float(c), v) for c, v in zip(start, velocity)]
-        active = [(a, b, velocity[i], fn) for (i, a, b), fn in symbols
-                  if velocity[i] != 0.0]
+        active = [(velocity[i], fn, [(o + a, o + b) for o in offsets])
+                  for (i, a, b), fn in symbols if velocity[i] != 0.0]
 
-        def derivative(t, jet):
+        def derivative(t, columns):
             x = [c + t * v for c, v in line]
-            du = [0.0] * n
-            for a, b, v, fn in active:
-                du[a] += v * fn(x) * jet[b]
+            du = [0.0] * len(columns)
+            for v, fn, pairs in active:
+                value = v * fn(x)
+                for a, b in pairs:
+                    du[a] += value * columns[b]
             return du
 
         def check_guards(t):
@@ -379,9 +392,11 @@ def transport_jet(manifold: geo.AffineManifold, mu, path, u0,
             if sides(x) != signs:
                 raise geo.ExcludedLocusError(f"path crossed the excluded locus near {tuple(x)}")
 
-        for u in runge_kutta(derivative, u, steps_per_segment, check_guards if guards else None):
+        for state in runge_kutta(derivative, state, steps_per_segment,
+                                 check_guards if guards else None):
             pass
-    return u
+    moved = [state[o:o + n] for o in offsets]
+    return moved if batched else moved[0]
 
 
 def holonomy_defect(manifold: geo.AffineManifold, mu, loop, u0,

@@ -113,6 +113,26 @@ def test_classify_wall_chart_outside_the_normal_forms(capsys):
     assert "predicted >=1, computed 1, agree" in capsys.readouterr().out
 
 
+def test_classify_computes_ricci_once(monkeypatch, capsys):
+    # the prediction and the solve at every eigenvalue share one model
+    from affineqe import geometry
+
+    calls = []
+    ricci = geometry.ricci
+    monkeypatch.setattr(geometry, "ricci", lambda m: calls.append(m) or ricci(m))
+    params = ('{"c11_1":"-1","c11_2":"1","c12_1":"-2","c12_2":"3/2",'
+              '"c22_1":"-1","c22_2":"0"}')
+    code = main(["classify", "--kind", "typeB", "--params", params,
+                 "--mu", "-1", "--mu", "1/3", "--mu", "2"])
+    assert code == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "mu = -1: predicted >=1, computed 1, agree",
+        "mu = 1/3: predicted 0, computed 0, agree",
+        "mu = 2: predicted 0, computed 0, agree",
+    ]
+    assert len(calls) == 1
+
+
 def test_classify_agreement(capsys):
     code = main(["classify", "--kind", "exp3d", "--mu", "-3/5", "--mu", "0"])
     assert code == 0

@@ -246,6 +246,29 @@ class TestGeodesics:
         pj.geodesic_straightness(m, chart, 2, random.Random(2), steps_per_segment=100)
         assert len(calls) == 1 and calls[0] is m
 
+    def test_float_forms_are_compiled_once_per_manifold_and_mu(self, monkeypatch):
+        # the chart's transports share one compiled jet system at mu = -1 and
+        # one set of guards; the geodesics share one compiled Christoffel table
+        builds = []
+        compiles = []
+        build = qs.build_jet_system
+        compile_float = ex.compile_float
+        monkeypatch.setattr(qs, "build_jet_system",
+                            lambda m, mu: builds.append((m, mu)) or build(m, mu))
+        monkeypatch.setattr(ex, "compile_float",
+                            lambda e: compiles.append(e) or compile_float(e))
+        m = cat.wall_projflat_surface(1, 1).manifold()
+        chart = pj.flat_chart(m, WALL_BASE, [(1.1, 0.05), (0.9, -0.05)],
+                              steps_per_segment=100)
+        pj.geodesic_straightness(m, chart, 3, random.Random(2), steps_per_segment=100)
+        # one build for the exact solve, one for the compiled float form
+        assert builds == [(m, -1), (m, -1)]
+        system = build(m, -1)
+        entries = [e for grid in system.matrices for row in grid for e in row
+                   if e != ex.ZERO]
+        symbols = [e for plane in m.gamma for row in plane for e in row if e != ex.ZERO]
+        assert compiles == list(m.excluded) + entries + symbols
+
     def test_overflow_in_symbols_is_domain_error(self):
         # the geodesic of the plane deformed by -x1^3 blows up before t = 50;
         # x1^2 then overflows inside the compiled symbols

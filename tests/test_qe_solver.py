@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from affineqe import catalog as cat
 from affineqe import expr as ex
 from affineqe import geometry as geo
 from affineqe import projective as pj
@@ -245,6 +246,73 @@ class TestTransport:
     def test_jet_length_checked(self):
         with pytest.raises(ValueError):
             qs.transport_jet(geo.flat_manifold(2), q(0), [(0, 0), (1, 0)], [1, 0])
+
+    def test_single_point_path_checks_the_jet_and_the_point(self):
+        with pytest.raises(ValueError):
+            qs.transport_jet(geo.flat_manifold(2), q(0), [(0, 0)], [1, 0])
+        with pytest.raises(ValueError):
+            qs.transport_jet(geo.flat_manifold(2), q(0), [(0, 0)], [[1, 0, 0], [1, 0]])
+        wall = cat.wall_projflat_surface(1, 1).manifold()
+        for u0 in ([1, 0, 0], [[1, 0, 0], [0, 1, 0]]):
+            with pytest.raises(geo.ExcludedLocusError):
+                qs.transport_jet(wall, q(-1), [(0, 0)], u0)
+        with pytest.raises(geo.ExcludedLocusError):
+            qs.holonomy_defect(wall, q(-1), [(0, 0)], [1, 0, 0])
+        assert qs.transport_jet(wall, q(-1), [(1, 0)], [[1, 0, 0], [0, 1, 0]]) \
+            == [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]
+
+    def test_empty_path_rejected(self):
+        with pytest.raises(ValueError):
+            qs.transport_jet(geo.flat_manifold(2), q(0), [], [1, 0, 0])
+
+
+def _identity_jets(size):
+    return [[1.0 if a == b else 0.0 for a in range(size)] for b in range(size)]
+
+
+class TestBatchedTransport:
+    """Jets moved together along one path equal, bit for bit, jets moved alone."""
+
+    @staticmethod
+    def assert_batch_is_exact(manifold, mu, path, jets, steps):
+        together = qs.transport_jet(manifold, mu, path, jets, steps)
+        alone = [qs.transport_jet(manifold, mu, path, jet, steps) for jet in jets]
+        assert together == alone
+
+    def test_wall_chart_multi_segment_path(self):
+        # four segments with guard checks on the excluded wall x1 = 0
+        m = cat.wall_projflat_surface(-1, 1).manifold()
+        path = [(1, 0), (1.3, 0.4), (0.8, 0.6), (0.9, -0.3), (1.1, 0.05)]
+        jets = _identity_jets(3) + [[0.5, -2.0, 1.25]]
+        self.assert_batch_is_exact(m, q(-1), path, jets, 200)
+
+    def test_three_dimensional_chart(self):
+        m = example_b1()
+        path = [(0, 0, 0), (0.2, -0.1, 0.3), (-0.1, 0.25, 0.1)]
+        self.assert_batch_is_exact(m, q(-3, 5), path, _identity_jets(4), 200)
+        wall = geo.from_christoffel(3, X3, {
+            (0, 0, 0): ex.const(2) / ex.coord(0), (0, 1, 2): ex.coord(1),
+            (1, 2, 1): ex.const(q(1, 3)) / ex.coord(0)}, excluded=[ex.coord(0)])
+        self.assert_batch_is_exact(wall, q(-1, 2), [(1, 0, 0), (1.2, 0.3, -0.4)],
+                                   _identity_jets(4), 200)
+
+    def test_wrong_length_column_rejected(self):
+        with pytest.raises(ValueError):
+            qs.transport_jet(example_b1(), q(-3, 5), [(0, 0, 0), (0, 0, 1)],
+                             [[1, 0, 0, 3], [1, 0, 0]])
+
+    def test_excluded_crossing_detected(self):
+        m = cat.wall_projflat_surface(1, 1).manifold()
+        with pytest.raises(geo.ExcludedLocusError):
+            qs.transport_jet(m, q(-1), [(1, 0), (-1, 0)], _identity_jets(3), 100)
+
+    def test_overflowing_symbol_is_domain_error(self):
+        m = geo.from_christoffel(2, X2, {(0, 0, 0): ex.coord(0) ** 3})
+        path = [(1e120, 0), (2e120, 0)]
+        with pytest.raises(ex.DomainError):
+            qs.transport_jet(m, q(-1), path, [1, 0, 0], 10)
+        with pytest.raises(ex.DomainError):
+            qs.transport_jet(m, q(-1), path, _identity_jets(3), 10)
 
 
 UNIT_LOOP_13 = [(0, 0, 0), (1, 0, 0), (1, 0, 1), (0, 0, 1), (0, 0, 0)]
