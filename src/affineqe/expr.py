@@ -783,8 +783,12 @@ def is_identically_zero(e: ScalarExpr, rng: random.Random | None = None) -> Verd
     return Verdict.NONZERO
 
 
-def compile_float(e: ScalarExpr) -> Callable[[Sequence[float]], float]:
-    """Compile to a plain-float callable for hot numeric loops."""
+_FLOAT_GLOBALS = {"_exp": _math.exp, "_log": _math.log}  # shared by every compiled callable
+
+
+def compile_float(e: ScalarExpr | Sequence[ScalarExpr]) -> Callable[[Sequence[float]], object]:
+    """Compile to a plain-float callable for hot numeric loops; a sequence of
+    expressions compiles to one callable returning their values as a tuple."""
 
     def emit(node: ScalarExpr) -> str:
         if isinstance(node, Const):
@@ -805,13 +809,19 @@ def compile_float(e: ScalarExpr) -> Callable[[Sequence[float]], float]:
             return f"_log({emit(node.arg)})"
         raise TypeError(f"not a ScalarExpr: {node!r}")
 
-    source = f"lambda c: {emit(e)}"
-    return eval(source, {"_exp": _math.exp, "_log": _math.log})  # noqa: S307
+    body = emit(e) if isinstance(e, ScalarExpr) else "(" + "".join(emit(t) + "," for t in e) + ")"
+    return eval(f"lambda c: {body}", _FLOAT_GLOBALS)  # noqa: S307
 
 
-def compile_symbols(grid, index: tuple = ()) -> list:
-    """(index, float callable) for each nonzero expression of a nested grid, in index order."""
+def compile_symbols(grid) -> tuple:
+    """(indices, callable) for the nonzero entries of a nested grid, in index
+    order: their index tuples and one float callable returning their values."""
+    entries = _nonzero_entries(grid)
+    return tuple(index for index, _ in entries), compile_float(tuple(e for _, e in entries))
+
+
+def _nonzero_entries(grid, index: tuple = ()) -> list:
     if isinstance(grid, ScalarExpr):
-        return [] if grid == ZERO else [(index, compile_float(grid))]
+        return [] if grid == ZERO else [(index, grid)]
     return [pair for position, entry in enumerate(grid)
-            for pair in compile_symbols(entry, index + (position,))]
+            for pair in _nonzero_entries(entry, index + (position,))]

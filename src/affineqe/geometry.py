@@ -75,18 +75,18 @@ class AffineManifold:
         return ricci(self)
 
     @cached_property
-    def float_gamma(self) -> list:
-        """((i, j, k), float callable) per nonzero symbol, compiled once per manifold."""
+    def float_gamma(self) -> tuple:
+        """(i, j, k) of each nonzero symbol and one callable for their float values."""
         return ex.compile_symbols(self.gamma)
 
     @cached_property
-    def float_guards(self) -> list:
-        """The excluded-locus expressions as float callables, compiled once."""
-        return [ex.compile_float(g) for g in self.excluded]
+    def float_guards(self):
+        """One float callable returning the excluded-locus expressions' values."""
+        return ex.compile_float(self.excluded)
 
     @cached_property
     def float_jet_systems(self) -> dict:
-        """mu -> the compiled jet system at mu, filled by `qe_solver.transport_jet`."""
+        """mu -> the compiled A_i at mu, filled by `qe_solver.jet_field`."""
         return {}
 
 

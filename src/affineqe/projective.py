@@ -215,19 +215,14 @@ class FlatChart:
         return len(self.base_z)
 
 
-def _chart_at(manifold: geo.AffineManifold, jet_basis, path,
-              steps_per_segment: int) -> tuple:
-    """z^i = phi_i/phi_0 and its x-Jacobian at the end of ``path``, from the
-    m+1 basis jets transported along it in one run."""
-    mu_m = qs.distinguished_eigenvalue(manifold.dim)
-    jets = qs.transport_jet(manifold, mu_m, path, jet_basis, steps_per_segment)
+def _chart_image(jets) -> tuple:
+    """z^i = phi_i/phi_0 and its x-Jacobian from the m+1 basis jets at a point."""
     phi0 = jets[0]
     if abs(phi0[0]) < 1e-12:
         raise FlatnessError("phi_0 vanishes on the grid; shrink the chart region")
-    dim = manifold.dim
-    z = [jets[i][0] / phi0[0] for i in range(1, dim + 1)]
+    z = [jets[i][0] / phi0[0] for i in range(1, len(jets))]
     jac = [[(jets[i][1 + j] * phi0[0] - jets[i][0] * phi0[1 + j]) / phi0[0] ** 2
-            for j in range(dim)] for i in range(1, dim + 1)]
+            for j in range(len(jets) - 1)] for i in range(1, len(jets))]
     return tuple(z), tuple(tuple(row) for row in jac)
 
 
@@ -252,14 +247,14 @@ def flat_chart(manifold: geo.AffineManifold, basepoint, grid,
     z_jacobians = []
     base = tuple(float(c) for c in basepoint)
     for point in grid:
-        z, jac = _chart_at(manifold, jet_basis,
-                           [base, tuple(float(c) for c in point)], steps_per_segment)
+        z, jac = _chart_image(qs.transport_jet(
+            manifold, mu_m, [base, tuple(float(c) for c in point)], jet_basis, steps_per_segment))
         z_values.append(z)
         z_jacobians.append(jac)
     # out-and-back: a nondegenerate closed path measuring base-invariant error
     probe = tuple(c + (0.1 if i == 0 else 0.0) for i, c in enumerate(base))
-    base_z, base_jac = _chart_at(manifold, jet_basis, [base, probe, base],
-                                 steps_per_segment)
+    base_z, base_jac = _chart_image(qs.transport_jet(
+        manifold, mu_m, [base, probe, base], jet_basis, steps_per_segment))
     return FlatChart(base, jet_basis, tuple(tuple(p) for p in grid),
                      tuple(z_values), tuple(z_jacobians), base_z, base_jac)
 
@@ -306,39 +301,51 @@ def box_grid(basepoint, radius: float, per_axis: int = 3) -> list:
 def integrate_geodesic(manifold: geo.AffineManifold, start, velocity,
                        horizon: float, samples: int = 10,
                        steps: int = 400,
-                       max_distance: float | None = None) -> list:
+                       max_distance: float | None = None, jets: Sequence | None = None):
     """Sample points of the geodesic through (start, velocity) up to ``horizon``.
 
     Geodesics are affinely parametrized, so coordinate speed may grow; when
     ``max_distance`` is given, integration stops once the trajectory leaves
-    that ball around the start.
+    that ball around the start; each step's end point must stay off the excluded
+    locus.  Given ``jets``, they move in the same run by d_t u = v^i A_i u at
+    -1/(m-1), and the result is (samples, the moved jets at each sample).
     """
     m = manifold.dim
-    symbols = manifold.float_gamma
+    indices, gamma = manifold.float_gamma
+    field = None if jets is None else qs.jet_field(
+        manifold, qs.distinguished_eigenvalue(m), len(jets))
 
     def derivative(_t, state):
         x = state[:m]
-        v = state[m:]
+        v = state[m:2 * m]
         acc = [0.0] * m
-        for (i, j, k), fn in symbols:
-            acc[k] -= fn(x) * v[i] * v[j]
-        return v + acc
+        for (i, j, k), value in zip(indices, gamma(x)):
+            acc[k] -= value * v[i] * v[j]
+        return v + acc if field is None else v + acc + field(x, v, state[2 * m:])
 
     origin = [float(c) for c in start]
-    # the state is (x, v), reparametrized to unit time
-    state = origin + [float(c) * horizon for c in velocity]
-    trail = [tuple(origin)]
-    for state in qs.runge_kutta(derivative, state, steps):
-        x = state[:m]
-        trail.append(tuple(x))
-        if max_distance is not None and math.sqrt(
-                sum((a - b) ** 2 for a, b in zip(x, origin))) > max_distance:
-            break
+    # the state is (x, v), reparametrized to unit time, then the stacked jets
+    state = origin + [float(c) * horizon for c in velocity] + \
+        [float(c) for jet in jets or () for c in jet]
+    trail = [state]
+    with qs.float_faults():
+        signs = qs.locus_sides(manifold, origin)
+        for state in qs.runge_kutta(derivative, state, steps):
+            x = state[:m]
+            qs.locus_sides(manifold, x, signs)
+            trail.append(state)
+            if max_distance is not None and math.sqrt(
+                    sum((a - b) ** 2 for a, b in zip(x, origin))) > max_distance:
+                break
     if len(trail) < 3:
         raise DomainError("geodesic left the region immediately")
     picks = sorted({round(i * (len(trail) - 1) / samples)
                     for i in range(samples + 1)})
-    return [trail[i] for i in picks]
+    points = [tuple(trail[i][:m]) for i in picks]
+    if jets is None:
+        return points
+    return points, [[trail[i][o:o + m + 1] for o in range(2 * m, len(state), m + 1)]
+                    for i in picks]
 
 
 def _deviation_from_chord(points) -> float:
@@ -360,11 +367,14 @@ def _deviation_from_chord(points) -> float:
 def geodesic_straightness(manifold: geo.AffineManifold, chart: FlatChart,
                           n_geodesics: int, rng: random.Random,
                           horizon: float | None = None,
-                          steps_per_segment: int = 600) -> float:
+                          steps_per_segment: int = 400) -> float:
     """Max normalized deviation of chart images of geodesics from straight chords.
 
-    The horizon shrinks and the geodesic is retried when it leaves the chart
-    region (phi_0 near zero or the excluded locus); persistent failure raises.
+    Each geodesic is one run of ``steps_per_segment`` steps carrying the
+    chart's basis jets (the chart's maximal solution space has trivial
+    holonomy, so any path gives the same images).  The horizon shrinks and the
+    geodesic is retried when it leaves the chart region (phi_0 near zero or
+    the excluded locus); persistent failure raises.
     """
     m = manifold.dim
     base = chart.basepoint
@@ -378,11 +388,10 @@ def geodesic_straightness(manifold: geo.AffineManifold, chart: FlatChart,
         radius = span
         for _attempt in range(4):
             try:
-                samples = integrate_geodesic(manifold, base, direction, radius,
-                                             max_distance=radius)
-                images = [_chart_at(manifold, chart.jet_basis, [base, point],
-                                    steps_per_segment)[0]
-                          for point in samples]
+                _, moved = integrate_geodesic(manifold, base, direction, radius,
+                                              steps=steps_per_segment,
+                                              max_distance=radius, jets=chart.jet_basis)
+                images = [_chart_image(jets)[0] for jets in moved]
                 worst = max(worst, _deviation_from_chord(images))
                 break
             except (DomainError, geo.ExcludedLocusError):
@@ -439,8 +448,8 @@ def ricci_flat_residual_numeric(manifold: geo.AffineManifold,
     if jet is None:
         raise DomainError("no solution with nonzero value at the basepoint")
     base = [float(c) for c in space.basepoint]
-    rho_symbols = ex.compile_symbols(manifold.ricci_parts.sym.components)
-    gamma_symbols = manifold.float_gamma
+    rho_indices, rho_symbols = ex.compile_symbols(manifold.ricci_parts.sym.components)
+    gamma_indices, gamma = manifold.float_gamma
 
     def jet_at(x):
         return qs.transport_jet(manifold, mu_m, [tuple(base), tuple(x)],
@@ -466,11 +475,11 @@ def ricci_flat_residual_numeric(manifold: geo.AffineManifold,
                 d2 = (jet_up[1 + j] - jet_dn[1 + j]) / (2 * fd_step)
                 hess[i][j] += d2
         rho = [[0.0] * m for _ in range(m)]
-        for (i, j), fn in rho_symbols:
-            rho[i][j] = fn(x)
+        for (i, j), value in zip(rho_indices, rho_symbols(x)):
+            rho[i][j] = value
         gamma_grad = [[0.0] * m for _ in range(m)]
-        for (i, j, k), fn in gamma_symbols:
-            gamma_grad[i][j] += fn(x) * grad[k]
+        for (i, j, k), value in zip(gamma_indices, gamma(x)):
+            gamma_grad[i][j] += value * grad[k]
         for i in range(m):
             for j in range(m):
                 covariant = hess[i][j] - gamma_grad[i][j]

@@ -10,8 +10,8 @@ from the matrices converted once; exp/log systems keep expression-tree rows,
 simplified after each step.  Transport moves a list of jets along one path
 in a single fixed-step classical Runge-Kutta run (the m+1 basis jets move as
 the fundamental matrix), from the tree matrices compiled to floats once per
-(manifold, mu) and kept on the manifold; the same integrator serves the
-geodesics of `projective`.
+(manifold, mu) and kept on the manifold; the geodesics of `projective` carry
+jets through the same integrator, jet field and excluded-locus check.
 """
 
 from __future__ import annotations
@@ -300,7 +300,7 @@ def solution_report(space: SolutionSpace) -> dict:
 
 
 @contextmanager
-def _float_faults():
+def float_faults():
     """Float overflow and division by zero in the block raise DomainError."""
     try:
         yield
@@ -318,7 +318,7 @@ def runge_kutta(derivative, state: list, steps: int, before_step=None):
     h = 1.0 / steps
     half = h / 2
     sixth = h / 6
-    with _float_faults():
+    with float_faults():
         for step in range(steps):
             t0 = step * h
             if before_step is not None:
@@ -334,13 +334,45 @@ def runge_kutta(derivative, state: list, steps: int, before_step=None):
             yield state
 
 
-def _float_jet_system(manifold: geo.AffineManifold, mu) -> list:
-    """The nonzero entries of the A_i as float callables, compiled once per (manifold, mu)."""
+def locus_sides(manifold: geo.AffineManifold, x, signs: list | None = None) -> list:
+    """The side of each excluded-locus guard that x lies on (call inside
+    `float_faults`); raises ExcludedLocusError when x touches the locus or,
+    given the ``signs`` of an earlier point, lies on another side of a guard."""
+    values = manifold.float_guards(x)
+    if 0.0 in values:
+        raise geo.ExcludedLocusError(f"path touched the excluded locus at {tuple(x)}")
+    sides = [value > 0.0 for value in values]
+    if signs is not None and sides != signs:
+        raise geo.ExcludedLocusError(f"path crossed the excluded locus near {tuple(x)}")
+    return sides
+
+
+def jet_field(manifold: geo.AffineManifold, mu, count: int):
+    """du(x, velocity, u) = velocity^i A_i(x) u for ``count`` jets stacked in u.
+
+    The A_i are compiled once per (manifold, mu), one callable each, evaluated
+    only where velocity^i is nonzero; each entry's term is applied to the jets
+    in turn, so a jet's floats do not depend on its companions.
+    """
     compiled = manifold.float_jet_systems
     mu = Fraction(mu)
     if mu not in compiled:
-        compiled[mu] = ex.compile_symbols(build_jet_system(manifold, mu).matrices)
-    return compiled[mu]
+        compiled[mu] = [ex.compile_symbols(a_i) for a_i in build_jet_system(manifold, mu).matrices]
+    offsets = range(0, count * (manifold.dim + 1), manifold.dim + 1)
+    # per A_i: its callable and (position in its values, row in u, column in u)
+    tables = [(fn, [(k, o + a, o + b) for k, (a, b) in enumerate(indices) for o in offsets])
+              for indices, fn in compiled[mu]]
+
+    def field(x, velocity, u):
+        du = [0.0] * len(u)
+        for v, (fn, entries) in zip(velocity, tables):
+            if v != 0.0:
+                values = fn(x)
+                for k, a, b in entries:
+                    du[a] += v * values[k] * u[b]
+        return du
+
+    return field
 
 
 def transport_jet(manifold: geo.AffineManifold, mu, path, u0,
@@ -348,9 +380,7 @@ def transport_jet(manifold: geo.AffineManifold, mu, path, u0,
     """Integrate d_t u = velocity^i A_i u along a polyline with classical RK4.
 
     ``u0`` is one jet, or a list of jets moved in one run (the m+1 basis jets
-    move as the fundamental matrix); the result has the same form.  Each stage
-    evaluates every compiled entry once and applies it to each jet in the
-    one-jet order, so a jet's floats do not depend on its companions.
+    move as the fundamental matrix); the result has the same form.
     """
     batched = len(u0) > 0 and isinstance(u0[0], (list, tuple))
     jets = [[float(c) for c in jet] for jet in (u0 if batched else [u0])]
@@ -359,43 +389,24 @@ def transport_jet(manifold: geo.AffineManifold, mu, path, u0,
         raise ValueError(f"jet must have {n} components")
     if not path:
         raise ValueError("path has no points")
-    guards = manifold.float_guards
-
-    def sides(x):
-        values = [fn(x) for fn in guards]
-        if 0.0 in values:
-            raise geo.ExcludedLocusError(f"path touched the excluded locus at {tuple(x)}")
-        return [value > 0.0 for value in values]
-
-    with _float_faults():
-        signs = sides([float(c) for c in path[0]])
+    with float_faults():
+        signs = locus_sides(manifold, [float(c) for c in path[0]])
     state = [c for jet in jets for c in jet]
-    offsets = range(0, len(state), n)
-    symbols = _float_jet_system(manifold, mu)
+    field = jet_field(manifold, mu, len(jets))
     for start, stop in zip(path, path[1:]):
         velocity = [float(b) - float(a) for a, b in zip(start, stop)]
         line = [(float(c), v) for c, v in zip(start, velocity)]
-        active = [(velocity[i], fn, [(o + a, o + b) for o in offsets])
-                  for (i, a, b), fn in symbols if velocity[i] != 0.0]
 
         def derivative(t, columns):
-            x = [c + t * v for c, v in line]
-            du = [0.0] * len(columns)
-            for v, fn, pairs in active:
-                value = v * fn(x)
-                for a, b in pairs:
-                    du[a] += value * columns[b]
-            return du
+            return field([c + t * v for c, v in line], velocity, columns)
 
         def check_guards(t):
-            x = [c + t * v for c, v in line]
-            if sides(x) != signs:
-                raise geo.ExcludedLocusError(f"path crossed the excluded locus near {tuple(x)}")
+            locus_sides(manifold, [c + t * v for c, v in line], signs)
 
         for state in runge_kutta(derivative, state, steps_per_segment,
-                                 check_guards if guards else None):
+                                 check_guards if manifold.excluded else None):
             pass
-    moved = [state[o:o + n] for o in offsets]
+    moved = [state[o:o + n] for o in range(0, len(state), n)]
     return moved if batched else moved[0]
 
 

@@ -210,6 +210,20 @@ def test_simplify_rational_is_canonical():
     assert format_expr(s, XY) == "x1^2"
 
 
+def test_compiled_table_equals_entrywise_compile():
+    # one callable per table returns, bit for bit, what each entry compiles to
+    rng = random.Random(11)
+    texts = [["0", "x1*x2 - 3/7", "exp(x1/2 - x2)"],
+             ["log(2 + x2^2)/(1 + x1^2)", "0", "(x1 - x2)^3 + exp(x2)*x1"]]
+    grid = tuple(tuple(parse_scalar(t, XY) for t in row) for row in texts)
+    indices, table = expr.compile_symbols(grid)
+    assert indices == ((0, 1), (0, 2), (1, 0), (1, 2))
+    entries = [expr.compile_float(grid[i][j]) for i, j in indices]
+    for _ in range(25):
+        p = (rng.uniform(-2, 2), rng.uniform(-2, 2))
+        assert table(p) == tuple(fn(p) for fn in entries)
+
+
 def test_compile_float_matches_evaluate():
     rng = random.Random(7)
     e = parse_scalar("(1 + x1^2 - x2)/(2 + x2^2) + exp(x1/2)", XY)

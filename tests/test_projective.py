@@ -25,6 +25,10 @@ ORIGIN = (q(0), q(0))
 WALL_BASE = (q(1), q(0))
 
 
+def _identity_jets(size):
+    return [[1.0 if a == b else 0.0 for a in range(size)] for b in range(size)]
+
+
 def random_polynomial_potential(rng, degree=2):
     total = ex.ZERO
     for i in range(degree + 1):
@@ -247,8 +251,9 @@ class TestGeodesics:
         assert len(calls) == 1 and calls[0] is m
 
     def test_float_forms_are_compiled_once_per_manifold_and_mu(self, monkeypatch):
-        # the chart's transports share one compiled jet system at mu = -1 and
-        # one set of guards; the geodesics share one compiled Christoffel table
+        # the chart's transports and the geodesics share one compiled jet
+        # system at mu = -1 (one callable per A_i) and one guard callable; the
+        # geodesics add one compiled Christoffel table and nothing else
         builds = []
         compiles = []
         build = qs.build_jet_system
@@ -260,14 +265,41 @@ class TestGeodesics:
         m = cat.wall_projflat_surface(1, 1).manifold()
         chart = pj.flat_chart(m, WALL_BASE, [(1.1, 0.05), (0.9, -0.05)],
                               steps_per_segment=100)
+        chart_compiles = len(compiles)
         pj.geodesic_straightness(m, chart, 3, random.Random(2), steps_per_segment=100)
         # one build for the exact solve, one for the compiled float form
         assert builds == [(m, -1), (m, -1)]
-        system = build(m, -1)
-        entries = [e for grid in system.matrices for row in grid for e in row
-                   if e != ex.ZERO]
-        symbols = [e for plane in m.gamma for row in plane for e in row if e != ex.ZERO]
-        assert compiles == list(m.excluded) + entries + symbols
+        tables = [tuple(e for row in grid for e in row if e != ex.ZERO)
+                  for grid in build(m, -1).matrices]
+        symbols = tuple(e for plane in m.gamma for row in plane for e in row if e != ex.ZERO)
+        assert compiles == [m.excluded] + tables + [symbols]
+        assert chart_compiles == 1 + len(tables)
+
+    def test_crossing_the_excluded_locus_is_detected(self):
+        # x1 runs from 1 through the wall x1 = 0; transport on the same
+        # segment already raised
+        m = cat.wall_dim1_surface(1).manifold()
+        with pytest.raises(geo.ExcludedLocusError):
+            pj.integrate_geodesic(m, (1.0, 0.0), (-1.0, 0.0), 2)
+        with pytest.raises(geo.ExcludedLocusError):
+            pj.integrate_geodesic(m, (1.0, 0.0), (-1.0, 0.0), 2, jets=_identity_jets(3))
+
+    @pytest.mark.parametrize("surface", ["wall", "deformed_plane"])
+    def test_jets_carried_along_the_geodesic_match_straight_transport(self, surface):
+        if surface == "wall":
+            m, base = cat.wall_projflat_surface(1, 1).manifold(), WALL_BASE
+        else:
+            potential = ex.coord(0) * ex.coord(1) + ex.const(q(1, 2)) * ex.coord(0) ** 2
+            m, base = pj.deform(FLAT, pj.ProjectiveChange.from_potential(potential, 2)), ORIGIN
+        chart = pj.flat_chart(m, base, [(float(base[0]) + 0.1, 0.1)], steps_per_segment=100)
+        start = tuple(float(c) for c in base)
+        for direction in [(1.0, 0.0), (0.6, -0.8), (-0.3, 0.9)]:
+            points, moved = pj.integrate_geodesic(m, start, direction, 0.2, jets=chart.jet_basis)
+            assert points == pj.integrate_geodesic(m, start, direction, 0.2)
+            for point, jets in zip(points, moved):
+                z, _ = pj._chart_image(jets)
+                straight = qs.transport_jet(m, -1, [start, point], chart.jet_basis, 600)
+                assert max(abs(a - b) for a, b in zip(z, pj._chart_image(straight)[0])) <= 1e-9
 
     def test_overflow_in_symbols_is_domain_error(self):
         # the geodesic of the plane deformed by -x1^3 blows up before t = 50;
