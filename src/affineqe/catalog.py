@@ -460,13 +460,12 @@ class CrosscheckReport:
     agree: bool
 
 
-def crosschecks(kind: str, params: dict | None, mus: Sequence,
-                basepoint=None) -> list:
+def crosschecks(kind: str, params: dict | None, mus: Sequence) -> list:
     """Prediction against the solver at each eigenvalue, on one model, so that
     the prediction and every solve share its chart and Ricci tensor."""
     model = model_for(kind, params)
     manifold = _chart_of(model)
-    point = tuple(basepoint) if basepoint is not None else default_basepoint(manifold)
+    point = default_basepoint(manifold)
     reports = []
     for mu in mus:
         predicted = _prediction(kind, model, q(mu))
@@ -476,8 +475,8 @@ def crosschecks(kind: str, params: dict | None, mus: Sequence,
     return reports
 
 
-def crosscheck(kind: str, params: dict | None, mu, basepoint=None) -> CrosscheckReport:
-    return crosschecks(kind, params, [mu], basepoint)[0]
+def crosscheck(kind: str, params: dict | None, mu) -> CrosscheckReport:
+    return crosschecks(kind, params, [mu])[0]
 
 
 @dataclass
@@ -506,8 +505,7 @@ def _surface_checks(kind, params, mu, dim, rho_rank, violations):
                 f"typeA {params}: rank {rho_rank} but dim {dim} at mu={mu}")
 
 
-def sweep(kind: str, param_grid: Sequence[dict], mu_list: Sequence,
-          basepoint=None) -> SweepResult:
+def sweep(kind: str, param_grid: Sequence[dict], mu_list: Sequence) -> SweepResult:
     """Solver dimensions over a parameter/eigenvalue grid plus property audit."""
     rows = []
     violations: list = []
@@ -515,8 +513,7 @@ def sweep(kind: str, param_grid: Sequence[dict], mu_list: Sequence,
         try:
             obj = model_for(kind, params)
             manifold = _chart_of(obj)
-            point = tuple(basepoint) if basepoint is not None \
-                else default_basepoint(manifold)
+            point = default_basepoint(manifold)
             rho_rank = None
             if isinstance(obj, TypeASurface):
                 rho_rank = exact_rank(

@@ -335,13 +335,13 @@ def build_parser() -> argparse.ArgumentParser:
     parser._negative_number_matcher = _NEGATIVE_TOKEN
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, manifold=True):
+    def common(p, manifold=True,
+               seed_help="not read by this command; sampled zero-tests use a fixed seed"):
         p._negative_number_matcher = _NEGATIVE_TOKEN
         if manifold:
             p.add_argument("manifold", help="manifold document (JSON)")
         p.add_argument("--json", help="write the JSON report here")
-        p.add_argument("--seed", type=int, default=0,
-                       help="seed for all randomized sampling")
+        p.add_argument("--seed", type=int, default=0, help=seed_help)
 
     p = sub.add_parser("curvature", help="curvature and Ricci components")
     common(p)
@@ -361,7 +361,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_classify)
 
     p = sub.add_parser("sweep", help="dimension sweep with property audit")
-    common(p, manifold=False)
+    common(p, manifold=False, seed_help="seed for the random typeA/typeB parameter draws")
     p.add_argument("--family", required=True,
                    choices=("typeA", "typeB", "family3d"))
     p.add_argument("--mu", action="append", required=True)
@@ -375,7 +375,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_deform)
 
     p = sub.add_parser("flatten", help="strong flatness test and flat chart")
-    common(p)
+    common(p, seed_help="seed for the random geodesic directions")
     p.add_argument("--basepoint")
     p.add_argument("--grid", help="chart grid 'radius[:per_axis]' (default: auto)")
     p.add_argument("--geodesics", type=_count, default=5)

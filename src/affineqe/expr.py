@@ -709,51 +709,37 @@ FLOAT_SAMPLE_COUNT = 20
 FLOAT_SAMPLE_TOL = 1e-9
 
 
-def random_rational(rng: random.Random, bound: int = RANDOM_RATIONAL_BOUND) -> Fraction:
-    return Fraction(rng.randint(-bound, bound), rng.randint(1, bound))
+def random_rational_point(nvars: int, rng: random.Random) -> tuple:
+    """A random exact point with coordinates p/q, |p| and q up to the bound."""
+    bound = RANDOM_RATIONAL_BOUND
+    return tuple(Fraction(rng.randint(-bound, bound), rng.randint(1, bound))
+                 for _ in range(nvars))
 
 
-def random_rational_point(nvars: int, rng: random.Random,
-                          avoid: Sequence[ScalarExpr] = (),
-                          max_tries: int = 100) -> tuple:
-    """A random exact point with every ``avoid`` expression nonzero there."""
-    for _ in range(max_tries):
-        point = tuple(random_rational(rng) for _ in range(nvars))
-        try:
-            if all(evaluate(a, point, "exact") != 0 for a in avoid):
-                return point
-        except DomainError:
-            continue
-    raise DomainError("could not sample a point off the excluded locus")
-
-
-def random_float_point(nvars: int, rng: random.Random, radius: float = 1.0,
-                       positive: bool = False) -> tuple:
+def random_float_point(nvars: int, rng: random.Random, positive: bool = False) -> tuple:
     if positive:
-        return tuple(0.05 + radius * rng.random() for _ in range(nvars))
-    return tuple(radius * (2 * rng.random() - 1) for _ in range(nvars))
+        return tuple(0.05 + 2.0 * rng.random() for _ in range(nvars))
+    return tuple(2.0 * (2 * rng.random() - 1) for _ in range(nvars))
 
 
-def _sample_verdict(e: ScalarExpr, rng: random.Random,
-                    samples: int = FLOAT_SAMPLE_COUNT,
-                    tol: float = FLOAT_SAMPLE_TOL) -> Verdict:
+def _sample_verdict(e: ScalarExpr, rng: random.Random) -> Verdict:
     nvars = max_coord_index(e) + 1
     collected = 0
     tries = 0
     positive = False
-    while collected < samples:
+    while collected < FLOAT_SAMPLE_COUNT:
         tries += 1
-        if tries > 10 * samples and collected == 0:
+        if tries > 10 * FLOAT_SAMPLE_COUNT and collected == 0:
             if positive:
                 raise DomainError("expression could not be sampled anywhere")
             positive = True  # retry on the positive orthant (log-friendly)
             tries = 0
-        point = random_float_point(nvars, rng, positive=positive, radius=2.0)
+        point = random_float_point(nvars, rng, positive=positive)
         try:
             value = evaluate(e, point, "float")
         except DomainError:
             continue
-        if abs(value) > tol:
+        if abs(value) > FLOAT_SAMPLE_TOL:
             return Verdict.NONZERO
         collected += 1
     return Verdict.NUMERIC_ONLY
@@ -771,8 +757,7 @@ def is_identically_zero(e: ScalarExpr, rng: random.Random | None = None) -> Verd
         return _sample_verdict(e, rng)
     rf = to_ratfunc(e)
     if rf.is_zero:
-        point = random_rational_point(max(rf.den.max_var() + 1, max_coord_index(e) + 1),
-                                      rng, avoid=())
+        point = random_rational_point(max(rf.den.max_var() + 1, max_coord_index(e) + 1), rng)
         try:
             check = evaluate(e, point, "exact")
             if check != 0:

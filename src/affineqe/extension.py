@@ -32,7 +32,6 @@ class PseudoMetric:
     base_dim: int
     coords: tuple
     components: tuple
-    block_extension: bool = False
     excluded: tuple = ()
 
     @property
@@ -80,16 +79,14 @@ def deformed_extension(manifold: geo.AffineManifold,
         return ex.ZERO
 
     grid = tuple(tuple(fill(a, b) for b in range(2 * m)) for a in range(2 * m))
-    return PseudoMetric(m, coords, grid, block_extension=True,
-                        excluded=manifold.excluded)
+    return PseudoMetric(m, coords, grid, excluded=manifold.excluded)
 
 
 def metric_from_grid(base_dim: int, coords, grid,
                      excluded=()) -> PseudoMetric:
     grid = tuple(tuple(ex.as_expr(e) for e in row) for row in grid)
     _symmetric_or_raise(grid, 2 * base_dim, "metric")
-    return PseudoMetric(base_dim, tuple(coords), grid, block_extension=False,
-                        excluded=tuple(excluded))
+    return PseudoMetric(base_dim, tuple(coords), grid, excluded=tuple(excluded))
 
 
 # --------------------------------------------------------------------------
@@ -111,13 +108,15 @@ def _determinant(grid, rows, cols):
 def inverse_metric(metric: PseudoMetric) -> tuple:
     """Exact inverse component grid.
 
-    Block extensions use the closed form (zero xx-block, identity pairing,
-    yy-block the negative of the xx-block); general metrics go through the
-    adjugate, rejecting an identically-degenerate determinant.
+    Metrics whose components have the form of a deformed extension (identity
+    dx-dy pairing, zero yy-block) use the closed form: zero xx-block, identity
+    pairing, yy-block the negative of the xx-block.  General metrics go
+    through the adjugate, rejecting an identically-degenerate determinant.
     """
     n = metric.n
     m = metric.base_dim
-    if metric.block_extension:
+    if all(metric.comp(a, m + b) == metric.comp(m + b, a) == (ex.ONE if a == b else ex.ZERO)
+           and metric.comp(m + a, m + b) == ex.ZERO for a in range(m) for b in range(m)):
         def fill(a, b):
             if a < m and b < m:
                 return ex.ZERO
@@ -157,16 +156,9 @@ def signature_at(metric: PseudoMetric, point) -> tuple:
 # the Levi-Civita connection
 
 
-@dataclass(frozen=True)
-class MetricConnection:
-    """Torsion-free metric connection of a pseudo-metric, as an affine chart."""
-
-    metric: PseudoMetric
-    manifold: geo.AffineManifold
-
-
-def levi_civita(metric: PseudoMetric) -> MetricConnection:
-    """Koszul symbols (1/2) g^{kl} (d_i g_jl + d_j g_il - d_l g_ij)."""
+def levi_civita(metric: PseudoMetric) -> geo.AffineManifold:
+    """The torsion-free metric connection as an affine chart on the metric's
+    coordinates: Koszul symbols (1/2) g^{kl} (d_i g_jl + d_j g_il - d_l g_ij)."""
     n = metric.n
     inverse = metric.inverse
     half = Fraction(1, 2)
@@ -187,14 +179,12 @@ def levi_civita(metric: PseudoMetric) -> MetricConnection:
 
     grid = tuple(tuple(tuple(fill(i, j, k) for k in range(n))
                        for j in range(n)) for i in range(n))
-    manifold = geo.AffineManifold(n, metric.coords, grid, metric.excluded)
-    return MetricConnection(metric, manifold)
+    return geo.AffineManifold(n, metric.coords, grid, metric.excluded)
 
 
-def metric_compatibility_residual(connection: MetricConnection) -> geo.TensorField:
+def metric_compatibility_residual(g: PseudoMetric,
+                                  conn: geo.AffineManifold) -> geo.TensorField:
     """d_k g_ij - G_ki^l g_lj - G_kj^l g_il, identically zero for Levi-Civita."""
-    g = connection.metric
-    conn = connection.manifold
     n = g.n
 
     def fill(k, i, j):
@@ -226,14 +216,14 @@ def extension_identities_residuals(manifold: geo.AffineManifold,
     conn = levi_civita(metric)
     n = metric.n
 
-    lifted_hessian = geo.hessian(conn.manifold, f)
+    lifted_hessian = geo.hessian(conn, f)
     base_hessian = geo.hessian(manifold, f)
 
     def hess_fill(a, b):
         want = base_hessian.comp(a, b) if a < m and b < m else ex.ZERO
         return ex.simplify_rational(lifted_hessian.comp(a, b) - want)
 
-    rho_total = conn.manifold.ricci_parts.full
+    rho_total = conn.ricci_parts.full
     rho_base = manifold.ricci_parts.sym
 
     def ricci_fill(a, b):
@@ -266,8 +256,8 @@ def quasi_einstein_residual(metric: PseudoMetric, psi: ScalarExpr, mu, lam) -> g
     lam = Fraction(lam)
     conn = levi_civita(metric)
     n = metric.n
-    hess = geo.hessian(conn.manifold, psi)
-    rho = conn.manifold.ricci_parts.full
+    hess = geo.hessian(conn, psi)
+    rho = conn.ricci_parts.full
     dpsi = [ex.differentiate(psi, a) for a in range(n)]
 
     def fill(a, b):
@@ -310,15 +300,12 @@ def sample_residual(tensor: geo.TensorField, points, mode: str = "float") -> flo
     return worst
 
 
-def random_symmetric_phi(dim: int, rng: random.Random, degree: int = 1) -> list:
-    """Random polynomial deformation tensor for property sweeps."""
+def random_symmetric_phi(dim: int, rng: random.Random) -> list:
+    """Random affine-linear deformation tensor for property sweeps."""
 
     def entry():
-        total = ex.const(Fraction(rng.randint(-3, 3), rng.randint(1, 2)))
-        for _ in range(degree):
-            total = total + ex.const(Fraction(rng.randint(-2, 2), 1)) \
-                * ex.coord(rng.randrange(dim))
-        return total
+        return ex.const(Fraction(rng.randint(-3, 3), rng.randint(1, 2))) \
+            + ex.const(Fraction(rng.randint(-2, 2), 1)) * ex.coord(rng.randrange(dim))
 
     grid = [[ex.ZERO] * dim for _ in range(dim)]
     for i in range(dim):

@@ -59,9 +59,6 @@ class AffineManifold:
         if len(self.coords) != self.dim:
             raise ManifoldFormatError("coordinate names do not match dimension")
 
-    def symbol(self, i: int, j: int, k: int) -> ScalarExpr:
-        return self.gamma[i][j][k]
-
     def check_point(self, point) -> None:
         mode = "exact" if all(not isinstance(c, float) for c in point) else "float"
         for g in self.excluded:

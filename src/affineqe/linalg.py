@@ -77,15 +77,14 @@ def exact_rank(rows: Sequence[Sequence[Fraction]], ncols: int) -> int:
     return reducer.rank
 
 
-def float_rank_kernel(rows: Sequence[Sequence[float]], ncols: int,
-                      rtol: float = SVD_RTOL):
+def float_rank_kernel(rows: Sequence[Sequence[float]], ncols: int):
     """Numeric rank and near-kernel basis via SVD with a relative threshold."""
     if not rows:
         return 0, [tuple(1.0 if j == i else 0.0 for j in range(ncols))
                    for i in range(ncols)]
     matrix = np.asarray(rows, dtype=float)
     _, singular, vt = np.linalg.svd(matrix)
-    cutoff = rtol * (singular[0] if singular.size and singular[0] > 0 else 1.0)
+    cutoff = SVD_RTOL * (singular[0] if singular.size and singular[0] > 0 else 1.0)
     rank = int(np.sum(singular > cutoff))
     basis = [tuple(float(v) for v in vt[i]) for i in range(rank, ncols)]
     return rank, basis

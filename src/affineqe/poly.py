@@ -299,9 +299,6 @@ class RationalFunc:
             raise ZeroDivisionError("division by identically-zero rational function")
         return RationalFunc(self.num * other.den, self.den * other.num)
 
-    def scale(self, factor) -> "RationalFunc":
-        return RationalFunc(self.num.scale(factor), self.den, normalize=False)
-
     def pow(self, exponent: int) -> "RationalFunc":
         if exponent >= 0:
             return RationalFunc(self.num.pow(exponent), self.den.pow(exponent))
@@ -321,9 +318,6 @@ class RationalFunc:
         if den == 0:
             raise ZeroDivisionError("denominator vanishes at evaluation point")
         return self.num.eval(point) / den
-
-    def max_var(self) -> int:
-        return max(self.num.max_var(), self.den.max_var())
 
     def __repr__(self) -> str:
         return f"RationalFunc({self.num!r}, {self.den!r})"

@@ -88,12 +88,12 @@ def _pole_locus(omega: Sequence[ScalarExpr]) -> list:
     return poles
 
 
-def deform(manifold: geo.AffineManifold, omega,
-           extra_excluded: Sequence[ScalarExpr] = ()) -> geo.AffineManifold:
+def deform(manifold: geo.AffineManifold, omega) -> geo.AffineManifold:
     """Deformed connection G + delta (x) omega + omega (x) delta.
 
-    Poles of rational omega components join the excluded locus automatically;
-    singularities of exp/log components must be passed via ``extra_excluded``.
+    Poles of rational omega components join the excluded locus automatically.
+    Singularities of exp/log components (a log argument vanishing, say) are not
+    detected and do not join it.
     """
     change = _as_change(omega, manifold.dim)
     m = manifold.dim
@@ -108,7 +108,7 @@ def deform(manifold: geo.AffineManifold, omega,
 
     grid = tuple(tuple(tuple(fill(i, j, k) for k in range(m))
                        for j in range(m)) for i in range(m))
-    excluded = list(manifold.excluded) + list(extra_excluded)
+    excluded = list(manifold.excluded)
     for pole in _pole_locus(change.omega):
         if all(pole != g for g in excluded):
             excluded.append(pole)
@@ -267,13 +267,12 @@ def base_invariant_errors(chart: FlatChart) -> tuple:
     return z_err, jac_err
 
 
-def chart_radius(manifold: geo.AffineManifold, basepoint,
-                 fallback: float = 0.5) -> float:
-    """Quarter of the (first-order) distance to the excluded locus."""
+def chart_radius(manifold: geo.AffineManifold, basepoint) -> float:
+    """Quarter of the (first-order) distance to the excluded locus, at most 0.5."""
     if not manifold.excluded:
-        return fallback
+        return 0.5
     point = [float(c) for c in basepoint]
-    best = fallback * 4
+    best = 2.0
     for g in manifold.excluded:
         value = abs(ex.evaluate(g, point, "float"))
         grad = math.sqrt(sum(
@@ -299,10 +298,10 @@ def box_grid(basepoint, radius: float, per_axis: int = 3) -> list:
 
 
 def integrate_geodesic(manifold: geo.AffineManifold, start, velocity,
-                       horizon: float, samples: int = 10,
-                       steps: int = 400,
+                       horizon: float, steps: int = 400,
                        max_distance: float | None = None, jets: Sequence | None = None):
-    """Sample points of the geodesic through (start, velocity) up to ``horizon``.
+    """Ten evenly spaced samples of the geodesic through (start, velocity) up
+    to ``horizon``, plus its start.
 
     Geodesics are affinely parametrized, so coordinate speed may grow; when
     ``max_distance`` is given, integration stops once the trajectory leaves
@@ -339,8 +338,7 @@ def integrate_geodesic(manifold: geo.AffineManifold, start, velocity,
                 break
     if len(trail) < 3:
         raise DomainError("geodesic left the region immediately")
-    picks = sorted({round(i * (len(trail) - 1) / samples)
-                    for i in range(samples + 1)})
+    picks = sorted({round(i * (len(trail) - 1) / 10) for i in range(11)})
     points = [tuple(trail[i][:m]) for i in picks]
     if jets is None:
         return points
@@ -366,20 +364,21 @@ def _deviation_from_chord(points) -> float:
 
 def geodesic_straightness(manifold: geo.AffineManifold, chart: FlatChart,
                           n_geodesics: int, rng: random.Random,
-                          horizon: float | None = None,
                           steps_per_segment: int = 400) -> float:
     """Max normalized deviation of chart images of geodesics from straight chords.
 
     Each geodesic is one run of ``steps_per_segment`` steps carrying the
     chart's basis jets (the chart's maximal solution space has trivial
-    holonomy, so any path gives the same images).  The horizon shrinks and the
-    geodesic is retried when it leaves the chart region (phi_0 near zero or
-    the excluded locus); persistent failure raises.
+    holonomy, so any path gives the same images).  The horizon starts at the
+    chart grid's extent; it shrinks and the geodesic is retried when it leaves
+    the chart region (phi_0 near zero or the excluded locus); persistent
+    failure raises.
     """
     m = manifold.dim
     base = chart.basepoint
-    span = horizon if horizon is not None else max(
-        abs(b - a) for p in chart.grid_points for a, b in zip(base, p))
+    span = max(abs(b - a) for p in chart.grid_points for a, b in zip(base, p))
+    if span == 0:
+        raise FlatnessError("the chart grid has no points besides the basepoint")
     worst = 0.0
     for _ in range(n_geodesics):
         direction = [rng.uniform(-1, 1) for _ in range(m)]
@@ -432,15 +431,14 @@ def ricci_flat_gauge(manifold: geo.AffineManifold, potential: ScalarExpr,
 
 
 def ricci_flat_residual_numeric(manifold: geo.AffineManifold,
-                                space: qs.SolutionSpace, points,
-                                fd_step: float = 1e-4,
-                                steps_per_segment: int = 400) -> float:
+                                space: qs.SolutionSpace, points) -> float:
     """Numerically evaluate rho_s of the gauge built from a solver solution.
 
     A kernel jet with nonzero function part provides f by transport; second
     derivatives come from finite differences of the transported gradient, so
     the identity rho_s(deformed) = rho_s + (m-1) H f / f is measured, not
-    assumed.  Returns the worst absolute component over the sample points.
+    assumed.  Each transport takes 400 RK4 steps and the difference step is
+    1e-4.  Returns the worst absolute component over the sample points.
     """
     m = manifold.dim
     mu_m = qs.distinguished_eigenvalue(m)
@@ -453,8 +451,9 @@ def ricci_flat_residual_numeric(manifold: geo.AffineManifold,
 
     def jet_at(x):
         return qs.transport_jet(manifold, mu_m, [tuple(base), tuple(x)],
-                                [float(c) for c in jet], steps_per_segment)
+                                [float(c) for c in jet], 400)
 
+    fd_step = 1e-4
     worst = 0.0
     for point in points:
         x = [float(c) for c in point]

@@ -95,7 +95,6 @@ def build_jet_system(manifold: geo.AffineManifold, mu) -> JetSystem:
 @dataclass(frozen=True)
 class ConstraintRow:
     entries: tuple  # jet_size RationalFunc or ScalarExpr; the constraint is entries . u = 0
-    generation: int
 
     @property
     def is_structurally_zero(self) -> bool:
@@ -121,9 +120,6 @@ class ConstraintStack:
 
     def effective_rows(self) -> list:
         return [r for r in self.rows if not r.is_structurally_zero]
-
-    def latest_generation(self) -> int:
-        return max((r.generation for r in self.rows), default=0)
 
 
 def _tidy(entry):
@@ -152,7 +148,7 @@ def integrability_constraints(system: JetSystem) -> ConstraintStack:
     for i in range(system.dim):
         for j in range(i + 1, system.dim):
             for entries in _commutator_rows(system, i, j):
-                rows.append(ConstraintRow(entries, 0))
+                rows.append(ConstraintRow(entries))
     return ConstraintStack(system.jet_size, rows)
 
 
@@ -175,7 +171,6 @@ def prolong(system: JetSystem, stack: ConstraintStack,
             rows: Sequence[ConstraintRow] | None = None) -> ConstraintStack:
     """Append the derivative of every (given) row along every direction."""
     source = stack.effective_rows() if rows is None else rows
-    generation = stack.latest_generation() + 1
     new_rows = list(stack.rows)
     seen = {r.entries for r in stack.rows}
     for row in source:
@@ -184,7 +179,7 @@ def prolong(system: JetSystem, stack: ConstraintStack,
             if all(e.is_zero for e in entries) or entries in seen:
                 continue
             seen.add(entries)
-            new_rows.append(ConstraintRow(entries, generation))
+            new_rows.append(ConstraintRow(entries))
     return ConstraintStack(stack.jet_size, new_rows)
 
 
@@ -262,7 +257,10 @@ def solution_dimension(manifold: geo.AffineManifold, mu, basepoint,
     )
 
 
-def in_solution_space(space: SolutionSpace, jet, tol: float = 1e-8) -> bool:
+SPAN_TOL = 1e-8  # float spaces: residual allowed relative to the jet's norm
+
+
+def in_solution_space(space: SolutionSpace, jet) -> bool:
     """Is the given jet in the span of the computed kernel basis?"""
     if space.exact and _is_exact_point(jet):
         reducer = RowReducer(len(jet))
@@ -270,13 +268,13 @@ def in_solution_space(space: SolutionSpace, jet, tol: float = 1e-8) -> bool:
             reducer.add_row(vec)
         return not reducer.add_row([Fraction(c) for c in jet])
     if not space.basis:
-        return all(abs(float(c)) <= tol for c in jet)
+        return all(abs(float(c)) <= SPAN_TOL for c in jet)
     import numpy as np
 
     matrix = np.asarray([[float(c) for c in vec] for vec in space.basis], float).T
     target = np.asarray([float(c) for c in jet], float)
     coeffs, *_ = np.linalg.lstsq(matrix, target, rcond=None)
-    return bool(np.linalg.norm(matrix @ coeffs - target) <= tol * max(1.0, np.linalg.norm(target)))
+    return bool(np.linalg.norm(matrix @ coeffs - target) <= SPAN_TOL * max(1.0, np.linalg.norm(target)))
 
 
 def solution_report(space: SolutionSpace) -> dict:

@@ -278,3 +278,15 @@ def test_verify_command(exp3d_path, capsys):
                  "--basepoint", "0,0,0"])
     assert code == 0
     assert "FAIL" not in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command", ["curvature", "qe-dim", "classify", "sweep", "deform",
+                                     "flatten", "extend", "verify"])
+def test_seed_help_names_what_it_seeds(command, capsys):
+    with pytest.raises(SystemExit) as stop:
+        main([command, "--help"])
+    assert stop.value.code == 0
+    want = {"sweep": "seed for the random typeA/typeB parameter draws",
+            "flatten": "seed for the random geodesic directions"}.get(
+        command, "not read by this command")
+    assert want in " ".join(capsys.readouterr().out.split())

@@ -58,7 +58,7 @@ class TestDeformedExtension:
 class TestLeviCivita:
     def test_flat_extension_has_zero_symbols(self):
         conn = xt.levi_civita(xt.deformed_extension(FLAT2))
-        assert all(conn.manifold.gamma[i][j][k] == ex.ZERO
+        assert all(conn.gamma[i][j][k] == ex.ZERO
                    for i in range(4) for j in range(4) for k in range(4))
 
     def test_block_inverse_is_exact(self):
@@ -73,6 +73,34 @@ class TestLeviCivita:
                     total = total + metric.comp(a, c) * inverse[c][b]
                 want = ex.ONE if a == b else ex.ZERO
                 assert ex.is_identically_zero(total - want) is Verdict.ZERO
+
+    def test_block_form_is_read_off_the_components(self, monkeypatch):
+        # a grid with the extension's form gets the closed-form inverse however
+        # it was built; grids without it go through the adjugate
+        metric = xt.deformed_extension(cat.exp3d_model(),
+                                       xt.random_symmetric_phi(3, random.Random(5)))
+        rebuilt = xt.metric_from_grid(3, metric.coords, metric.components)
+        determinants = []
+        determinant = xt._determinant
+        monkeypatch.setattr(xt, "_determinant",
+                            lambda *a: determinants.append(a) or determinant(*a))
+        assert xt.inverse_metric(rebuilt) == xt.inverse_metric(metric)
+        assert determinants == []
+        # the grids of the general-path and degenerate-metric tests below
+        general = [[ex.ONE + ex.coord(0) ** 2, ex.ZERO, ex.ONE, ex.ZERO],
+                   [ex.ZERO, ex.ONE, ex.ZERO, ex.ZERO],
+                   [ex.ONE, ex.ZERO, ex.ZERO, ex.ZERO],
+                   [ex.ZERO, ex.ZERO, ex.ZERO, ex.const(-1)]]
+        degenerate = [[ex.ONE, ex.ZERO, ex.ZERO, ex.ZERO],
+                      [ex.ZERO, ex.ZERO, ex.ZERO, ex.ZERO],
+                      [ex.ZERO, ex.ZERO, ex.ONE, ex.ZERO],
+                      [ex.ZERO, ex.ZERO, ex.ZERO, ex.ONE]]
+        xt.inverse_metric(xt.metric_from_grid(2, ("x1", "x2", "y1", "y2"), general))
+        assert determinants
+        determinants.clear()
+        with pytest.raises(ex.DomainError):
+            xt.inverse_metric(xt.metric_from_grid(2, ("x1", "x2", "y1", "y2"), degenerate))
+        assert determinants
 
     def test_general_inverse_path(self):
         grid = [[ex.ONE + ex.coord(0) ** 2, ex.ZERO, ex.ONE, ex.ZERO],
@@ -110,8 +138,8 @@ class TestLeviCivita:
             n = metric.n
             for i in range(n):
                 for j in range(i + 1, n):
-                    assert conn.manifold.gamma[i][j] == conn.manifold.gamma[j][i]
-            residual = xt.metric_compatibility_residual(conn)
+                    assert conn.gamma[i][j] == conn.gamma[j][i]
+            residual = xt.metric_compatibility_residual(metric, conn)
             assert geo.tensor_zero_verdict(residual) is Verdict.ZERO
 
 
@@ -155,7 +183,7 @@ class TestPullbackIdentities:
         rng = random.Random(3)
         base = cat.exp3d_model()
         metric = xt.deformed_extension(base, xt.random_symmetric_phi(3, rng))
-        rho = geo.ricci(xt.levi_civita(metric).manifold).full
+        rho = geo.ricci(xt.levi_civita(metric)).full
         for a in range(6):
             for b in range(6):
                 for k in range(3):

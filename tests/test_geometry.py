@@ -171,6 +171,17 @@ class TestRicci:
         alt = geo.ricci(m).alt
         assert geo.tensor_zero_verdict(alt) is Verdict.NONZERO
 
+    def test_negative_power_matches_quotient(self):
+        # x1^-2 reaches the exact core as a negative power, 1/x1^2 as a quotient
+        def chart(symbol):
+            return geo.load_manifold({"dim": 2, "excluded": ["x1"],
+                                      "christoffel": {"1,1^1": symbol, "1,2^2": symbol}})
+
+        power = geo.ricci(chart("x1^-2")).full
+        quotient = geo.ricci(chart("1/x1^2")).full
+        assert geo.tensor_zero_verdict(power) is Verdict.NONZERO
+        assert geo.tensor_zero_verdict(geo.tensor_sub(power, quotient)) is Verdict.ZERO
+
 
 class TestHessian:
     def test_flat_product_function(self):

@@ -239,6 +239,12 @@ class TestGeodesics:
         deviation = pj.geodesic_straightness(m, chart, 5, random.Random(2))
         assert deviation < 1e-6
 
+    def test_chart_without_extent_is_rejected_up_front(self):
+        # a grid that is only the basepoint gives the geodesics no horizon
+        chart = pj.flat_chart(FLAT, ORIGIN, [(0, 0)])
+        with pytest.raises(pj.FlatnessError, match="no points besides the basepoint"):
+            pj.geodesic_straightness(FLAT, chart, 1, random.Random(0))
+
     def test_ricci_is_computed_once_per_manifold(self, monkeypatch):
         # the solve, every transport and the geodesic check read the Ricci
         # tensor the manifold caches

@@ -138,7 +138,7 @@ class TestConstraints:
 
     def test_prolong_gradient_row_with_flat_system(self):
         system = qs.build_jet_system(geo.flat_manifold(2), q(0))
-        stack = qs.ConstraintStack(3, [qs.ConstraintRow((ex.ZERO, ex.ONE, ex.ZERO), 0)])
+        stack = qs.ConstraintStack(3, [qs.ConstraintRow((ex.ZERO, ex.ONE, ex.ZERO))])
         prolonged = qs.prolong(system, stack)
         assert len(prolonged.rows) == 1  # appended rows were all zero
 
@@ -217,6 +217,19 @@ class TestSolutionDimension:
         space = qs.solution_dimension(example_b1(), q(-3, 5), (0.1, -0.2, 0.05))
         assert not space.exact
         assert space.dim == 2
+
+    def test_float_solve_without_constraint_rows(self):
+        # the flat plane has no generation-0 rows, so the SVD sees an empty stack
+        space = qs.solution_dimension(geo.flat_manifold(2), 0, (0.5, 0.5))
+        assert space.exact is False
+        assert space.dim == 3
+        assert space.rank_history == (0,)
+
+    def test_membership_in_a_float_space(self):
+        space = qs.solution_dimension(cat.wall_dim1_surface(1).manifold(), -1, (1.0, 0.0))
+        assert not space.exact
+        assert qs.in_solution_space(space, (2.0, 0.0, 0.0))
+        assert not qs.in_solution_space(space, (0.0, 1.0, 0.0))
 
 
 class TestTransport:
