@@ -72,29 +72,30 @@ class ScalarExpr:
     def diff(self, index: int) -> "ScalarExpr":
         return differentiate(self, index)
 
+    # add, mul and div coerce their operands themselves
     def __add__(self, other):
-        return add(self, as_expr(other))
+        return add(self, other)
 
     def __radd__(self, other):
-        return add(as_expr(other), self)
+        return add(other, self)
 
     def __sub__(self, other):
-        return add(self, neg(as_expr(other)))
+        return add(self, neg(other))
 
     def __rsub__(self, other):
-        return add(as_expr(other), neg(self))
+        return add(other, neg(self))
 
     def __mul__(self, other):
-        return mul(self, as_expr(other))
+        return mul(self, other)
 
     def __rmul__(self, other):
-        return mul(as_expr(other), self)
+        return mul(other, self)
 
     def __truediv__(self, other):
-        return div(self, as_expr(other))
+        return div(self, other)
 
     def __rtruediv__(self, other):
-        return div(as_expr(other), self)
+        return div(other, self)
 
     def __pow__(self, exponent: int):
         return powi(self, exponent)
@@ -150,6 +151,7 @@ class Log(ScalarExpr):
 
 ZERO = Const(Fraction(0))
 ONE = Const(Fraction(1))
+_MINUS_ONE = Const(Fraction(-1))
 
 
 def as_expr(value) -> ScalarExpr:
@@ -172,20 +174,18 @@ def coord(index: int) -> Coord:
 
 def add(*terms) -> ScalarExpr:
     flat = []
-    constant = Fraction(0)
+    constant = None  # the Const node of the folded constants, if any
     for term in terms:
-        term = as_expr(term)
-        if isinstance(term, Add):
-            inner = term.terms
-        else:
-            inner = (term,)
-        for t in inner:
+        if not isinstance(term, ScalarExpr):
+            term = as_expr(term)
+        for t in term.terms if isinstance(term, Add) else (term,):
             if isinstance(t, Const):
-                constant += t.value
+                if t.value:
+                    constant = t if constant is None else Const(constant.value + t.value)
             else:
                 flat.append(t)
-    if constant:
-        flat.append(Const(constant))
+    if constant is not None and constant.value:
+        flat.append(constant)
     if not flat:
         return ZERO
     if len(flat) == 1:
@@ -194,29 +194,26 @@ def add(*terms) -> ScalarExpr:
 
 
 def neg(e: ScalarExpr) -> ScalarExpr:
-    return mul(Const(Fraction(-1)), e)
+    return mul(_MINUS_ONE, e)
 
 
 def mul(*factors) -> ScalarExpr:
     flat = []
-    constant = Fraction(1)
+    constant = None  # the Const node of the folded constants, if any
     for factor in factors:
-        factor = as_expr(factor)
-        if isinstance(factor, Mul):
-            inner = factor.factors
-        else:
-            inner = (factor,)
-        for f in inner:
+        if not isinstance(factor, ScalarExpr):
+            factor = as_expr(factor)
+        for f in factor.factors if isinstance(factor, Mul) else (factor,):
             if isinstance(f, Const):
-                constant *= f.value
-                if not constant:
+                if not f.value:
                     return ZERO
+                constant = f if constant is None else Const(constant.value * f.value)
             else:
                 flat.append(f)
     if not flat:
-        return Const(constant)
-    if constant != 1:
-        flat.insert(0, Const(constant))
+        return ONE if constant is None else constant
+    if constant is not None and constant.value != 1:
+        flat.insert(0, constant)
     if len(flat) == 1:
         return flat[0]
     return Mul(tuple(flat))
@@ -552,7 +549,10 @@ def evaluate(e: ScalarExpr, point: EvalPoint, mode: str = "exact"):
     """
     if mode not in ("exact", "float"):
         raise ValueError("mode must be 'exact' or 'float'")
-    exact = mode == "exact"
+    return _evaluate(e, point, mode == "exact")
+
+
+def _evaluate(e: ScalarExpr, point: EvalPoint, exact: bool):
     memo: dict = {}
 
     def walk(node: ScalarExpr):
@@ -622,12 +622,12 @@ def to_ratfunc(e: ScalarExpr) -> RationalFunc:
         elif isinstance(node, Coord):
             result = RationalFunc.coord(node.index)
         elif isinstance(node, Add):
-            result = RationalFunc.const(0)
-            for term in node.terms:
+            result = walk(node.terms[0])
+            for term in node.terms[1:]:
                 result = result + walk(term)
         elif isinstance(node, Mul):
-            result = RationalFunc.const(1)
-            for factor in node.factors:
+            result = walk(node.factors[0])
+            for factor in node.factors[1:]:
                 result = result * walk(factor)
         elif isinstance(node, Div):
             den = walk(node.den)
@@ -739,10 +739,20 @@ def _sample_verdict(e: ScalarExpr, rng: random.Random) -> Verdict:
             value = evaluate(e, point, "float")
         except DomainError:
             continue
-        if abs(value) > FLOAT_SAMPLE_TOL:
+        # past the absolute bound the value must also stand out of the rounding
+        # error of its terms, which are walked again only then
+        if (abs(value) > FLOAT_SAMPLE_TOL
+                and abs(value) > FLOAT_SAMPLE_TOL * _term_scale(e, point)):
             return Verdict.NONZERO
         collected += 1
     return Verdict.NUMERIC_ONLY
+
+
+def _term_scale(e: ScalarExpr, point: EvalPoint) -> float:
+    """max(1, sum of |t_i|) over the float values of the top-level terms of e:
+    a sum that cancels to rounding error of large terms is not a nonzero."""
+    terms = e.terms if isinstance(e, Add) else (e,)
+    return max(1.0, sum(abs(_evaluate(t, point, False)) for t in terms))
 
 
 def is_identically_zero(e: ScalarExpr, rng: random.Random | None = None) -> Verdict:

@@ -39,6 +39,14 @@ WALL_DOC = {
     "excluded": ["x1"],
 }
 
+# a chart whose symbols are neither constant nor C/x1
+NONHOM_DOC = {
+    "dim": 2,
+    "coords": ["x1", "x2"],
+    "christoffel": {"1,1^1": "x1*x2", "1,2^2": "1/(1 + x1^2)"},
+    "excluded": [],
+}
+
 
 @pytest.fixture
 def exp3d_path(tmp_path):
@@ -84,6 +92,29 @@ def test_qe_dim_report_is_pinned(fixture, tmp_path):
     path.write_text(json.dumps(document))
     out = tmp_path / "report.json"
     assert main(["qe-dim", str(path), *flags, "--json", str(out)]) == 0
+    assert out.read_bytes() == (Path(__file__).parent / "data" / fixture).read_bytes()
+
+
+# Reports of the symbolic layers pinned byte for byte.  Ricci components and
+# deformed symbols are printed trees, so these fixtures pin the trees that the
+# expression constructors and simplify_rational build, not only their values.
+REPORTS_PINNED = {
+    "curvature_exp3d.json": (EXP3D_DOC, ["curvature"]),
+    "curvature_wall.json": (WALL_DOC, ["curvature"]),
+    "curvature_nonhom.json": (NONHOM_DOC, ["curvature"]),
+    "deform_nonhom.json": (NONHOM_DOC, ["deform", "--potential", "x1*x2"]),
+    "extend_exp3d.json": (EXP3D_DOC, ["extend", "--phi", "1,1=x3", "--f", "exp(3*x3)",
+                                      "--mu", "-3/5"]),
+}
+
+
+@pytest.mark.parametrize("fixture", sorted(REPORTS_PINNED))
+def test_symbolic_report_is_pinned(fixture, tmp_path):
+    document, (command, *flags) = REPORTS_PINNED[fixture]
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(document))
+    out = tmp_path / "report.json"
+    assert main([command, str(path), *flags, "--json", str(out)]) == 0
     assert out.read_bytes() == (Path(__file__).parent / "data" / fixture).read_bytes()
 
 

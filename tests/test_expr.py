@@ -8,19 +8,32 @@ from hypothesis import strategies as st
 
 from affineqe import expr
 from affineqe.expr import (
+    ONE,
+    ZERO,
+    Add,
     Coord,
     Const,
+    Div,
     DomainError,
     ExactModeError,
     ExprSyntaxError,
+    Mul,
     UnknownIdentifierError,
     Verdict,
+    add,
+    as_expr,
     differentiate,
+    div,
     evaluate,
     format_expr,
     is_identically_zero,
+    mul,
+    neg,
     parse_scalar,
+    powi,
+    to_ratfunc,
 )
+from affineqe.poly import RationalFunc
 
 XY = ["x1", "x2"]
 
@@ -135,6 +148,17 @@ class TestZeroTest:
         e = parse_scalar("exp(x1) - 1 - x1", XY)
         assert is_identically_zero(e) is Verdict.NONZERO
 
+    def test_cancellation_of_large_terms_is_not_certified(self):
+        # the terms reach e^40, so their float sum cancels only to rounding
+        # error far above an absolute 1e-9; a NONZERO here would be false
+        e = parse_scalar("3*x2*exp(20*x1) - 3*x2*exp(10*x1)^2"
+                         " + exp(10*x1)*exp(10*x1) - exp(20*x1)", XY)
+        assert is_identically_zero(e) is Verdict.NUMERIC_ONLY
+
+    def test_nonzero_of_the_size_of_large_terms(self):
+        e = parse_scalar("x2*exp(20*x1) - exp(20*x1)", XY)
+        assert is_identically_zero(e) is Verdict.NONZERO
+
     def test_rational_function_identity(self):
         e = parse_scalar("1/(x1*x2) - (1/x1)*(1/x2)", XY)
         assert is_identically_zero(e) is Verdict.ZERO
@@ -231,3 +255,138 @@ def test_compile_float_matches_evaluate():
     for _ in range(25):
         p = (rng.uniform(-2, 2), rng.uniform(-2, 2))
         assert fn(p) == pytest.approx(evaluate(e, p, "float"), rel=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# the constructors against their former Fraction-accumulator implementation
+
+def ref_add(*terms):
+    flat = []
+    constant = Fraction(0)
+    for term in terms:
+        term = as_expr(term)
+        for t in term.terms if isinstance(term, Add) else (term,):
+            if isinstance(t, Const):
+                constant += t.value
+            else:
+                flat.append(t)
+    if constant:
+        flat.append(Const(constant))
+    if not flat:
+        return ZERO
+    if len(flat) == 1:
+        return flat[0]
+    return Add(tuple(flat))
+
+
+def ref_mul(*factors):
+    flat = []
+    constant = Fraction(1)
+    for factor in factors:
+        factor = as_expr(factor)
+        for f in factor.factors if isinstance(factor, Mul) else (factor,):
+            if isinstance(f, Const):
+                constant *= f.value
+                if not constant:
+                    return ZERO
+            else:
+                flat.append(f)
+    if not flat:
+        return Const(constant)
+    if constant != 1:
+        flat.insert(0, Const(constant))
+    if len(flat) == 1:
+        return flat[0]
+    return Mul(tuple(flat))
+
+
+def ref_neg(e):
+    return ref_mul(Const(Fraction(-1)), e)
+
+
+def ref_to_ratfunc(e):
+    if isinstance(e, Const):
+        return RationalFunc.const(e.value)
+    if isinstance(e, Coord):
+        return RationalFunc.coord(e.index)
+    if isinstance(e, Add):
+        result = RationalFunc.const(0)
+        for term in e.terms:
+            result = result + ref_to_ratfunc(term)
+        return result
+    if isinstance(e, Mul):
+        result = RationalFunc.const(1)
+        for factor in e.factors:
+            result = result * ref_to_ratfunc(factor)
+        return result
+    if isinstance(e, Div):
+        den = ref_to_ratfunc(e.den)
+        if den.is_zero:
+            raise DomainError("denominator is identically zero")
+        return ref_to_ratfunc(e.num) / den
+    try:
+        return ref_to_ratfunc(e.base).pow(e.exponent)
+    except ZeroDivisionError:
+        raise DomainError("negative power of the identically-zero expression") from None
+
+
+def assert_same_tree(new, ref):
+    assert new == ref
+    assert format_expr(new) == format_expr(ref)
+    assert (new is ZERO) == (ref is ZERO)
+
+
+def safe(build):
+    def apply(args):
+        try:
+            return build(*args)
+        except DomainError:  # a quotient by, or negative power of, a zero constant
+            return args[0]
+    return apply
+
+
+# 0, +-1 and other constants, ZERO and ONE as well as equal copies of them
+constructor_leaves = st.sampled_from(
+    [Coord(0), Coord(1), ZERO, ONE, Const(q(0)), Const(q(1)), Const(q(-1)),
+     Const(q(2)), Const(q(-3, 2)), Const(q(1, 3))])
+
+
+def constructor_tree(children):
+    lists = st.lists(children, min_size=1, max_size=4)
+    return st.one_of(
+        lists.map(lambda ts: add(*ts)),
+        lists.map(lambda ts: mul(*ts)),
+        children.map(neg),
+        st.tuples(children, children).map(lambda ab: ab[0] - ab[1]),
+        st.tuples(children, children).map(safe(div)),
+        st.tuples(children, st.integers(min_value=-2, max_value=3)).map(safe(powi)),
+    )
+
+
+constructor_trees = st.recursive(constructor_leaves, constructor_tree, max_leaves=16)
+operands = st.lists(constructor_trees | st.sampled_from([0, 1, -1, q(-1), q(5, 2)]),
+                    max_size=4)
+
+
+@given(operands)
+@settings(max_examples=300, deadline=None)
+def test_constructors_match_the_fraction_accumulators(ops):
+    assert_same_tree(add(*ops), ref_add(*ops))
+    assert_same_tree(mul(*ops), ref_mul(*ops))
+    for op in ops:
+        assert_same_tree(neg(as_expr(op)), ref_neg(as_expr(op)))
+
+
+@given(constructor_trees)
+@settings(max_examples=200, deadline=None)
+def test_to_ratfunc_matches_the_constant_seeded_accumulators(e):
+    try:
+        ref = ref_to_ratfunc(e)
+    except DomainError:
+        with pytest.raises(DomainError):
+            to_ratfunc(e)
+        return
+    new = to_ratfunc(e)
+    assert new == ref
+    assert list(new.num.terms.items()) == list(ref.num.terms.items())
+    assert list(new.den.terms.items()) == list(ref.den.terms.items())
