@@ -83,7 +83,7 @@ class AffineManifold:
 
     @cached_property
     def float_jet_systems(self) -> dict:
-        """mu -> the compiled A_i at mu, filled by `qe_solver.jet_field`."""
+        """mu -> the compiled A_i at mu, filled by `qe_solver.rk4_step`."""
         return {}
 
 

@@ -310,18 +310,7 @@ def integrate_geodesic(manifold: geo.AffineManifold, start, velocity,
     -1/(m-1), and the result is (samples, the moved jets at each sample).
     """
     m = manifold.dim
-    indices, gamma = manifold.float_gamma
-    field = None if jets is None else qs.jet_field(
-        manifold, qs.distinguished_eigenvalue(m), len(jets))
-
-    def derivative(_t, state):
-        x = state[:m]
-        v = state[m:2 * m]
-        acc = [0.0] * m
-        for (i, j, k), value in zip(indices, gamma(x)):
-            acc[k] -= value * v[i] * v[j]
-        return v + acc if field is None else v + acc + field(x, v, state[2 * m:])
-
+    step = qs.rk4_step(manifold, qs.distinguished_eigenvalue(m), len(jets or ()), 1.0 / steps)
     origin = [float(c) for c in start]
     # the state is (x, v), reparametrized to unit time, then the stacked jets
     state = origin + [float(c) * horizon for c in velocity] + \
@@ -329,7 +318,8 @@ def integrate_geodesic(manifold: geo.AffineManifold, start, velocity,
     trail = [state]
     with qs.float_faults():
         signs = qs.locus_sides(manifold, origin)
-        for state in qs.runge_kutta(derivative, state, steps):
+        for _ in range(steps):
+            state = qs.finite(step(state))
             x = state[:m]
             qs.locus_sides(manifold, x, signs)
             trail.append(state)
@@ -342,7 +332,7 @@ def integrate_geodesic(manifold: geo.AffineManifold, start, velocity,
     points = [tuple(trail[i][:m]) for i in picks]
     if jets is None:
         return points
-    return points, [[trail[i][o:o + m + 1] for o in range(2 * m, len(state), m + 1)]
+    return points, [[list(trail[i][o:o + m + 1]) for o in range(2 * m, len(state), m + 1)]
                     for i in picks]
 
 

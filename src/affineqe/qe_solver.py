@@ -10,8 +10,10 @@ from the matrices converted once; exp/log systems keep expression-tree rows,
 simplified after each step.  Transport moves a list of jets along one path
 in a single fixed-step classical Runge-Kutta run (the m+1 basis jets move as
 the fundamental matrix), from the tree matrices compiled to floats once per
-(manifold, mu) and kept on the manifold; the geodesics of `projective` carry
-jets through the same integrator, jet field and excluded-locus check.
+(manifold, mu) and kept on the manifold.  Each RK4 step is Python source
+generated for the nonzero pattern of the A_i and shared by every manifold of
+that pattern; the geodesics of `projective` carry jets through the same
+generator, in its (x, v, jets) form, and the same excluded-locus check.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import math
 from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Sequence
 
 from . import expr as ex
@@ -306,32 +308,6 @@ def float_faults():
         raise ex.DomainError(f"integration hit an overflow or a pole: {err}") from None
 
 
-def runge_kutta(derivative, state: list, steps: int, before_step=None):
-    """Classical Runge-Kutta for d_t y = derivative(t, y) over t in [0, 1].
-
-    Yields the state after each of ``steps`` equal steps.  ``before_step(t)``
-    runs with each step's end time before the step evaluates anything.  Float
-    faults of the compiled symbols and non-finite states raise DomainError.
-    """
-    h = 1.0 / steps
-    half = h / 2
-    sixth = h / 6
-    with float_faults():
-        for step in range(steps):
-            t0 = step * h
-            if before_step is not None:
-                before_step(t0 + h)
-            k1 = derivative(t0, state)
-            k2 = derivative(t0 + half, [y + half * k for y, k in zip(state, k1)])
-            k3 = derivative(t0 + half, [y + half * k for y, k in zip(state, k2)])
-            k4 = derivative(t0 + h, [y + h * k for y, k in zip(state, k3)])
-            state = [y + sixth * (a + 2 * b + 2 * c + d)
-                     for y, a, b, c, d in zip(state, k1, k2, k3, k4)]
-            if not all(map(math.isfinite, state)):
-                raise ex.DomainError("integration produced non-finite values")
-            yield state
-
-
 def locus_sides(manifold: geo.AffineManifold, x, signs: list | None = None) -> list:
     """The side of each excluded-locus guard that x lies on (call inside
     `float_faults`); raises ExcludedLocusError when x touches the locus or,
@@ -345,32 +321,98 @@ def locus_sides(manifold: geo.AffineManifold, x, signs: list | None = None) -> l
     return sides
 
 
-def jet_field(manifold: geo.AffineManifold, mu, count: int):
-    """du(x, velocity, u) = velocity^i A_i(x) u for ``count`` jets stacked in u.
+def finite(state: tuple) -> tuple:
+    """The state of an integration step; DomainError when it is not finite."""
+    if not all(map(math.isfinite, state)):
+        raise ex.DomainError("integration produced non-finite values")
+    return state
 
-    The A_i are compiled once per (manifold, mu), one callable each, evaluated
-    only where velocity^i is nonzero; each entry's term is applied to the jets
-    in turn, so a jet's floats do not depend on its companions.
+
+@lru_cache(maxsize=64)
+def _rk4_maker(m: int, count: int, tables: tuple, gamma: tuple | None):
+    """Generate one classical RK4 step (Hairer-Norsett-Wanner, Solving ODEs I,
+    II.1) as straight-line Python for a pattern, shared by all its manifolds.
+
+    ``tables`` holds the (row, column) of each nonzero entry of each A_i, and
+    ``count`` jets evolve by d_t u = v^i A_i(x) u.  Without ``gamma`` the point
+    runs along x = c + t v and ``make(fns, None, h, c, v)`` returns
+    ``step(y, t0)``.  With the (i, j, k) of the nonzero Christoffel symbols the
+    state is a geodesic's (x, v, jets), d_t v^k = -G_ij^k v^i v^j, and
+    ``make(fns, gamma, h)`` returns ``step(y)``.  Every term is added in a
+    fixed order onto an accumulator that starts at 0.0: directions with
+    v^i != 0, then entries, then jets.
     """
+    head = 0 if gamma is None else 2 * m  # x and v lead a geodesic's state
+    size = head + count * (m + 1)
+    first = head // 2  # a geodesic's dx/dt is its v, so slopes accumulate from m
+    body = ["".join(f"y{j}, " for j in range(size)) + "= y"]
+
+    def stage(s: int, state: list, t: str, fresh: bool = True) -> list:
+        # a stage that is not fresh reuses the A_i values at the previous stage's point
+        k = [f"k{s}_{j}" for j in range(size)]
+        if gamma is None:
+            velocity = [f"v{i}" for i in range(m)]
+            if fresh:
+                body.append(f"t = {t}")
+                body.append("x = (" + "".join(f"c{i} + t * v{i}, " for i in range(m)) + ")")
+        else:
+            velocity = state[m:head]
+            body.append("x = (" + "".join(f"{c}, " for c in state[:m]) + ")")
+            body.append("g = gamma(x)")
+        body.append(" = ".join(k[first:]) + " = 0.0")
+        for q, (i, j, c) in enumerate(gamma or ()):
+            body.append(f"{k[m + c]} -= g[{q}] * {velocity[i]} * {velocity[j]}")
+        for i, pairs in enumerate(tables):
+            body.append(f"if {velocity[i]} != 0.0:")
+            if fresh:
+                body.append(f"    a{i} = f{i}(x)")
+            body.extend(f"    {k[o + r]} += {velocity[i]} * a{i}[{q}] * {state[o + b]}"
+                        for q, (r, b) in enumerate(pairs) for o in range(head, size, m + 1))
+        return velocity[:first] + k[first:]
+
+    def advance(s: int, factor: str, slopes: list) -> list:
+        state = [f"s{s}_{j}" for j in range(size)]
+        body.extend(f"{state[j]} = y{j} + {factor} * {slopes[j]}" for j in range(size))
+        return state
+
+    y = [f"y{j}" for j in range(size)]
+    k1 = stage(1, y, "t0")
+    k2 = stage(2, advance(2, "half", k1), "t0 + half")
+    k3 = stage(3, advance(3, "half", k2), "t0 + half", fresh=gamma is not None)
+    k4 = stage(4, advance(4, "h", k3), "t0 + h")
+    body.append("return (" + "".join(
+        f"y{j} + sixth * ({a} + 2 * {b} + 2 * {c} + {d}), "
+        for j, (a, b, c, d) in enumerate(zip(k1, k2, k3, k4))) + ")")
+    bind = ["half = h / 2", "sixth = h / 6"]
+    if tables:
+        bind.append("".join(f"f{i}, " for i in range(len(tables))) + "= fns")
+    if gamma is None:
+        bind += ["".join(f"{name}{i}, " for i in range(m)) + f"= {name}" for name in "cv"]
+    source = "\n    ".join(["def make(fns, gamma, h, c=(), v=()):", *bind,
+                            "def step(y, t0):" if gamma is None else "def step(y):",
+                            *("    " + line for line in body), "return step"])
+    namespace: dict = {}
+    exec(source, ex._FLOAT_GLOBALS, namespace)  # noqa: S102
+    return namespace["make"]
+
+
+def rk4_step(manifold: geo.AffineManifold, mu, count: int, h: float, segment=None):
+    """A generated RK4 step of size h moving ``count`` jets by d_t u = v^i A_i u
+    at mu: along the straight ``segment`` (c, v) as ``step(y, t0)``, else along
+    a geodesic of the manifold as ``step(y)``.  The A_i are compiled once per
+    (manifold, mu) and kept on the manifold."""
+    gamma_indices, gamma = (None, None) if segment else manifold.float_gamma
     compiled = manifold.float_jet_systems
     mu = Fraction(mu)
-    if mu not in compiled:
+    if count and mu not in compiled:
         compiled[mu] = [ex.compile_symbols(a_i) for a_i in build_jet_system(manifold, mu).matrices]
-    offsets = range(0, count * (manifold.dim + 1), manifold.dim + 1)
-    # per A_i: its callable and (position in its values, row in u, column in u)
-    tables = [(fn, [(k, o + a, o + b) for k, (a, b) in enumerate(indices) for o in offsets])
-              for indices, fn in compiled[mu]]
+    tables = compiled[mu] if count else ()
+    make = _rk4_maker(manifold.dim, count, tuple(indices for indices, _ in tables), gamma_indices)
+    return make([fn for _, fn in tables], gamma, h, *segment or ())
 
-    def field(x, velocity, u):
-        du = [0.0] * len(u)
-        for v, (fn, entries) in zip(velocity, tables):
-            if v != 0.0:
-                values = fn(x)
-                for k, a, b in entries:
-                    du[a] += v * values[k] * u[b]
-        return du
 
-    return field
+def _is_batch(u0) -> bool:
+    return len(u0) > 0 and isinstance(u0[0], (list, tuple))
 
 
 def transport_jet(manifold: geo.AffineManifold, mu, path, u0,
@@ -378,42 +420,45 @@ def transport_jet(manifold: geo.AffineManifold, mu, path, u0,
     """Integrate d_t u = velocity^i A_i u along a polyline with classical RK4.
 
     ``u0`` is one jet, or a list of jets moved in one run (the m+1 basis jets
-    move as the fundamental matrix); the result has the same form.
+    move as the fundamental matrix); the result has the same form.  A
+    zero-length segment leaves the jets as they are.
     """
-    batched = len(u0) > 0 and isinstance(u0[0], (list, tuple))
-    jets = [[float(c) for c in jet] for jet in (u0 if batched else [u0])]
+    jets = [[float(c) for c in jet] for jet in (u0 if _is_batch(u0) else [u0])]
     n = manifold.dim + 1
     if any(len(jet) != n for jet in jets):
         raise ValueError(f"jet must have {n} components")
     if not path:
         raise ValueError("path has no points")
+    h = 1.0 / steps_per_segment
+    state = [c for jet in jets for c in jet]
     with float_faults():
         signs = locus_sides(manifold, [float(c) for c in path[0]])
-    state = [c for jet in jets for c in jet]
-    field = jet_field(manifold, mu, len(jets))
-    for start, stop in zip(path, path[1:]):
-        velocity = [float(b) - float(a) for a, b in zip(start, stop)]
-        line = [(float(c), v) for c, v in zip(start, velocity)]
-
-        def derivative(t, columns):
-            return field([c + t * v for c, v in line], velocity, columns)
-
-        def check_guards(t):
-            locus_sides(manifold, [c + t * v for c, v in line], signs)
-
-        for state in runge_kutta(derivative, state, steps_per_segment,
-                                 check_guards if manifold.excluded else None):
-            pass
-    moved = [state[o:o + n] for o in range(0, len(state), n)]
-    return moved if batched else moved[0]
+        for start, stop in zip(path, path[1:]):
+            line = [float(c) for c in start]
+            velocity = [float(b) - a for a, b in zip(line, stop)]
+            if not any(velocity):
+                locus_sides(manifold, line, signs)
+                continue
+            step = rk4_step(manifold, mu, len(jets), h, (line, velocity))
+            for number in range(steps_per_segment):
+                t0 = number * h
+                if manifold.excluded:
+                    locus_sides(manifold, [c + (t0 + h) * v for c, v in zip(line, velocity)], signs)
+                state = finite(step(state, t0))
+    moved = [list(state[o:o + n]) for o in range(0, len(state), n)]
+    return moved if _is_batch(u0) else moved[0]
 
 
 def holonomy_defect(manifold: geo.AffineManifold, mu, loop, u0,
-                    steps_per_segment: int = 1000) -> float:
-    """Norm of (transport around the closed loop) - identity applied to u0."""
+                    steps_per_segment: int = 1000):
+    """Norm of (transport around the closed loop) - identity applied to u0; a
+    list of jets moves in one run and gives one defect per jet."""
     first = [float(c) for c in loop[0]]
     last = [float(c) for c in loop[-1]]
     if any(abs(a - b) > 0.0 for a, b in zip(first, last)):
         raise ValueError("loop is not closed")
-    transported = transport_jet(manifold, mu, loop, u0, steps_per_segment)
-    return math.sqrt(sum((t - float(u)) ** 2 for t, u in zip(transported, u0)))
+    jets = u0 if _is_batch(u0) else [u0]
+    moved = transport_jet(manifold, mu, loop, jets, steps_per_segment)
+    defects = [math.sqrt(sum((t - float(u)) ** 2 for t, u in zip(after, jet)))
+               for after, jet in zip(moved, jets)]
+    return defects if _is_batch(u0) else defects[0]

@@ -48,6 +48,18 @@ NONHOM_DOC = {
 }
 
 
+# flat R^3 deformed by g = x1*x2/2 + x3^2/4: strongly projectively flat with
+# non-homogeneous symbols
+DEFORM3D_DOC = {
+    "dim": 3,
+    "coords": ["x1", "x2", "x3"],
+    "christoffel": {"1,1^1": "x2", "1,2^1": "x1/2", "1,2^2": "x2/2", "1,3^1": "x3/2",
+                    "1,3^3": "x2/2", "2,2^2": "x1", "2,3^2": "x3/2", "2,3^3": "x1/2",
+                    "3,3^3": "x3"},
+    "excluded": [],
+}
+
+
 @pytest.fixture
 def exp3d_path(tmp_path):
     path = tmp_path / "exp3d.json"
@@ -235,6 +247,17 @@ def test_flatten_report_is_pinned(wall_path, tmp_path):
                  "--json", str(out)])
     assert code == 0
     fixture = Path(__file__).parent / "data" / "flatten_wall_seed0.json"
+    assert out.read_bytes() == fixture.read_bytes()
+
+
+def test_flatten_deformed_space_report_is_pinned(tmp_path):
+    # 27 grid points on a 3-dimensional chart; pinned like the wall report
+    doc = tmp_path / "deform3d.json"
+    doc.write_text(json.dumps(DEFORM3D_DOC))
+    out = tmp_path / "flat.json"
+    code = main(["flatten", str(doc), "--seed", "0", "--geodesics", "2", "--json", str(out)])
+    assert code == 0
+    fixture = Path(__file__).parent / "data" / "flatten_deform3d_seed0.json"
     assert out.read_bytes() == fixture.read_bytes()
 
 

@@ -328,6 +328,191 @@ class TestBatchedTransport:
             qs.transport_jet(m, q(-1), path, _identity_jets(3), 10)
 
 
+# The reference integrator: the interpreted classical RK4 and jet field that
+# the generated stepper replaced, kept as the oracle it matches bit for bit.
+
+
+def reference_rk4(derivative, state, steps, before_step=None):
+    h = 1.0 / steps
+    half = h / 2
+    sixth = h / 6
+    with qs.float_faults():
+        for step in range(steps):
+            t0 = step * h
+            if before_step is not None:
+                before_step(t0 + h)
+            k1 = derivative(t0, state)
+            k2 = derivative(t0 + half, [y + half * k for y, k in zip(state, k1)])
+            k3 = derivative(t0 + half, [y + half * k for y, k in zip(state, k2)])
+            k4 = derivative(t0 + h, [y + h * k for y, k in zip(state, k3)])
+            state = [y + sixth * (a + 2 * b + 2 * c + d)
+                     for y, a, b, c, d in zip(state, k1, k2, k3, k4)]
+            if not all(map(math.isfinite, state)):
+                raise ex.DomainError("integration produced non-finite values")
+            yield state
+
+
+def reference_field(manifold, mu, count):
+    """du = velocity^i A_i(x) u for ``count`` stacked jets."""
+    n = manifold.dim + 1
+    tables = []
+    for a_i in qs.build_jet_system(manifold, mu).matrices:
+        indices, fn = ex.compile_symbols(a_i)
+        tables.append((fn, [(k, o + a, o + b) for k, (a, b) in enumerate(indices)
+                            for o in range(0, count * n, n)]))
+
+    def field(x, velocity, u):
+        du = [0.0] * len(u)
+        for v, (fn, entries) in zip(velocity, tables):
+            if v != 0.0:
+                values = fn(x)
+                for k, a, b in entries:
+                    du[a] += v * values[k] * u[b]
+        return du
+
+    return field
+
+
+def reference_transport(manifold, mu, path, jets, steps):
+    n = manifold.dim + 1
+    field = reference_field(manifold, mu, len(jets))
+    state = [float(c) for jet in jets for c in jet]
+    with qs.float_faults():
+        signs = qs.locus_sides(manifold, [float(c) for c in path[0]])
+    for start, stop in zip(path, path[1:]):
+        velocity = [float(b) - float(a) for a, b in zip(start, stop)]
+        line = [(float(c), v) for c, v in zip(start, velocity)]
+
+        def derivative(t, columns, line=line, velocity=velocity):
+            return field([c + t * v for c, v in line], velocity, columns)
+
+        def check_guards(t, line=line):
+            qs.locus_sides(manifold, [c + t * v for c, v in line], signs)
+
+        for state in reference_rk4(derivative, state, steps,
+                                   check_guards if manifold.excluded else None):
+            pass
+    return [state[o:o + n] for o in range(0, len(state), n)]
+
+
+def reference_geodesic(manifold, start, velocity, horizon, steps, jets):
+    """The full trail of (x, v, jets) states of a geodesic carrying jets."""
+    m = manifold.dim
+    indices, gamma = manifold.float_gamma
+    field = reference_field(manifold, qs.distinguished_eigenvalue(m), len(jets))
+
+    def derivative(_t, state):
+        x = state[:m]
+        v = state[m:2 * m]
+        acc = [0.0] * m
+        for (i, j, k), value in zip(indices, gamma(x)):
+            acc[k] -= value * v[i] * v[j]
+        return v + acc + field(x, v, state[2 * m:])
+
+    state = [float(c) for c in start] + [float(c) * horizon for c in velocity] + \
+        [float(c) for jet in jets for c in jet]
+    trail = [state]
+    with qs.float_faults():
+        signs = qs.locus_sides(manifold, state[:m])
+        for state in reference_rk4(derivative, state, steps):
+            qs.locus_sides(manifold, state[:m], signs)
+            trail.append(state)
+    return trail
+
+
+def deformed_plane():
+    """The flat plane deformed by d(x1 x2 + x1^2/2): a non-homogeneous chart."""
+    potential = ex.coord(0) * ex.coord(1) + ex.const(q(1, 2)) * ex.coord(0) ** 2
+    return pj.deform(geo.flat_manifold(2), pj.ProjectiveChange.from_potential(potential, 2))
+
+
+def deformed_space():
+    """Flat R^3 deformed by d(x1 x2/2 + x3^2/4)."""
+    potential = ex.parse_scalar("x1*x2/2 + x3^2/4", X3)
+    return pj.deform(geo.flat_manifold(3), pj.ProjectiveChange.from_potential(potential, 3))
+
+
+class TestGeneratedStepper:
+    """The generated RK4 step against the reference integrator, bit for bit."""
+
+    @pytest.mark.parametrize("chart", ["wall", "deformed_plane", "deformed_space", "wall3d"])
+    def test_transport_matches_the_reference(self, chart):
+        if chart == "wall":
+            # four segments with guard checks on the excluded wall x1 = 0
+            m, mu = cat.wall_projflat_surface(-1, 1).manifold(), q(-1)
+            path = [(1, 0), (1.3, 0.4), (0.8, 0.6), (0.9, -0.3), (1.1, 0.05)]
+        elif chart == "deformed_plane":
+            m, mu = deformed_plane(), q(2)
+            path = [(0, 0), (0.3, -0.2), (0.1, 0.4), (0.1, 0.1)]
+        elif chart == "deformed_space":
+            m, mu = deformed_space(), q(-1, 2)
+            path = [(0, 0, 0), (0.2, -0.1, 0.3), (0, 0.25, 0)]
+        else:
+            m, mu = geo.from_christoffel(3, X3, {
+                (0, 0, 0): ex.const(2) / ex.coord(0), (0, 1, 2): ex.coord(1),
+                (1, 2, 1): ex.const(q(1, 3)) / ex.coord(0)}, excluded=[ex.coord(0)]), q(-1, 2)
+            path = [(1, 0, 0), (1.2, 0.3, -0.4)]
+        n = m.dim + 1
+        jets = _identity_jets(n) + [[0.5 - a for a in range(n)]]
+        want = reference_transport(m, mu, path, jets, 150)
+        assert qs.transport_jet(m, mu, path, jets, 150) == want
+        assert qs.transport_jet(m, mu, path, jets[-1], 150) == want[-1]
+
+    @pytest.mark.parametrize("surface", ["wall", "deformed_plane", "deformed_space"])
+    def test_geodesic_carrying_jets_matches_the_reference(self, surface):
+        if surface == "wall":
+            m, start, direction = cat.wall_projflat_surface(1, 1).manifold(), (1, 0), (0.6, -0.8)
+        elif surface == "deformed_plane":
+            m, start, direction = deformed_plane(), (0, 0), (-0.3, 0.9)
+        else:
+            m, start, direction = deformed_space(), (0, 0, 0), (0.6, -0.8, 0.3)
+        jets = _identity_jets(m.dim + 1)
+        trail = reference_geodesic(m, start, direction, 0.3, 120, jets)
+        points, moved = pj.integrate_geodesic(m, start, direction, 0.3, steps=120, jets=jets)
+        picks = sorted({round(i * 120 / 10) for i in range(11)})
+        assert points == [tuple(trail[i][:m.dim]) for i in picks]
+        offsets = range(2 * m.dim, len(trail[0]), m.dim + 1)
+        assert moved == [[trail[i][o:o + m.dim + 1] for o in offsets] for i in picks]
+        # without jets the path is the same
+        assert pj.integrate_geodesic(m, start, direction, 0.3, steps=120) == points
+
+    def test_manifolds_of_one_pattern_share_the_generated_code(self):
+        one = cat.wall_projflat_surface(1, 1).manifold()
+        two = cat.wall_projflat_surface(-1, 3).manifold()
+        other = deformed_plane()
+        segment = ([1.0, 0.0], [0.1, 0.05])
+
+        def code(manifold, *form):
+            return qs.rk4_step(manifold, q(-1), 3, 0.01, *form).__code__
+
+        assert code(one, segment) is code(two, segment)
+        assert code(one) is code(two)
+        assert code(other, segment) is not code(one, segment)
+        assert code(one) is not code(one, segment)
+
+    def test_zero_length_segment_takes_no_steps(self, monkeypatch):
+        m = cat.wall_projflat_surface(1, 1).manifold()
+        segments = []
+        rk4_step = qs.rk4_step
+        monkeypatch.setattr(qs, "rk4_step",
+                            lambda *args: segments.append(args[4]) or rk4_step(*args))
+        jets = _identity_jets(3)
+        assert qs.transport_jet(m, q(-1), [(1, 0), (1, 0)], jets) == jets
+        assert segments == []
+        path = [(1, 0), (1.2, 0.1), (1.2, 0.1), (1, 0)]
+        assert qs.transport_jet(m, q(-1), path, jets, 100) \
+            == reference_transport(m, q(-1), path, jets, 100)
+        assert len(segments) == 2
+
+    def test_non_finite_state_is_domain_error(self):
+        huge = [1e308] * 4
+        with pytest.raises(ex.DomainError, match="non-finite"):
+            qs.transport_jet(example_b1(), q(-3, 5), [(0, 0, 0), (0, 0, 1)], huge, 10)
+        with pytest.raises(ex.DomainError, match="non-finite"):
+            pj.integrate_geodesic(example_b1(), (0, 0, 0), (1, 1, 1), 1e200,
+                                  jets=_identity_jets(4))
+
+
 UNIT_LOOP_13 = [(0, 0, 0), (1, 0, 0), (1, 0, 1), (0, 0, 1), (0, 0, 0)]
 UNIT_LOOP_23 = [(0, 0, 0), (0, 1, 0), (0, 1, 1), (0, 0, 1), (0, 0, 0)]
 
@@ -339,9 +524,14 @@ class TestHolonomy:
         assert d < 1e-10
 
     def test_b1_admissible_jets(self):
-        for u0 in [(1, 0, 0, 3), (0, 1, 0, 0)]:
-            d = qs.holonomy_defect(example_b1(), q(-3, 5), UNIT_LOOP_13, u0)
-            assert d < 1e-8
+        defects = qs.holonomy_defect(example_b1(), q(-3, 5), UNIT_LOOP_13,
+                                     [(1, 0, 0, 3), (0, 1, 0, 0)])
+        assert len(defects) == 2 and max(defects) < 1e-8
+
+    def test_batched_defects_equal_single_ones(self):
+        jets = [(1, 0, 0, 3), (0, 1, 0, 0), (0, 0, 1, 0)]
+        assert qs.holonomy_defect(example_b1(), q(-3, 5), UNIT_LOOP_23, jets) \
+            == [qs.holonomy_defect(example_b1(), q(-3, 5), UNIT_LOOP_23, u0) for u0 in jets]
 
     def test_b1_inadmissible_jet_detected_by_some_loop(self):
         u0 = (0, 0, 1, 0)
@@ -404,14 +594,14 @@ class TestInvariants:
         rng = random.Random(3)
         m = example_b1()
         space = qs.solution_dimension(m, q(-3, 5), ORIGIN3)
-        for u0 in space.basis:
-            for _ in range(5):
-                a = [rng.uniform(-0.5, 0.5) for _ in range(3)]
-                b = [rng.uniform(-0.5, 0.5) for _ in range(3)]
-                loop = [(0, 0, 0), tuple(a), tuple(b), (0, 0, 0)]
-                d = qs.holonomy_defect(m, q(-3, 5), loop, [float(c) for c in u0],
-                                       steps_per_segment=400)
-                assert d < 1e-7
+        # the loops drawn for each jet in turn, each moving every jet in one run
+        jets = [[float(c) for c in u0] for u0 in space.basis]
+        for _ in range(5 * len(jets)):
+            a = [rng.uniform(-0.5, 0.5) for _ in range(3)]
+            b = [rng.uniform(-0.5, 0.5) for _ in range(3)]
+            loop = [(0, 0, 0), tuple(a), tuple(b), (0, 0, 0)]
+            defects = qs.holonomy_defect(m, q(-3, 5), loop, jets, steps_per_segment=400)
+            assert max(defects) < 1e-7
 
     def test_dimension_point_independent(self):
         models = [
