@@ -68,7 +68,7 @@ class TypeASurface(SixConstantSurface):
     @cached_property
     def _chart(self) -> geo.AffineManifold:
         entries = {idx: ex.const(v) for idx, v in self.constants().items() if v}
-        return geo.from_christoffel(2, ("x1", "x2"), entries)
+        return geo.from_christoffel(("x1", "x2"), entries)
 
 
 @dataclass(frozen=True)
@@ -80,7 +80,7 @@ class TypeBSurface(SixConstantSurface):
         x1 = ex.coord(0)
         entries = {idx: ex.const(v) / x1
                    for idx, v in self.constants().items() if v}
-        return geo.from_christoffel(2, ("x1", "x2"), entries, excluded=[x1])
+        return geo.from_christoffel(("x1", "x2"), entries, excluded=[x1])
 
     def is_also_constant_type(self) -> bool:
         return not (self.c12_1 or self.c22_1 or self.c22_2)
@@ -101,15 +101,14 @@ class Family3dParams:
             (0, 0, 0): c.z, (0, 1, 0): q(1), (0, 2, 0): c.x,
             (1, 1, 1): q(1), (1, 2, 0): c.x, (2, 2, 1): c.y, (2, 2, 2): c.w,
         }
-        return geo.from_christoffel(
-            3, ("x1", "x2", "x3"),
-            {idx: ex.const(v) for idx, v in entries.items() if v})
+        return geo.from_christoffel(("x1", "x2", "x3"),
+                                    {idx: ex.const(v) for idx, v in entries.items() if v})
 
 
 def exp3d_model() -> geo.AffineManifold:
     """The 3-dimensional constant model with nondegenerate Ricci and
     solution span {exp(3 x3), x1 exp(3 x3)} at its special eigenvalue."""
-    return geo.from_christoffel(3, ("x1", "x2", "x3"), {
+    return geo.from_christoffel(("x1", "x2", "x3"), {
         (0, 1, 2): ex.const(1),
         (0, 2, 0): ex.const(3),
         (1, 2, 1): ex.const(4),

@@ -289,10 +289,7 @@ def _cmd_verify(args) -> tuple:
     checks = {}
 
     parts = manifold.ricci_parts
-    split = geo.tensor_from(
-        (manifold.dim, manifold.dim),
-        lambda i, j: parts.sym.comp(i, j) + parts.alt.comp(i, j) - parts.full.comp(i, j),
-        2)
+    split = geo.tensor_map(lambda s, a, f: s + a - f, parts.sym, parts.alt, parts.full)
     checks["ricci_split"] = bool(geo.tensor_zero_verdict(split))
 
     curvature = geo.curvature(manifold)

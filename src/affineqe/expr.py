@@ -28,7 +28,7 @@ from typing import Callable, Sequence
 from .poly import Poly, RationalFunc
 
 Rational = Fraction
-EvalPoint = Sequence  # sequence of Fraction (exact mode) or float (float mode)
+EvalPoint = Sequence  # of ints/Fractions (evaluated exactly) or with a float (in doubles)
 
 
 class AffineQEError(Exception):
@@ -542,14 +542,16 @@ def differentiate(e: ScalarExpr, index: int) -> ScalarExpr:
     return walk(e)
 
 
-def evaluate(e: ScalarExpr, point: EvalPoint, mode: str = "exact"):
-    """Evaluate at a point; 'exact' keeps Fractions, 'float' uses doubles.
+def is_exact_point(point: EvalPoint) -> bool:
+    """A point without float coordinates: values there are exact Fractions."""
+    return all(not isinstance(c, float) for c in point)
 
-    Poles, logs of non-positive values and float overflow raise DomainError.
-    """
-    if mode not in ("exact", "float"):
-        raise ValueError("mode must be 'exact' or 'float'")
-    return _evaluate(e, point, mode == "exact")
+
+def evaluate(e: ScalarExpr, point: EvalPoint):
+    """Evaluate at a point: in Fractions when no coordinate is a float, else in
+    doubles.  exp/log at such an exact point raise ExactModeError; poles, logs of
+    non-positive values and float overflow raise DomainError."""
+    return _evaluate(e, point, is_exact_point(point))
 
 
 def _evaluate(e: ScalarExpr, point: EvalPoint, exact: bool):
@@ -565,12 +567,7 @@ def _evaluate(e: ScalarExpr, point: EvalPoint, exact: bool):
             if node.index >= len(point):
                 raise DomainError(f"coordinate x{node.index + 1} outside the point")
             result = point[node.index]
-            if exact:
-                if isinstance(result, float):
-                    raise ExactModeError("exact evaluation at a float point")
-                result = Fraction(result)
-            else:
-                result = float(result)
+            result = Fraction(result) if exact else float(result)
         elif isinstance(node, Add):
             result = sum(walk(t) for t in node.terms)
         elif isinstance(node, Mul):
@@ -734,9 +731,10 @@ def _sample_verdict(e: ScalarExpr, rng: random.Random) -> Verdict:
                 raise DomainError("expression could not be sampled anywhere")
             positive = True  # retry on the positive orthant (log-friendly)
             tries = 0
-        point = random_float_point(nvars, rng, positive=positive)
+        # a constant tree still needs a float coordinate to evaluate in doubles
+        point = random_float_point(nvars, rng, positive=positive) or (0.0,)
         try:
-            value = evaluate(e, point, "float")
+            value = evaluate(e, point)
         except DomainError:
             continue
         # past the absolute bound the value must also stand out of the rounding
@@ -769,7 +767,7 @@ def is_identically_zero(e: ScalarExpr, rng: random.Random | None = None) -> Verd
     if rf.is_zero:
         point = random_rational_point(max(rf.den.max_var() + 1, max_coord_index(e) + 1), rng)
         try:
-            check = evaluate(e, point, "exact")
+            check = evaluate(e, point)
             if check != 0:
                 raise AssertionError("canonical form disagrees with evaluation")
         except DomainError:

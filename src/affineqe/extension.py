@@ -27,16 +27,21 @@ from .expr import DomainError, ScalarExpr, Verdict
 
 @dataclass(frozen=True)
 class PseudoMetric:
-    """Symmetric metric grid on a 2m chart (x^1..x^m, y_1..y_m)."""
+    """Symmetric metric grid on a 2m chart (x^1..x^m, y_1..y_m); m is read off the grid."""
 
-    base_dim: int
     coords: tuple
     components: tuple
     excluded: tuple = ()
 
+    def __post_init__(self):
+        n = len(self.components)
+        if not n or n % 2 or len(self.coords) != n or any(len(r) != n for r in self.components):
+            raise ValueError(f"a metric needs a 2m x 2m grid on 2m coordinates, not {n} rows "
+                             f"on {len(self.coords)} coordinates")
+
     @property
     def n(self) -> int:
-        return 2 * self.base_dim
+        return len(self.components)
 
     def comp(self, a: int, b: int) -> ScalarExpr:
         return self.components[a][b]
@@ -79,14 +84,14 @@ def deformed_extension(manifold: geo.AffineManifold,
         return ex.ZERO
 
     grid = tuple(tuple(fill(a, b) for b in range(2 * m)) for a in range(2 * m))
-    return PseudoMetric(m, coords, grid, excluded=manifold.excluded)
+    return PseudoMetric(coords, grid, excluded=manifold.excluded)
 
 
-def metric_from_grid(base_dim: int, coords, grid,
-                     excluded=()) -> PseudoMetric:
-    grid = tuple(tuple(ex.as_expr(e) for e in row) for row in grid)
-    _symmetric_or_raise(grid, 2 * base_dim, "metric")
-    return PseudoMetric(base_dim, tuple(coords), grid, excluded=tuple(excluded))
+def metric_from_grid(coords, grid, excluded=()) -> PseudoMetric:
+    metric = PseudoMetric(tuple(coords), tuple(tuple(ex.as_expr(e) for e in row) for row in grid),
+                          excluded=tuple(excluded))
+    _symmetric_or_raise(metric.components, metric.n, "metric")
+    return metric
 
 
 # --------------------------------------------------------------------------
@@ -114,7 +119,7 @@ def inverse_metric(metric: PseudoMetric) -> tuple:
     through the adjugate, rejecting an identically-degenerate determinant.
     """
     n = metric.n
-    m = metric.base_dim
+    m = n // 2
     if all(metric.comp(a, m + b) == metric.comp(m + b, a) == (ex.ONE if a == b else ex.ZERO)
            and metric.comp(m + a, m + b) == ex.ZERO for a in range(m) for b in range(m)):
         def fill(a, b):
@@ -145,9 +150,9 @@ def inverse_metric(metric: PseudoMetric) -> tuple:
 
 
 def signature_at(metric: PseudoMetric, point) -> tuple:
-    """(positive, negative) eigenvalue counts of the metric at a float point."""
-    values = np.array([[ex.evaluate(metric.comp(a, b), point, "float")
-                        for b in range(metric.n)] for a in range(metric.n)])
+    """(positive, negative) eigenvalue counts of the metric at a point."""
+    values = np.array([[ex.evaluate(metric.comp(a, b), point)
+                        for b in range(metric.n)] for a in range(metric.n)], float)
     eigenvalues = np.linalg.eigvalsh(values)
     return int(np.sum(eigenvalues > 0)), int(np.sum(eigenvalues < 0))
 
@@ -179,7 +184,7 @@ def levi_civita(metric: PseudoMetric) -> geo.AffineManifold:
 
     grid = tuple(tuple(tuple(fill(i, j, k) for k in range(n))
                        for j in range(n)) for i in range(n))
-    return geo.AffineManifold(n, metric.coords, grid, metric.excluded)
+    return geo.AffineManifold(metric.coords, grid, metric.excluded)
 
 
 def metric_compatibility_residual(g: PseudoMetric,
@@ -194,7 +199,7 @@ def metric_compatibility_residual(g: PseudoMetric,
                 - conn.gamma[k][j][l] * g.comp(i, l)
         return ex.simplify_rational(total)
 
-    return geo.tensor_from((n, n, n), fill, 3)
+    return geo.tensor_from((n, n, n), fill)
 
 
 # --------------------------------------------------------------------------
@@ -240,8 +245,8 @@ def extension_identities_residuals(manifold: geo.AffineManifold,
             norm = norm + inverse[a][b] * df[a] * df[b]
 
     return ExtensionResiduals(
-        geo.tensor_from((n, n), hess_fill, 2),
-        geo.tensor_from((n, n), ricci_fill, 2),
+        geo.tensor_from((n, n), hess_fill),
+        geo.tensor_from((n, n), ricci_fill),
         ex.simplify_rational(norm),
     )
 
@@ -265,7 +270,7 @@ def quasi_einstein_residual(metric: PseudoMetric, psi: ScalarExpr, mu, lam) -> g
             - mu * dpsi[a] * dpsi[b] - lam * metric.comp(a, b)
         return ex.simplify_rational(total)
 
-    return geo.tensor_from((n, n), fill, 2)
+    return geo.tensor_from((n, n), fill)
 
 
 def soliton_potential(f: ScalarExpr, eigenvalue) -> tuple:
@@ -282,21 +287,12 @@ def soliton_potential(f: ScalarExpr, eigenvalue) -> tuple:
     return psi, mu_a / 2
 
 
-def sample_residual(tensor: geo.TensorField, points, mode: str = "float") -> float:
+def sample_residual(tensor: geo.TensorField, points) -> float:
     """Worst absolute component value over the sample points."""
     worst = 0.0
-    rank = tensor.covariant_rank + (1 if tensor.has_upper else 0)
-
-    def walk(node, depth):
-        nonlocal worst
-        if depth == rank:
-            for p in points:
-                worst = max(worst, abs(float(ex.evaluate(node, p, mode))))
-        else:
-            for child in node:
-                walk(child, depth + 1)
-
-    walk(tensor.components, 0)
+    for component in geo.leaves(tensor):
+        for p in points:
+            worst = max(worst, abs(float(ex.evaluate(component, p))))
     return worst
 
 

@@ -48,7 +48,6 @@ class AffineManifold:
     whose zero sets are removed from the chart (e.g. the wall x1 = 0).
     """
 
-    dim: int
     coords: tuple
     gamma: tuple
     excluded: tuple = ()
@@ -56,13 +55,14 @@ class AffineManifold:
     def __post_init__(self):
         if self.dim < 2:
             raise ManifoldFormatError("dimension must be at least 2")
-        if len(self.coords) != self.dim:
-            raise ManifoldFormatError("coordinate names do not match dimension")
+
+    @property
+    def dim(self) -> int:
+        return len(self.coords)
 
     def check_point(self, point) -> None:
-        mode = "exact" if all(not isinstance(c, float) for c in point) else "float"
         for g in self.excluded:
-            if ex.evaluate(g, point, mode) == 0:
+            if ex.evaluate(g, point) == 0:
                 raise ExcludedLocusError(
                     f"point {tuple(point)} lies on the excluded locus")
 
@@ -89,15 +89,10 @@ class AffineManifold:
 
 @dataclass(frozen=True)
 class TensorField:
-    """Componentwise tensor on a chart: nested grid of expressions.
-
-    ``covariant_rank`` lower slots come first in the index order; when
-    ``has_upper`` is set there is one trailing contravariant slot.
-    """
+    """Componentwise tensor on a chart: a nested grid of expressions whose depth
+    is the rank.  Lower slots come first; the curvature's upper slot is last."""
 
     components: tuple
-    covariant_rank: int
-    has_upper: bool = False
 
     def comp(self, *indices) -> ScalarExpr:
         node = self.components
@@ -109,6 +104,13 @@ class TensorField:
     def dim(self) -> int:
         return len(self.components)
 
+    @property
+    def rank(self) -> int:
+        node, depth = self.components, 0
+        while not isinstance(node, ScalarExpr):
+            node, depth = node[0], depth + 1
+        return depth
+
 
 def _grid(shape: Sequence[int], fill: Callable) -> tuple:
     def build(prefix, depth):
@@ -119,20 +121,27 @@ def _grid(shape: Sequence[int], fill: Callable) -> tuple:
     return build((), 0)
 
 
-def tensor_from(shape: Sequence[int], fill: Callable,
-                covariant_rank: int, has_upper: bool = False) -> TensorField:
-    return TensorField(_grid(shape, fill), covariant_rank, has_upper)
+def tensor_from(shape: Sequence[int], fill: Callable) -> TensorField:
+    return TensorField(_grid(shape, fill))
 
 
 def tensor_map(fn: Callable, *tensors: TensorField) -> TensorField:
-    lead = tensors[0]
-    rank = lead.covariant_rank + (1 if lead.has_upper else 0)
-    shape = [lead.dim] * rank
+    """fn applied to the matching components of equally shaped tensors."""
 
-    def fill(*idx):
-        return fn(*[t.comp(*idx) for t in tensors])
+    def zipped(nodes):
+        if isinstance(nodes[0], ScalarExpr):
+            return fn(*nodes)
+        return tuple(zipped(children) for children in zip(*nodes))
 
-    return tensor_from(shape, fill, lead.covariant_rank, lead.has_upper)
+    return TensorField(zipped([t.components for t in tensors]))
+
+
+def leaves(t: TensorField) -> list:
+    """The components in row-major index order."""
+    nodes = t.components
+    for _ in range(t.rank - 1):
+        nodes = [leaf for node in nodes for leaf in node]
+    return nodes
 
 
 def tensor_sub(a: TensorField, b: TensorField) -> TensorField:
@@ -140,29 +149,21 @@ def tensor_sub(a: TensorField, b: TensorField) -> TensorField:
 
 
 def tensor_zero_verdict(t: TensorField, rng: random.Random | None = None) -> Verdict:
-    rank = t.covariant_rank + (1 if t.has_upper else 0)
-
-    def walk(node, depth):
-        if depth == rank:
-            yield ex.is_identically_zero(node, rng)
-        else:
-            for child in node:
-                yield from walk(child, depth + 1)
-
-    return combine_verdicts(walk(t.components, 0))
+    return combine_verdicts(ex.is_identically_zero(c, rng) for c in leaves(t))
 
 
 # --------------------------------------------------------------------------
 # loading
 
 
-def from_christoffel(dim: int, coords: Sequence[str],
-                     entries: dict, excluded: Sequence[ScalarExpr] = ()) -> AffineManifold:
+def from_christoffel(coords: Sequence[str], entries: dict,
+                     excluded: Sequence[ScalarExpr] = ()) -> AffineManifold:
     """Build a manifold from {(i, j, k): expr} with 0-based indices.
 
     Entries may be given for either or both of (i, j) and (j, i); duplicates
     must agree structurally or the data is rejected as asymmetric.
     """
+    dim = len(coords)
     table: dict = {}
     for (i, j, k), value in entries.items():
         if not all(0 <= n < dim for n in (i, j, k)):
@@ -179,7 +180,7 @@ def from_christoffel(dim: int, coords: Sequence[str],
         return table.get((min(i, j), max(i, j), k), ex.ZERO)
 
     grid = _grid((dim, dim, dim), fill)
-    return AffineManifold(dim, tuple(coords), grid, tuple(excluded))
+    return AffineManifold(tuple(coords), grid, tuple(excluded))
 
 
 def _parse_key(key: str) -> tuple:
@@ -225,7 +226,7 @@ def load_manifold(document: dict) -> AffineManifold:
         entries[(i, j, k)] = ex.parse_scalar(text, coords)
     excluded = tuple(ex.parse_scalar(text, coords)
                      for text in _strings(document.get("excluded") or [], "excluded"))
-    return from_christoffel(dim, coords, entries, excluded)
+    return from_christoffel(coords, entries, excluded)
 
 
 def manifold_document(m: AffineManifold) -> dict:
@@ -261,7 +262,7 @@ def curvature(m: AffineManifold) -> TensorField:
                 - m.gamma[j][n][l] * m.gamma[i][k][n]
         return ex.simplify_rational(total)
 
-    return tensor_from((m.dim,) * 4, fill, covariant_rank=3, has_upper=True)
+    return tensor_from((m.dim,) * 4, fill)
 
 
 @dataclass(frozen=True)
@@ -290,11 +291,11 @@ def ricci(m: AffineManifold) -> RicciTensors:
         return ex.simplify_rational(total)
 
     grid = [[rho_jk(j, k) for k in range(m.dim)] for j in range(m.dim)]
-    full = TensorField(tuple(tuple(row) for row in grid), 2)
+    full = TensorField(tuple(tuple(row) for row in grid))
     sym = tensor_from((m.dim, m.dim),
-                      lambda j, k: ex.simplify_rational(half * (grid[j][k] + grid[k][j])), 2)
+                      lambda j, k: ex.simplify_rational(half * (grid[j][k] + grid[k][j])))
     alt = tensor_from((m.dim, m.dim),
-                      lambda j, k: ex.simplify_rational(half * (grid[j][k] - grid[k][j])), 2)
+                      lambda j, k: ex.simplify_rational(half * (grid[j][k] - grid[k][j])))
     return RicciTensors(full, sym, alt)
 
 
@@ -307,7 +308,7 @@ def hessian(m: AffineManifold, f: ScalarExpr) -> TensorField:
             total = total - m.gamma[i][j][k] * df[k]
         return ex.simplify_rational(total)
 
-    return tensor_from((m.dim, m.dim), fill, 2)
+    return tensor_from((m.dim, m.dim), fill)
 
 
 def nabla_ricci(m: AffineManifold) -> TensorField:
@@ -321,16 +322,16 @@ def nabla_ricci(m: AffineManifold) -> TensorField:
                 - m.gamma[i][k][l] * rho.comp(j, l)
         return ex.simplify_rational(total)
 
-    return tensor_from((m.dim,) * 3, fill, 3)
+    return tensor_from((m.dim,) * 3, fill)
 
 
 def is_totally_symmetric(t: TensorField, rng: random.Random | None = None) -> Verdict:
     """True-ish verdict when every index permutation fixes the tensor."""
-    if t.has_upper or t.covariant_rank not in (2, 3):
+    if t.rank not in (2, 3):
         raise ValueError("total symmetry is defined here for (0,2) and (0,3) tensors")
     verdicts = []
     n = t.dim
-    if t.covariant_rank == 2:
+    if t.rank == 2:
         for i in range(n):
             for j in range(i + 1, n):
                 verdicts.append(ex.is_identically_zero(t.comp(i, j) - t.comp(j, i), rng))
@@ -375,4 +376,4 @@ def is_affine_killing(m: AffineManifold, field: Sequence[ScalarExpr],
 
 def flat_manifold(dim: int, coords: Sequence[str] | None = None) -> AffineManifold:
     names = tuple(coords) if coords else tuple(f"x{i + 1}" for i in range(dim))
-    return from_christoffel(dim, names, {})
+    return from_christoffel(names, {})

@@ -136,7 +136,7 @@ class Poly:
     def pow(self, exponent: int) -> "Poly":
         if exponent < 0:
             raise ValueError("negative power of a Poly")
-        result = Poly.const(1)
+        result = _ONE_POLY
         base = self
         e = exponent
         while e:
@@ -223,6 +223,9 @@ class Poly:
         return "Poly(" + " + ".join(bits) + ")"
 
 
+_ONE_POLY = Poly.const(1)  # shared: no Poly's terms are ever mutated in place
+
+
 class RationalFunc:
     """Unreduced quotient of two Poly values; denominator never the zero polynomial."""
 
@@ -230,7 +233,7 @@ class RationalFunc:
 
     def __init__(self, num: Poly, den: Poly | None = None, normalize: bool = True):
         if den is None:
-            den = Poly.const(1)
+            den = _ONE_POLY
         if den.is_zero:
             raise ZeroDivisionError("denominator polynomial is identically zero")
         self.num = num
@@ -254,7 +257,7 @@ class RationalFunc:
         # strip a common monomial factor, then make the denominator a primitive
         # integer polynomial with positive leading coefficient
         if self.num.is_zero:
-            self.den = Poly.const(1)
+            self.den = _ONE_POLY
             return
         common = mono_gcd(self.num.monomial_content(), self.den.monomial_content())
         if common:

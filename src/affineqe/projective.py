@@ -112,7 +112,7 @@ def deform(manifold: geo.AffineManifold, omega) -> geo.AffineManifold:
     for pole in _pole_locus(change.omega):
         if all(pole != g for g in excluded):
             excluded.append(pole)
-    return geo.AffineManifold(m, manifold.coords, grid, tuple(excluded))
+    return geo.AffineManifold(manifold.coords, grid, tuple(excluded))
 
 
 def ricci_transform_residual(manifold: geo.AffineManifold,
@@ -131,7 +131,7 @@ def ricci_transform_residual(manifold: geo.AffineManifold,
         return ex.simplify_rational(
             rho_after.comp(i, j) - rho_before.comp(i, j) + correction)
 
-    return geo.tensor_from((m, m), fill, 2)
+    return geo.tensor_from((m, m), fill)
 
 
 @dataclass(frozen=True)
@@ -160,7 +160,7 @@ def liouville_check(manifold: geo.AffineManifold, potential: ScalarExpr,
     hess = geo.hessian(manifold, potential)
     dg = change.omega
     condition = geo.tensor_from(
-        (m, m), lambda i, j: ex.simplify_rational(hess.comp(i, j) - dg[i] * dg[j]), 2)
+        (m, m), lambda i, j: ex.simplify_rational(hess.comp(i, j) - dg[i] * dg[j]))
     hessian_condition = geo.tensor_zero_verdict(condition, rng)
     return LiouvilleReport(ricci_preserved, hessian_condition)
 
@@ -173,7 +173,6 @@ def liouville_check(manifold: geo.AffineManifold, potential: ScalarExpr,
 class FlatnessReport:
     flat: bool
     dim: int
-    space: qs.SolutionSpace
     surface_symmetry: Verdict | None  # total symmetry of rho and grad rho (m = 2)
     criteria_agree: bool | None
 
@@ -195,7 +194,7 @@ def strong_flatness_test(manifold: geo.AffineManifold, basepoint,
         sym_nabla = geo.is_totally_symmetric(geo.nabla_ricci(manifold), rng)
         surface_symmetry = combine_verdicts([sym_rho, sym_nabla])
         agree = bool(surface_symmetry) == flat
-    return FlatnessReport(flat, space.dim, space, surface_symmetry, agree)
+    return FlatnessReport(flat, space.dim, surface_symmetry, agree)
 
 
 @dataclass(frozen=True)
@@ -206,7 +205,6 @@ class FlatChart:
     jet_basis: tuple          # m+1 jets, Theta(phi_i) = e_i
     grid_points: tuple
     z_values: tuple           # per grid point, the m chart values
-    z_jacobians: tuple        # per grid point, m x m matrix dz^i/dx^j
     base_z: tuple             # z evaluated at the basepoint via a closed path
     base_jacobian: tuple      # dz at the basepoint via a closed path
 
@@ -244,19 +242,17 @@ def flat_chart(manifold: geo.AffineManifold, basepoint, grid,
     jet_basis = tuple(tuple(Fraction(1) if a == i else Fraction(0)
                             for a in range(m + 1)) for i in range(m + 1))
     z_values = []
-    z_jacobians = []
     base = tuple(float(c) for c in basepoint)
     for point in grid:
-        z, jac = _chart_image(qs.transport_jet(
+        z, _ = _chart_image(qs.transport_jet(
             manifold, mu_m, [base, tuple(float(c) for c in point)], jet_basis, steps_per_segment))
         z_values.append(z)
-        z_jacobians.append(jac)
     # out-and-back: a nondegenerate closed path measuring base-invariant error
     probe = tuple(c + (0.1 if i == 0 else 0.0) for i, c in enumerate(base))
     base_z, base_jac = _chart_image(qs.transport_jet(
         manifold, mu_m, [base, probe, base], jet_basis, steps_per_segment))
     return FlatChart(base, jet_basis, tuple(tuple(p) for p in grid),
-                     tuple(z_values), tuple(z_jacobians), base_z, base_jac)
+                     tuple(z_values), base_z, base_jac)
 
 
 def base_invariant_errors(chart: FlatChart) -> tuple:
@@ -274,9 +270,9 @@ def chart_radius(manifold: geo.AffineManifold, basepoint) -> float:
     point = [float(c) for c in basepoint]
     best = 2.0
     for g in manifold.excluded:
-        value = abs(ex.evaluate(g, point, "float"))
+        value = abs(ex.evaluate(g, point))
         grad = math.sqrt(sum(
-            ex.evaluate(ex.differentiate(g, i), point, "float") ** 2
+            ex.evaluate(ex.differentiate(g, i), point) ** 2
             for i in range(manifold.dim)))
         if grad > 0:
             best = min(best, value / grad)

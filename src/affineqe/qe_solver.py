@@ -104,9 +104,9 @@ class ConstraintRow:
 
     def values(self, point) -> list:
         """The entries at a point: Fractions at an exact point, else floats."""
-        exact = _is_exact_point(point)
         if not isinstance(self.entries[0], RationalFunc):
-            return [ex.evaluate(e, point, "exact" if exact else "float") for e in self.entries]
+            return [ex.evaluate(e, point) for e in self.entries]
+        exact = ex.is_exact_point(point)
         try:
             return [e.eval(point) if exact else float(e.eval(point)) for e in self.entries]
         except ZeroDivisionError:
@@ -117,7 +117,6 @@ class ConstraintRow:
 
 @dataclass
 class ConstraintStack:
-    jet_size: int
     rows: list
 
     def effective_rows(self) -> list:
@@ -151,7 +150,7 @@ def integrability_constraints(system: JetSystem) -> ConstraintStack:
         for j in range(i + 1, system.dim):
             for entries in _commutator_rows(system, i, j):
                 rows.append(ConstraintRow(entries))
-    return ConstraintStack(system.jet_size, rows)
+    return ConstraintStack(rows)
 
 
 def _prolong_row(system: JetSystem, entries: tuple, direction: int) -> tuple:
@@ -182,7 +181,7 @@ def prolong(system: JetSystem, stack: ConstraintStack,
                 continue
             seen.add(entries)
             new_rows.append(ConstraintRow(entries))
-    return ConstraintStack(stack.jet_size, new_rows)
+    return ConstraintStack(new_rows)
 
 
 # --------------------------------------------------------------------------
@@ -202,10 +201,6 @@ class SolutionSpace:
     exact: bool
 
 
-def _is_exact_point(point) -> bool:
-    return all(not isinstance(c, float) for c in point)
-
-
 def solution_dimension(manifold: geo.AffineManifold, mu, basepoint,
                        max_generations: int | None = None) -> SolutionSpace:
     """Dimension and jet basis of the local solution space at ``basepoint``.
@@ -218,7 +213,7 @@ def solution_dimension(manifold: geo.AffineManifold, mu, basepoint,
     system = build_jet_system(manifold, mu)
     n = system.jet_size
     cap = max_generations if max_generations is not None else 2 * manifold.dim + 6
-    exact = system.rational_only and _is_exact_point(basepoint)
+    exact = system.rational_only and ex.is_exact_point(basepoint)
     point = tuple(Fraction(c) for c in basepoint) if exact \
         else tuple(float(c) for c in basepoint)
 
@@ -264,7 +259,7 @@ SPAN_TOL = 1e-8  # float spaces: residual allowed relative to the jet's norm
 
 def in_solution_space(space: SolutionSpace, jet) -> bool:
     """Is the given jet in the span of the computed kernel basis?"""
-    if space.exact and _is_exact_point(jet):
+    if space.exact and ex.is_exact_point(jet):
         reducer = RowReducer(len(jet))
         for vec in space.basis:
             reducer.add_row(vec)

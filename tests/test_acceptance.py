@@ -247,8 +247,8 @@ def test_criterion_13_alpha_invariant():
     worst = 0.0
     for _ in range(5):
         p = [rng.uniform(-0.8, 0.8), rng.uniform(-1, 1)]
-        ratio = (ex.evaluate(alpha_deformed, p, "float")
-                 / ex.evaluate(alpha, p, "float"))
-        worst = max(worst, abs(ratio - ex.evaluate(ratio_expr, p, "float")))
+        ratio = (ex.evaluate(alpha_deformed, p)
+                 / ex.evaluate(alpha, p))
+        worst = max(worst, abs(ratio - ex.evaluate(ratio_expr, p)))
     assert worst < 1e-8
     passed(13, f"alpha = 16 exact; deformation ratio matches within {worst:.1e}")

@@ -193,8 +193,8 @@ class TestAlphaInvariant:
         rng = random.Random(5)
         for _ in range(5):
             p = [rng.uniform(-0.8, 0.8), rng.uniform(-1, 1)]
-            ratio = ex.evaluate(alpha_deformed, p, "float") / ex.evaluate(alpha, p, "float")
-            assert abs(ratio - ex.evaluate(expected_ratio, p, "float")) < 1e-8
+            ratio = ex.evaluate(alpha_deformed, p) / ex.evaluate(alpha, p)
+            assert abs(ratio - ex.evaluate(expected_ratio, p)) < 1e-8
 
     def test_zero_offset_deformation_is_isomorphic(self):
         # a = 0 gives g = -x1, a constant-symbol deformation with equal invariant

@@ -97,12 +97,12 @@ class TestDifferentiate:
     def test_chain_rule_exp(self):
         e = parse_scalar("exp(2*x1)", XY)
         d = differentiate(e, 0)
-        v = evaluate(d, (0.5, 0.0), "float")
+        v = evaluate(d, (0.5, 0.0))
         assert v == pytest.approx(2 * math.exp(1.0))
 
     def test_log(self):
         d = differentiate(parse_scalar("log(x1)", XY), 0)
-        assert evaluate(d, (4.0, 0.0), "float") == pytest.approx(0.25)
+        assert evaluate(d, (4.0, 0.0)) == pytest.approx(0.25)
 
     def test_rational_only_preserved(self):
         e = parse_scalar("(x1 + x2)^3 / (1 + x1^2)", XY)
@@ -112,23 +112,34 @@ class TestDifferentiate:
 class TestEvaluate:
     def test_exact_fraction(self):
         e = parse_scalar("3/x1", XY)
-        assert evaluate(e, (q(2), q(0)), "exact") == q(3, 2)
+        assert evaluate(e, (q(2), q(0))) == q(3, 2)
 
     def test_float_exp(self):
         e = parse_scalar("exp(x1)", XY)
-        assert evaluate(e, (0.0, 0.0), "float") == pytest.approx(1.0)
+        assert evaluate(e, (0.0, 0.0)) == pytest.approx(1.0)
+
+    def test_mode_follows_the_point(self):
+        e = parse_scalar("3/x1 + x2", XY)
+        for point in ((2, 1), (q(2), q(1)), (2, q(1))):
+            value = evaluate(e, point)
+            assert type(value) is Fraction and value == q(5, 2)
+        for point in ((2.0, 1), (q(2), 1.0)):
+            value = evaluate(e, point)
+            assert type(value) is float and value == 2.5
 
     def test_exact_mode_rejects_exp(self):
-        with pytest.raises(ExactModeError):
-            evaluate(parse_scalar("exp(x1)", XY), (q(0), q(0)), "exact")
+        for point in ((q(0), q(0)), (0, 0)):
+            with pytest.raises(ExactModeError):
+                evaluate(parse_scalar("exp(x1)", XY), point)
 
     def test_division_by_zero(self):
-        with pytest.raises(DomainError):
-            evaluate(parse_scalar("3/x1", XY), (q(0), q(1)), "exact")
+        for point in ((q(0), q(1)), (0.0, 1.0), (0.0, q(1))):
+            with pytest.raises(DomainError):
+                evaluate(parse_scalar("3/x1", XY), point)
 
     def test_log_domain(self):
         with pytest.raises(DomainError):
-            evaluate(parse_scalar("log(x1)", XY), (-1.0, 0.0), "float")
+            evaluate(parse_scalar("log(x1)", XY), (-1.0, 0.0))
 
 
 class TestZeroTest:
@@ -147,6 +158,12 @@ class TestZeroTest:
     def test_exp_nonzero(self):
         e = parse_scalar("exp(x1) - 1 - x1", XY)
         assert is_identically_zero(e) is Verdict.NONZERO
+
+    def test_constant_exp_tree_is_sampled_in_floats(self):
+        # a tree without coordinates still samples at a float point
+        assert is_identically_zero(parse_scalar("exp(1)*exp(-1) - 1", XY)) \
+            is Verdict.NUMERIC_ONLY
+        assert is_identically_zero(parse_scalar("exp(1) - 2", XY)) is Verdict.NONZERO
 
     def test_cancellation_of_large_terms_is_not_certified(self):
         # the terms reach e^40, so their float sum cancels only to rounding
@@ -216,14 +233,14 @@ def test_derivative_matches_finite_difference():
             e = e + c * Coord(0) ** rng.randint(0, 3) * Coord(1) ** rng.randint(0, 3)
         i = rng.randint(0, 1)
         p = [rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0)]
-        exact = evaluate(differentiate(e, i), p, "float")
+        exact = evaluate(differentiate(e, i), p)
         if abs(exact) < 1e-3:
             continue  # keep the relative-error criterion meaningful
         shifted_up = list(p)
         shifted_dn = list(p)
         shifted_up[i] += h
         shifted_dn[i] -= h
-        fd = (evaluate(e, shifted_up, "float") - evaluate(e, shifted_dn, "float")) / (2 * h)
+        fd = (evaluate(e, shifted_up) - evaluate(e, shifted_dn)) / (2 * h)
         assert abs(fd - exact) <= 1e-5 * abs(exact)
         checked += 1
 
@@ -254,7 +271,7 @@ def test_compile_float_matches_evaluate():
     fn = expr.compile_float(e)
     for _ in range(25):
         p = (rng.uniform(-2, 2), rng.uniform(-2, 2))
-        assert fn(p) == pytest.approx(evaluate(e, p, "float"), rel=1e-12)
+        assert fn(p) == pytest.approx(evaluate(e, p), rel=1e-12)
 
 
 # ---------------------------------------------------------------------------

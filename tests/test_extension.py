@@ -53,6 +53,24 @@ class TestDeformedExtension:
                                        xt.random_symmetric_phi(3, rng))
         point = [0.2, -0.4, 0.3, 0.1, 0.5, -0.2]
         assert xt.signature_at(metric, point) == (3, 3)
+        # at an exact point the components are exact and rounded for the eigenvalues
+        exact = [q(1, 5), q(-2, 5), q(3, 10), q(1, 10), q(1, 2), q(-1, 5)]
+        assert xt.signature_at(metric, exact) == (3, 3)
+
+    def test_grid_fixes_the_dimension(self):
+        # a 6x6 grid is a metric on a 6-dim chart over a 3-dim base, never 2m = 4
+        metric = xt.deformed_extension(cat.exp3d_model())
+        rebuilt = xt.metric_from_grid(metric.coords, metric.components)
+        assert rebuilt.n == 6
+        assert len(xt.inverse_metric(rebuilt)) == 6
+        assert xt.signature_at(rebuilt, [0.1] * 6) == (3, 3)
+        with pytest.raises(ValueError):
+            xt.metric_from_grid(metric.coords[:4], metric.components)
+        odd = [[ex.ONE if a == b else ex.ZERO for b in range(3)] for a in range(3)]
+        for coords, grid in (((), ()), (("x1", "x2", "y1"), odd),
+                             (("x1", "x2"), [[ex.ONE, ex.ZERO], [ex.ZERO]])):
+            with pytest.raises(ValueError):
+                xt.metric_from_grid(coords, grid)
 
 
 class TestLeviCivita:
@@ -79,7 +97,7 @@ class TestLeviCivita:
         # it was built; grids without it go through the adjugate
         metric = xt.deformed_extension(cat.exp3d_model(),
                                        xt.random_symmetric_phi(3, random.Random(5)))
-        rebuilt = xt.metric_from_grid(3, metric.coords, metric.components)
+        rebuilt = xt.metric_from_grid(metric.coords, metric.components)
         determinants = []
         determinant = xt._determinant
         monkeypatch.setattr(xt, "_determinant",
@@ -95,11 +113,11 @@ class TestLeviCivita:
                       [ex.ZERO, ex.ZERO, ex.ZERO, ex.ZERO],
                       [ex.ZERO, ex.ZERO, ex.ONE, ex.ZERO],
                       [ex.ZERO, ex.ZERO, ex.ZERO, ex.ONE]]
-        xt.inverse_metric(xt.metric_from_grid(2, ("x1", "x2", "y1", "y2"), general))
+        xt.inverse_metric(xt.metric_from_grid(("x1", "x2", "y1", "y2"), general))
         assert determinants
         determinants.clear()
         with pytest.raises(ex.DomainError):
-            xt.inverse_metric(xt.metric_from_grid(2, ("x1", "x2", "y1", "y2"), degenerate))
+            xt.inverse_metric(xt.metric_from_grid(("x1", "x2", "y1", "y2"), degenerate))
         assert determinants
 
     def test_general_inverse_path(self):
@@ -107,7 +125,7 @@ class TestLeviCivita:
                 [ex.ZERO, ex.ONE, ex.ZERO, ex.ZERO],
                 [ex.ONE, ex.ZERO, ex.ZERO, ex.ZERO],
                 [ex.ZERO, ex.ZERO, ex.ZERO, ex.const(-1)]]
-        metric = xt.metric_from_grid(2, ("x1", "x2", "y1", "y2"), grid)
+        metric = xt.metric_from_grid(("x1", "x2", "y1", "y2"), grid)
         inverse = xt.inverse_metric(metric)
         for a in range(4):
             for b in range(4):
@@ -122,7 +140,7 @@ class TestLeviCivita:
                 [ex.ZERO, ex.ZERO, ex.ZERO, ex.ZERO],
                 [ex.ZERO, ex.ZERO, ex.ONE, ex.ZERO],
                 [ex.ZERO, ex.ZERO, ex.ZERO, ex.ONE]]
-        metric = xt.metric_from_grid(2, ("x1", "x2", "y1", "y2"), grid)
+        metric = xt.metric_from_grid(("x1", "x2", "y1", "y2"), grid)
         with pytest.raises(ex.DomainError):
             xt.inverse_metric(metric)
 

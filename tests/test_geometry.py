@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -23,15 +24,14 @@ def example_b1():
         (1, 2, 1): ex.const(4),
         (2, 2, 2): ex.const(5),
     }
-    return geo.from_christoffel(3, X3, entries)
+    return geo.from_christoffel(X3, entries)
 
 
 def type_b(c, m=2):
     """Symbols C_ij^k / x1 from {(i,j,k): Fraction}."""
     x1 = ex.coord(0)
     entries = {idx: ex.const(v) / x1 for idx, v in c.items()}
-    return geo.from_christoffel(m, X2[:m] if m == 2 else X3, entries,
-                                excluded=[x1])
+    return geo.from_christoffel(X2[:m] if m == 2 else X3, entries, excluded=[x1])
 
 
 class TestLoadManifold:
@@ -164,7 +164,7 @@ class TestRicci:
     def test_sheared_flat_plane_has_alternating_part(self):
         # flat plane deformed by the non-closed 1-form x2 dx1
         x2 = ex.coord(1)
-        m = geo.from_christoffel(2, X2, {
+        m = geo.from_christoffel(X2, {
             (0, 0, 0): 2 * x2,
             (0, 1, 1): x2,
         })
@@ -196,7 +196,7 @@ class TestHessian:
         assert geo.tensor_zero_verdict(h) is Verdict.ZERO
 
     def test_connection_term_sign(self):
-        m = geo.from_christoffel(2, X2, {(0, 0, 0): ex.ONE})
+        m = geo.from_christoffel(X2, {(0, 0, 0): ex.ONE})
         h = geo.hessian(m, ex.coord(0))
         assert ex.is_identically_zero(h.comp(0, 0) + ex.ONE) is Verdict.ZERO
         assert ex.is_identically_zero(h.comp(0, 1)) is Verdict.ZERO
@@ -204,7 +204,7 @@ class TestHessian:
 
 def ea3_surface(g112=q(1), g122=q(1, 2), g222=q(1)):
     """Surface with vanishing first symbol row and constant second row."""
-    return geo.from_christoffel(2, X2, {
+    return geo.from_christoffel(X2, {
         (0, 0, 1): ex.const(g112),
         (0, 1, 1): ex.const(g122),
         (1, 1, 1): ex.const(g222),
@@ -214,7 +214,7 @@ def ea3_surface(g112=q(1), g122=q(1, 2), g222=q(1)):
 def ea3_wall_deformation(g112=q(1), g122=q(1, 2), g222=q(1)):
     """The same surface deformed by the closed 1-form d(-log x1)."""
     x1 = ex.coord(0)
-    return geo.from_christoffel(2, X2, {
+    return geo.from_christoffel(X2, {
         (0, 0, 0): ex.const(-2) / x1,
         (0, 1, 1): ex.const(g122) - 1 / x1,
         (0, 0, 1): ex.const(g112),
@@ -240,15 +240,47 @@ class TestNablaRicci:
             assert ex.is_identically_zero(nr.comp(*idx)) is Verdict.ZERO
 
 
+class TestTensorShape:
+    def test_rank_is_the_grid_depth(self):
+        m = example_b1()
+        parts = geo.ricci(m)
+        assert geo.curvature(m).rank == 4
+        assert (parts.full.rank, parts.sym.rank, parts.alt.rank) == (2, 2, 2)
+        assert geo.nabla_ricci(m).rank == 3
+
+    @pytest.mark.parametrize("rank", [2, 3, 4])
+    def test_tensor_map_is_the_componentwise_fill(self, rank):
+        x1, x2 = ex.coord(0), ex.coord(1)
+        shape = (2,) * rank
+        a = geo.tensor_from(shape, lambda *idx: ex.const(sum(idx)) * x1)
+        b = geo.tensor_from(shape, lambda *idx: ex.const(idx[0] - idx[-1]) + x2)
+        c = geo.tensor_from(shape, lambda *idx: x1 ** (1 + idx[-1]))
+        assert geo.tensor_map(lambda u, v: u * v, a, b) == geo.tensor_from(
+            shape, lambda *idx: a.comp(*idx) * b.comp(*idx))
+        mapped = geo.tensor_map(lambda u, v, w: u + v - w, a, b, c)
+        assert mapped == geo.tensor_from(
+            shape, lambda *idx: a.comp(*idx) + b.comp(*idx) - c.comp(*idx))
+        assert mapped.rank == rank
+        # components are visited in row-major order, by tensor_map and leaves alike
+        seen = []
+        geo.tensor_map(lambda u: seen.append(u) or u, c)
+        row_major = [c.comp(*idx) for idx in itertools.product(range(2), repeat=rank)]
+        assert seen == list(geo.leaves(c)) == row_major
+
+
 class TestTotallySymmetric:
     def test_symmetric_pair(self):
-        t = geo.tensor_from((2, 2), lambda i, j: ex.ONE if i != j else ex.ZERO, 2)
+        t = geo.tensor_from((2, 2), lambda i, j: ex.ONE if i != j else ex.ZERO)
         assert geo.is_totally_symmetric(t) is Verdict.ZERO
 
     def test_antisymmetric_pair(self):
         t = geo.tensor_from((2, 2),
-                            lambda i, j: ex.const(j - i), 2)
+                            lambda i, j: ex.const(j - i))
         assert geo.is_totally_symmetric(t) is Verdict.NONZERO
+
+    def test_curvature_rank_is_rejected(self):
+        with pytest.raises(ValueError):
+            geo.is_totally_symmetric(geo.curvature(example_b1()))
 
     def test_nabla_ricci_of_projectively_flat_surface(self):
         m = ea3_surface()
@@ -263,7 +295,7 @@ class TestQEOperator:
         assert geo.tensor_zero_verdict(res) is Verdict.ZERO
 
     def test_exponential_yamabe_solution(self):
-        m = geo.from_christoffel(2, X2, {
+        m = geo.from_christoffel(X2, {
             (0, 0, 0): ex.ONE,
             (0, 1, 1): ex.const(q(1, 2)),
         })
@@ -323,7 +355,7 @@ class TestInvariants:
                             c0 = q(rng.randint(-3, 3), rng.randint(1, 3))
                             c1 = q(rng.randint(-2, 2), rng.randint(1, 3))
                             entries[(i, j, k)] = ex.const(c0) + ex.const(c1) * ex.coord(rng.randint(0, 1))
-            m = geo.from_christoffel(2, X2, entries)
+            m = geo.from_christoffel(X2, entries)
             r = geo.curvature(m)
             rho = geo.ricci(m).full
             for j in range(2):

@@ -138,7 +138,7 @@ def linear_charts_with_potentials(draw):
                for i in range(m) for j in range(i, m) for k in range(m)
                if draw(st.booleans())}
     quadratic = linear + [(x[i], x[j]) for i in range(m) for j in range(i, m)]
-    return geo.from_christoffel(m, [f"x{i + 1}" for i in range(m)], entries), \
+    return geo.from_christoffel([f"x{i + 1}" for i in range(m)], entries), \
         polynomial(quadratic)
 
 
@@ -357,7 +357,7 @@ class TestStrongInvariance:
                     residual = lhs.comp(i, j) - scale * rhs.comp(i, j)
                     for _ in range(5):
                         p = [rng.uniform(-0.6, 0.6), rng.uniform(-0.6, 0.6)]
-                        assert abs(ex.evaluate(residual, p, "float")) < 1e-9
+                        assert abs(ex.evaluate(residual, p)) < 1e-9
 
     def test_dimension_invariant_under_strong_deformation(self):
         rng = random.Random(17)

@@ -21,7 +21,7 @@ def q(a, b=1):
 
 
 def example_b1():
-    return geo.from_christoffel(3, X3, {
+    return geo.from_christoffel(X3, {
         (0, 1, 2): ex.const(1),
         (0, 2, 0): ex.const(3),
         (1, 2, 1): ex.const(4),
@@ -30,7 +30,7 @@ def example_b1():
 
 
 def example_b2(x, y, z, w):
-    return geo.from_christoffel(3, X3, {
+    return geo.from_christoffel(X3, {
         (0, 0, 0): ex.const(z), (0, 1, 0): ex.const(1), (0, 2, 0): ex.const(x),
         (1, 1, 1): ex.const(1), (1, 2, 0): ex.const(x),
         (2, 2, 1): ex.const(y), (2, 2, 2): ex.const(w),
@@ -42,13 +42,13 @@ def type_b(c11_1=0, c11_2=0, c12_1=0, c12_2=0, c22_1=0, c22_2=0):
     table = {(0, 0, 0): c11_1, (0, 0, 1): c11_2, (0, 1, 0): c12_1,
              (0, 1, 1): c12_2, (1, 1, 0): c22_1, (1, 1, 1): c22_2}
     entries = {idx: ex.const(Fraction(v)) / x1 for idx, v in table.items() if v}
-    return geo.from_christoffel(2, X2, entries, excluded=[x1])
+    return geo.from_christoffel(X2, entries, excluded=[x1])
 
 
 def sheared_flat_plane():
     """Flat plane deformed by the non-closed 1-form x2 dx1."""
     x2 = ex.coord(1)
-    return geo.from_christoffel(2, X2, {(0, 0, 0): 2 * x2, (0, 1, 1): x2})
+    return geo.from_christoffel(X2, {(0, 0, 0): 2 * x2, (0, 1, 1): x2})
 
 
 ORIGIN3 = (q(0), q(0), q(0))
@@ -125,8 +125,8 @@ class TestConstraints:
         stack = qs.integrability_constraints(system)
         fn = ex.parse_scalar("exp(3*x3)", X3)
         point = (0.3, -0.2, 0.1)
-        jet = [ex.evaluate(fn, point, "float")] + [
-            ex.evaluate(ex.differentiate(fn, i), point, "float") for i in range(3)]
+        jet = [ex.evaluate(fn, point)] + [
+            ex.evaluate(ex.differentiate(fn, i), point) for i in range(3)]
         for row in stack.effective_rows():
             value = sum(e * j for e, j in zip(row.values(point), jet))
             assert abs(value) < 1e-12
@@ -138,7 +138,7 @@ class TestConstraints:
 
     def test_prolong_gradient_row_with_flat_system(self):
         system = qs.build_jet_system(geo.flat_manifold(2), q(0))
-        stack = qs.ConstraintStack(3, [qs.ConstraintRow((ex.ZERO, ex.ONE, ex.ZERO))])
+        stack = qs.ConstraintStack([qs.ConstraintRow((ex.ZERO, ex.ONE, ex.ZERO))])
         prolonged = qs.prolong(system, stack)
         assert len(prolonged.rows) == 1  # appended rows were all zero
 
@@ -148,8 +148,8 @@ class TestConstraints:
         stack = qs.prolong(system, qs.integrability_constraints(system))
         fn = ex.parse_scalar("x1*exp(3*x3)", X3)
         point = (0.4, 0.6, -0.3)
-        jet = [ex.evaluate(fn, point, "float")] + [
-            ex.evaluate(ex.differentiate(fn, i), point, "float") for i in range(3)]
+        jet = [ex.evaluate(fn, point)] + [
+            ex.evaluate(ex.differentiate(fn, i), point) for i in range(3)]
         for row in stack.effective_rows():
             value = sum(e * j for e, j in zip(row.values(point), jet))
             assert abs(value) < 1e-10
@@ -198,8 +198,8 @@ class TestSolutionDimension:
     def test_pole_at_basepoint_is_domain_error(self, point):
         # symbols C/(x1 - 1) with no excluded locus declared
         pole = ex.coord(0) - 1
-        m = geo.from_christoffel(2, X2, {(0, 0, 0): 3 / pole, (0, 1, 0): 1 / pole,
-                                         (1, 1, 1): 1 / pole})
+        m = geo.from_christoffel(X2, {(0, 0, 0): 3 / pole, (0, 1, 0): 1 / pole,
+                                      (1, 1, 1): 1 / pole})
         with pytest.raises(ex.DomainError):
             qs.solution_dimension(m, q(-1), point)
 
@@ -303,7 +303,7 @@ class TestBatchedTransport:
         m = example_b1()
         path = [(0, 0, 0), (0.2, -0.1, 0.3), (-0.1, 0.25, 0.1)]
         self.assert_batch_is_exact(m, q(-3, 5), path, _identity_jets(4), 200)
-        wall = geo.from_christoffel(3, X3, {
+        wall = geo.from_christoffel(X3, {
             (0, 0, 0): ex.const(2) / ex.coord(0), (0, 1, 2): ex.coord(1),
             (1, 2, 1): ex.const(q(1, 3)) / ex.coord(0)}, excluded=[ex.coord(0)])
         self.assert_batch_is_exact(wall, q(-1, 2), [(1, 0, 0), (1.2, 0.3, -0.4)],
@@ -320,7 +320,7 @@ class TestBatchedTransport:
             qs.transport_jet(m, q(-1), [(1, 0), (-1, 0)], _identity_jets(3), 100)
 
     def test_overflowing_symbol_is_domain_error(self):
-        m = geo.from_christoffel(2, X2, {(0, 0, 0): ex.coord(0) ** 3})
+        m = geo.from_christoffel(X2, {(0, 0, 0): ex.coord(0) ** 3})
         path = [(1e120, 0), (2e120, 0)]
         with pytest.raises(ex.DomainError):
             qs.transport_jet(m, q(-1), path, [1, 0, 0], 10)
@@ -448,7 +448,7 @@ class TestGeneratedStepper:
             m, mu = deformed_space(), q(-1, 2)
             path = [(0, 0, 0), (0.2, -0.1, 0.3), (0, 0.25, 0)]
         else:
-            m, mu = geo.from_christoffel(3, X3, {
+            m, mu = geo.from_christoffel(X3, {
                 (0, 0, 0): ex.const(2) / ex.coord(0), (0, 1, 2): ex.coord(1),
                 (1, 2, 1): ex.const(q(1, 3)) / ex.coord(0)}, excluded=[ex.coord(0)]), q(-1, 2)
             path = [(1, 0, 0), (1.2, 0.3, -0.4)]
@@ -563,7 +563,7 @@ class TestInvariants:
             entries = {(i, j, k): ex.const(rand_c(rng))
                        for i in range(2) for j in range(i, 2) for k in range(2)
                        if rng.random() < 0.8}
-            m = geo.from_christoffel(2, X2, entries)
+            m = geo.from_christoffel(X2, entries)
             space = qs.solution_dimension(m, rand_c(rng), ORIGIN2)
             history = space.rank_history
             assert all(a <= b for a, b in zip(history, history[1:]))
@@ -583,7 +583,7 @@ class TestInvariants:
                             value = ex.const(rand_c(rng))
                             entries[(i, j, k)] = value / ex.coord(0) if wall else value
             excluded = [ex.coord(0)] if wall else []
-            m = geo.from_christoffel(m_dim, coords, entries, excluded)
+            m = geo.from_christoffel(coords, entries, excluded)
             point = (q(1),) + (q(0),) * (m_dim - 1) if wall else (q(0),) * m_dim
             space = qs.solution_dimension(m, rand_c(rng), point)
             assert 0 <= space.dim <= m_dim + 1
@@ -614,14 +614,14 @@ class TestInvariants:
 
     def test_printed_generators_lie_in_kernel(self):
         # constant-symbol exponential family at the origin
-        m = geo.from_christoffel(2, X2, {(0, 0, 0): ex.const(1), (0, 1, 1): ex.const(q(1, 2))})
+        m = geo.from_christoffel(X2, {(0, 0, 0): ex.const(1), (0, 1, 1): ex.const(q(1, 2))})
         space = qs.solution_dimension(m, q(0), ORIGIN2)
         assert space.dim == 2
         assert qs.in_solution_space(space, (q(1), q(0), q(0)))   # f = 1
         assert qs.in_solution_space(space, (q(1), q(1), q(0)))   # f = e^{x1}
 
-        m = geo.from_christoffel(2, X2, {(0, 0, 1): ex.const(1), (0, 1, 1): ex.const(q(1, 2)),
-                                         (1, 1, 1): ex.const(1)})
+        m = geo.from_christoffel(X2, {(0, 0, 1): ex.const(1), (0, 1, 1): ex.const(q(1, 2)),
+                                      (1, 1, 1): ex.const(1)})
         space = qs.solution_dimension(m, q(0), ORIGIN2)
         assert space.dim == 2
         assert qs.in_solution_space(space, (q(0), q(1), q(0)))   # f = x1
