@@ -6,8 +6,9 @@ tensor Phi is the 2m-dimensional metric
     g = dx^i (.) dy_i + {Phi_ij - 2 y_k G_ij^k} dx^i (x) dx^j
 
 (the mixed terms read as the symmetric pairing).  Its components are degree-1
-polynomials in the fiber coordinates, so everything lives in the ordinary
-expression type with the chart enlarged from m to 2m coordinates.
+polynomials in the fiber coordinates, so metrics, inverses and connections are
+expression trees on the chart enlarged from m to 2m coordinates; the
+Levi-Civita symbols of a rational metric are computed in `RationalFunc`.
 """
 
 from __future__ import annotations
@@ -17,8 +18,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Sequence
-
-import numpy as np
 
 from . import expr as ex
 from . import geometry as geo
@@ -151,6 +150,8 @@ def inverse_metric(metric: PseudoMetric) -> tuple:
 
 def signature_at(metric: PseudoMetric, point) -> tuple:
     """(positive, negative) eigenvalue counts of the metric at a point."""
+    import numpy as np
+
     values = np.array([[ex.evaluate(metric.comp(a, b), point)
                         for b in range(metric.n)] for a in range(metric.n)], float)
     eigenvalues = np.linalg.eigvalsh(values)
@@ -163,24 +164,27 @@ def signature_at(metric: PseudoMetric, point) -> tuple:
 
 def levi_civita(metric: PseudoMetric) -> geo.AffineManifold:
     """The torsion-free metric connection as an affine chart on the metric's
-    coordinates: Koszul symbols (1/2) g^{kl} (d_i g_jl + d_j g_il - d_l g_ij)."""
+    coordinates: Koszul symbols (1/2) g^{kl} (d_i g_jl + d_j g_il - d_l g_ij).
+
+    A rational metric and its inverse are converted to `RationalFunc` once and
+    each symbol is rebuilt as a tree at the end; exp/log metrics stay trees.
+    Only nonzero g^{kl} and brackets enter the sums."""
     n = metric.n
-    inverse = metric.inverse
-    half = Fraction(1, 2)
-    # first derivatives d_i g_jl, computed once
-    dgrid = [[[ex.differentiate(metric.comp(j, l), i) for l in range(n)]
-              for j in range(n)] for i in range(n)]
+    grids = (metric.components, metric.inverse)
+    if all(e.rational_only for grid in grids for row in grid for e in row):
+        convert, rebuild = ex.to_ratfunc, ex.from_ratfunc
+    else:
+        convert, rebuild = (lambda e: e), ex.simplify_rational
+    g, inverse = ([[convert(e) for e in row] for row in grid] for grid in grids)
+    zero, half = convert(ex.ZERO), convert(ex.const(Fraction(1, 2)))
+    dgrid = [[[g[j][l].diff(i) for l in range(n)] for j in range(n)] for i in range(n)]
+    bracket = [[[dgrid[i][j][l] + dgrid[j][i][l] - dgrid[l][i][j] for l in range(n)]
+                for j in range(n)] for i in range(n)]
 
     def fill(i, j, k):
-        total = ex.ZERO
-        for l in range(n):
-            if inverse[k][l] == ex.ZERO:
-                continue
-            bracket = dgrid[i][j][l] + dgrid[j][i][l] - dgrid[l][i][j]
-            if bracket == ex.ZERO:
-                continue
-            total = total + inverse[k][l] * bracket
-        return ex.simplify_rational(half * total)
+        total = sum((inverse[k][l] * bracket[i][j][l] for l in range(n)
+                     if not inverse[k][l].is_zero and not bracket[i][j][l].is_zero), zero)
+        return rebuild(half * total)
 
     grid = tuple(tuple(tuple(fill(i, j, k) for k in range(n))
                        for j in range(n)) for i in range(n))

@@ -277,18 +277,26 @@ def ricci(m: AffineManifold) -> RicciTensors:
 
     Computed from the traced curvature display directly; the trace-consistency
     with :func:`curvature` is a tested invariant rather than an assumption.
+    Each component is one sum of the display's terms in their order, skipping
+    every term with a zero symbol, which would add nothing to the tree.
     """
     half = Fraction(1, 2)
+    # the symbols, None where zero
+    g = [[[None if s == ex.ZERO else s for s in row] for row in plane] for plane in m.gamma]
 
     def rho_jk(j, k):
-        total = ex.ZERO
+        terms = []
         for i in range(m.dim):
-            total = total + ex.differentiate(m.gamma[j][k][i], i) \
-                - ex.differentiate(m.gamma[i][k][i], j)
+            if g[j][k][i]:
+                terms.append(ex.differentiate(g[j][k][i], i))
+            if g[i][k][i]:
+                terms.append(ex.neg(ex.differentiate(g[i][k][i], j)))
             for n in range(m.dim):
-                total = total + m.gamma[i][n][i] * m.gamma[j][k][n] \
-                    - m.gamma[j][n][i] * m.gamma[i][k][n]
-        return ex.simplify_rational(total)
+                if g[i][n][i] and g[j][k][n]:
+                    terms.append(g[i][n][i] * g[j][k][n])
+                if g[j][n][i] and g[i][k][n]:
+                    terms.append(ex.neg(g[j][n][i] * g[i][k][n]))
+        return ex.simplify_rational(ex.add(*terms))
 
     grid = [[rho_jk(j, k) for k in range(m.dim)] for j in range(m.dim)]
     full = TensorField(tuple(tuple(row) for row in grid))
@@ -303,10 +311,9 @@ def hessian(m: AffineManifold, f: ScalarExpr) -> TensorField:
     df = [ex.differentiate(f, k) for k in range(m.dim)]
 
     def fill(i, j):
-        total = ex.differentiate(df[j], i)
-        for k in range(m.dim):
-            total = total - m.gamma[i][j][k] * df[k]
-        return ex.simplify_rational(total)
+        terms = [ex.neg(m.gamma[i][j][k] * df[k]) for k in range(m.dim)
+                 if m.gamma[i][j][k] != ex.ZERO and df[k] != ex.ZERO]
+        return ex.simplify_rational(ex.add(ex.differentiate(df[j], i), *terms))
 
     return tensor_from((m.dim, m.dim), fill)
 
@@ -374,6 +381,5 @@ def is_affine_killing(m: AffineManifold, field: Sequence[ScalarExpr],
     return combine_verdicts(verdicts)
 
 
-def flat_manifold(dim: int, coords: Sequence[str] | None = None) -> AffineManifold:
-    names = tuple(coords) if coords else tuple(f"x{i + 1}" for i in range(dim))
-    return from_christoffel(names, {})
+def flat_manifold(dim: int) -> AffineManifold:
+    return from_christoffel(tuple(f"x{i + 1}" for i in range(dim)), {})

@@ -9,8 +9,6 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
-import numpy as np
-
 SVD_RTOL = 1e-9
 
 
@@ -82,6 +80,8 @@ def float_rank_kernel(rows: Sequence[Sequence[float]], ncols: int):
     if not rows:
         return 0, [tuple(1.0 if j == i else 0.0 for j in range(ncols))
                    for i in range(ncols)]
+    import numpy as np
+
     matrix = np.asarray(rows, dtype=float)
     _, singular, vt = np.linalg.svd(matrix)
     cutoff = SVD_RTOL * (singular[0] if singular.size and singular[0] > 0 else 1.0)

@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import affineqe
 from affineqe.cli import main
 
 EXP3D_DOC = {
@@ -117,6 +121,8 @@ REPORTS_PINNED = {
     "deform_nonhom.json": (NONHOM_DOC, ["deform", "--potential", "x1*x2"]),
     "extend_exp3d.json": (EXP3D_DOC, ["extend", "--phi", "1,1=x3", "--f", "exp(3*x3)",
                                       "--mu", "-3/5"]),
+    "extend_wall.json": (WALL_DOC, ["extend", "--phi", "1,1=x2", "--phi", "1,2=1/x1",
+                                    "--f", "x1^2*exp(x2)"]),
 }
 
 
@@ -128,6 +134,16 @@ def test_symbolic_report_is_pinned(fixture, tmp_path):
     out = tmp_path / "report.json"
     assert main([command, str(path), *flags, "--json", str(out)]) == 0
     assert out.read_bytes() == (Path(__file__).parent / "data" / fixture).read_bytes()
+
+
+def test_start_up_does_not_import_numpy():
+    # numpy is imported only inside the functions that work in floats
+    src = str(Path(affineqe.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    code = "import sys, affineqe.cli; print('numpy' in sys.modules)"
+    run = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True)
+    assert run.stdout.strip() == "False"
 
 
 def test_qe_dim_missing_file_is_input_error(capsys):

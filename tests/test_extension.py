@@ -7,6 +7,7 @@ from affineqe import catalog as cat
 from affineqe import expr as ex
 from affineqe import extension as xt
 from affineqe import geometry as geo
+from affineqe import projective as pj
 from affineqe.expr import Verdict
 
 
@@ -248,3 +249,128 @@ class TestQuasiEinstein:
         metric = xt.deformed_extension(FLAT2)
         residual = xt.quasi_einstein_residual(metric, ex.ZERO, q(1, 2), q(1))
         assert geo.tensor_zero_verdict(residual) is Verdict.NONZERO
+
+
+# ----------------------------------------------------------------------------
+# references: the dense formulas, every term formed on trees
+
+
+def reference_ricci(m):
+    """rho_jk by the traced display over every symbol, zero or not."""
+
+    def rho_jk(j, k):
+        total = ex.ZERO
+        for i in range(m.dim):
+            total = total + ex.differentiate(m.gamma[j][k][i], i) \
+                - ex.differentiate(m.gamma[i][k][i], j)
+            for n in range(m.dim):
+                total = total + m.gamma[i][n][i] * m.gamma[j][k][n] \
+                    - m.gamma[j][n][i] * m.gamma[i][k][n]
+        return ex.simplify_rational(total)
+
+    return tuple(tuple(rho_jk(j, k) for k in range(m.dim)) for j in range(m.dim))
+
+
+def reference_hessian(m, f):
+    df = [ex.differentiate(f, k) for k in range(m.dim)]
+
+    def fill(i, j):
+        total = ex.differentiate(df[j], i)
+        for k in range(m.dim):
+            total = total - m.gamma[i][j][k] * df[k]
+        return ex.simplify_rational(total)
+
+    return tuple(tuple(fill(i, j) for j in range(m.dim)) for i in range(m.dim))
+
+
+def reference_levi_civita(metric):
+    """Koszul symbols summed on trees, one bracket per (i, j, k, l)."""
+    n = metric.n
+    inverse = metric.inverse
+    dgrid = [[[ex.differentiate(metric.comp(j, l), i) for l in range(n)]
+              for j in range(n)] for i in range(n)]
+
+    def fill(i, j, k):
+        total = ex.ZERO
+        for l in range(n):
+            if inverse[k][l] == ex.ZERO:
+                continue
+            bracket = dgrid[i][j][l] + dgrid[j][i][l] - dgrid[l][i][j]
+            if bracket == ex.ZERO:
+                continue
+            total = total + inverse[k][l] * bracket
+        return ex.simplify_rational(q(1, 2) * total)
+
+    return tuple(tuple(tuple(fill(i, j, k) for k in range(n))
+                       for j in range(n)) for i in range(n))
+
+
+def wall_extension():
+    # the README wall chart, deformed by Phi_11 = x2 and Phi_12 = 1/x1
+    base = geo.load_manifold({"dim": 2, "coords": ["x1", "x2"],
+                              "christoffel": {"1,1^1": "3/x1", "1,2^2": "1/x1",
+                                              "2,2^1": "1/x1"},
+                              "excluded": ["x1"]})
+    x1, x2 = ex.coord(0), ex.coord(1)
+    return xt.deformed_extension(base, [[x2, ex.ONE / x1], [ex.ONE / x1, ex.ZERO]])
+
+
+def exp_log_metric():
+    # block form with exp/log entries in the xx-block: the tree path
+    x1, x2 = ex.coord(0), ex.coord(1)
+    y1, y2 = ex.coord(2), ex.coord(3)
+    a = ex.exp(x1 - x2) + y1 * ex.exp(x2)
+    b = x2 * ex.exp(x1) - y2 * x1
+    c = ex.log(2 + x1 * x1) + y1 * y2
+    grid = [[a, b, ex.ONE, ex.ZERO], [b, c, ex.ZERO, ex.ONE],
+            [ex.ONE, ex.ZERO, ex.ZERO, ex.ZERO], [ex.ZERO, ex.ONE, ex.ZERO, ex.ZERO]]
+    return xt.metric_from_grid(("x1", "x2", "y1", "y2"), grid)
+
+
+def deformed_plane(potential):
+    return pj.deform(FLAT2, pj.ProjectiveChange.from_potential(potential, 2))
+
+
+class TestSparseGeometryMatchesDense:
+    """Levi-Civita, Ricci and Hessians over nonzero symbols only give the dense
+    formulas' trees."""
+
+    def check_trees(self, metric, f):
+        conn = xt.levi_civita(metric)
+        assert conn.gamma == reference_levi_civita(metric)
+        assert geo.ricci(conn).full.components == reference_ricci(conn)
+        assert geo.hessian(conn, f).components == reference_hessian(conn, f)
+
+    def test_exp3d_extensions(self):
+        rng = random.Random(11)
+        base = cat.exp3d_model()
+        f = ex.coord(0) * ex.exp(3 * ex.coord(2))
+        for _ in range(10):
+            self.check_trees(xt.deformed_extension(base, xt.random_symmetric_phi(3, rng)), f)
+
+    def test_wall_extension(self):
+        self.check_trees(wall_extension(), ex.coord(0) ** 2 * ex.exp(ex.coord(1)))
+
+    def test_exp_log_metric(self):
+        self.check_trees(exp_log_metric(), ex.coord(0) * ex.coord(3))
+
+    def test_exp_plane_and_its_extension(self):
+        plane = deformed_plane(ex.exp(ex.coord(0) - ex.coord(1)) / 2)
+        f = ex.exp(ex.coord(1))
+        assert geo.ricci(plane).full.components == reference_ricci(plane)
+        assert geo.hessian(plane, f).components == reference_hessian(plane, f)
+        self.check_trees(xt.deformed_extension(plane), f)
+
+    def test_non_monomial_denominators_agree_in_value(self):
+        # a RationalFunc quotient is not reduced by a polynomial GCD, so these
+        # symbols may take another form than the tree sum; their values agree
+        x1, x2 = ex.coord(0), ex.coord(1)
+        metric = xt.deformed_extension(deformed_plane(x1 * x2 / (1 + x2 * x2)),
+                                       [[x2, x1], [x1, ex.ZERO]])
+        got = geo.leaves(geo.TensorField(xt.levi_civita(metric).gamma))
+        want = geo.leaves(geo.TensorField(reference_levi_civita(metric)))
+        rng = random.Random(5)
+        for _ in range(5):
+            point = ex.random_rational_point(4, rng)
+            assert [ex.evaluate(e, point) for e in got] == \
+                [ex.evaluate(e, point) for e in want]
