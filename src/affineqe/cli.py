@@ -239,6 +239,7 @@ def _cmd_flatten(args) -> tuple:
 def _parse_phi(entries, manifold):
     m = manifold.dim
     grid = [[ex.ZERO] * m for _ in range(m)]
+    given = {}  # unordered slot -> the entry that set it
     for item in entries or []:
         try:
             key, text = item.split("=", 1)
@@ -248,8 +249,10 @@ def _parse_phi(entries, manifold):
         if not (0 <= i < m and 0 <= j < m):
             raise ValueError(f"bad --phi entry {item!r}; indices run from 1 to {m}")
         value = ex.parse_scalar(text, manifold.coords)
-        grid[i][j] = value
-        grid[j][i] = value
+        first = given.setdefault((min(i, j), max(i, j)), item)
+        if first is not item and grid[i][j] != value:
+            raise ValueError(f"conflicting --phi entries {first!r} and {item!r}")
+        grid[i][j] = grid[j][i] = value
     return grid
 
 

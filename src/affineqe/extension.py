@@ -9,6 +9,8 @@ tensor Phi is the 2m-dimensional metric
 polynomials in the fiber coordinates, so metrics, inverses and connections are
 expression trees on the chart enlarged from m to 2m coordinates; the
 Levi-Civita symbols of a rational metric are computed in `RationalFunc`.
+The pullback identities and the quasi-Einstein residual of one metric value
+share one Levi-Civita chart and its Ricci tensor, kept for the last metric.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Sequence
 
 from . import expr as ex
@@ -191,6 +193,12 @@ def levi_civita(metric: PseudoMetric) -> geo.AffineManifold:
     return geo.AffineManifold(metric.coords, grid, metric.excluded)
 
 
+@lru_cache(maxsize=1)
+def _shared_connection(metric: PseudoMetric) -> geo.AffineManifold:
+    """`levi_civita` of the last metric value asked for, with its cached Ricci."""
+    return levi_civita(metric)
+
+
 def metric_compatibility_residual(g: PseudoMetric,
                                   conn: geo.AffineManifold) -> geo.TensorField:
     """d_k g_ij - G_ki^l g_lj - G_kj^l g_il, identically zero for Levi-Civita."""
@@ -222,7 +230,7 @@ def extension_identities_residuals(manifold: geo.AffineManifold,
     """Residuals of the three pullback identities; all vanish for any Phi."""
     m = manifold.dim
     metric = deformed_extension(manifold, phi)
-    conn = levi_civita(metric)
+    conn = _shared_connection(metric)
     n = metric.n
 
     lifted_hessian = geo.hessian(conn, f)
@@ -263,7 +271,7 @@ def quasi_einstein_residual(metric: PseudoMetric, psi: ScalarExpr, mu, lam) -> g
     """Component grid of H psi + rho - mu dpsi (x) dpsi - lambda g."""
     mu = Fraction(mu)
     lam = Fraction(lam)
-    conn = levi_civita(metric)
+    conn = _shared_connection(metric)
     n = metric.n
     hess = geo.hessian(conn, psi)
     rho = conn.ricci_parts.full

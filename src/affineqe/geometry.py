@@ -268,19 +268,29 @@ def curvature(m: AffineManifold) -> TensorField:
 @dataclass(frozen=True)
 class RicciTensors:
     full: TensorField
-    sym: TensorField
-    alt: TensorField
+
+    def _part(self, op: Callable) -> TensorField:
+        rho = self.full.components
+        return tensor_from((len(rho),) * 2, lambda j, k: ex.simplify_rational(
+            Fraction(1, 2) * op(rho[j][k], rho[k][j])))
+
+    @cached_property
+    def sym(self) -> TensorField:
+        return self._part(ScalarExpr.__add__)
+
+    @cached_property
+    def alt(self) -> TensorField:
+        return self._part(ScalarExpr.__sub__)
 
 
 def ricci(m: AffineManifold) -> RicciTensors:
-    """Ricci tensor with its symmetric and antisymmetric parts.
+    """Ricci tensor; its symmetric and antisymmetric parts are built on first read.
 
     Computed from the traced curvature display directly; the trace-consistency
     with :func:`curvature` is a tested invariant rather than an assumption.
     Each component is one sum of the display's terms in their order, skipping
     every term with a zero symbol, which would add nothing to the tree.
     """
-    half = Fraction(1, 2)
     # the symbols, None where zero
     g = [[[None if s == ex.ZERO else s for s in row] for row in plane] for plane in m.gamma]
 
@@ -298,13 +308,7 @@ def ricci(m: AffineManifold) -> RicciTensors:
                     terms.append(ex.neg(g[j][n][i] * g[i][k][n]))
         return ex.simplify_rational(ex.add(*terms))
 
-    grid = [[rho_jk(j, k) for k in range(m.dim)] for j in range(m.dim)]
-    full = TensorField(tuple(tuple(row) for row in grid))
-    sym = tensor_from((m.dim, m.dim),
-                      lambda j, k: ex.simplify_rational(half * (grid[j][k] + grid[k][j])))
-    alt = tensor_from((m.dim, m.dim),
-                      lambda j, k: ex.simplify_rational(half * (grid[j][k] - grid[k][j])))
-    return RicciTensors(full, sym, alt)
+    return RicciTensors(tensor_from((m.dim, m.dim), rho_jk))
 
 
 def hessian(m: AffineManifold, f: ScalarExpr) -> TensorField:

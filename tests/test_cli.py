@@ -311,6 +311,20 @@ def test_extend_phi_index_out_of_range_is_input_error(entry, exp3d_path, capsys)
                         "indices run from 1 to 3")
 
 
+def test_extend_conflicting_phi_entries_are_input_error(exp3d_path, capsys):
+    # the second entry used to overwrite the first for both slots and exit 0
+    _assert_input_error(main(["extend", exp3d_path, "--phi", "1,2=x1", "--phi", "2,1=x2"]),
+                        capsys, "conflicting --phi entries '1,2=x1' and '2,1=x2'")
+
+
+def test_extend_repeated_phi_entry_is_accepted(exp3d_path, tmp_path, capsys):
+    once, twice = tmp_path / "once.json", tmp_path / "twice.json"
+    assert main(["extend", exp3d_path, "--phi", "1,2=x1", "--json", str(once)]) == 0
+    assert main(["extend", exp3d_path, "--phi", "1,2=x1", "--phi", "2,1=x1",
+                 "--json", str(twice)]) == 0
+    assert once.read_bytes() == twice.read_bytes()
+
+
 @pytest.mark.parametrize("params, says", [('{"bogus": 1}', "unknown parameter 'bogus'"),
                                           ("[1, 2]", "JSON object")])
 def test_classify_bad_params_is_input_error(params, says, capsys):

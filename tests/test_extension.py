@@ -8,6 +8,7 @@ from affineqe import expr as ex
 from affineqe import extension as xt
 from affineqe import geometry as geo
 from affineqe import projective as pj
+from affineqe import qe_solver as qs
 from affineqe.expr import Verdict
 
 
@@ -16,6 +17,14 @@ def q(a, b=1):
 
 
 FLAT2 = geo.flat_manifold(2)
+
+
+@pytest.fixture(autouse=True)
+def fresh_shared_connection():
+    # the identities and the QE residual share the chart of the last metric
+    # asked for; start every test without one so call counts do not depend
+    # on which test ran before
+    xt._shared_connection.cache_clear()
 
 
 class TestDeformedExtension:
@@ -210,6 +219,50 @@ class TestPullbackIdentities:
                     assert ex.is_identically_zero(d) is Verdict.ZERO
 
 
+class TestOneConnectionPerMetric:
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        calls = []
+        build = xt.levi_civita
+        monkeypatch.setattr(xt, "levi_civita", lambda g: calls.append(g) or build(g))
+        return calls
+
+    def test_identities_and_qe_residual_share_one_build(self, builds):
+        # the request `extend --mu` makes: two deformed_extension calls give
+        # two metric objects of one value
+        base = cat.exp3d_model()
+        phi = xt.random_symmetric_phi(3, random.Random(21))
+        f = ex.exp(3 * ex.coord(2))
+        xt.extension_identities_residuals(base, phi, f)
+        psi, qe_mu = xt.soliton_potential(f, q(-3, 5))
+        metric = xt.deformed_extension(base, phi)
+        assert metric is not builds[0] and metric == builds[0]
+        residual = xt.quasi_einstein_residual(metric, psi, qe_mu, 0)
+        assert geo.tensor_zero_verdict(residual) is Verdict.ZERO
+        assert len(builds) == 1
+
+    def test_another_phi_builds_again(self, builds):
+        base = cat.exp3d_model()
+        rng = random.Random(22)
+        xt.extension_identities_residuals(base, xt.random_symmetric_phi(3, rng), ex.coord(0))
+        metric = xt.deformed_extension(base, xt.random_symmetric_phi(3, rng))
+        xt.quasi_einstein_residual(metric, ex.ZERO, q(1, 2), 0)
+        assert len(builds) == 2 and builds[0] != builds[1]
+
+    def test_another_excluded_locus_builds_again(self, builds):
+        # equal coordinates and components: the key is the whole value
+        metric = xt.deformed_extension(FLAT2)
+        walled = xt.PseudoMetric(metric.coords, metric.components, (ex.coord(0),))
+        xt.quasi_einstein_residual(metric, ex.ZERO, q(1, 2), 0)
+        xt.quasi_einstein_residual(walled, ex.ZERO, q(1, 2), 0)
+        assert len(builds) == 2
+
+    def test_direct_builds_are_not_shared(self, builds):
+        metric = xt.deformed_extension(cat.exp3d_model())
+        first, second = xt.levi_civita(metric), xt.levi_civita(metric)
+        assert len(builds) == 2 and first is not second
+
+
 class TestQuasiEinstein:
     def test_flat_trivial(self):
         metric = xt.deformed_extension(FLAT2)
@@ -305,6 +358,16 @@ def reference_levi_civita(metric):
                        for j in range(n)) for i in range(n))
 
 
+def reference_ricci_split(full):
+    """The symmetric and antisymmetric parts as the eager split formed them."""
+    half = Fraction(1, 2)
+    rho = full.components
+    shape = (len(rho),) * 2
+    sym = geo.tensor_from(shape, lambda j, k: ex.simplify_rational(half * (rho[j][k] + rho[k][j])))
+    alt = geo.tensor_from(shape, lambda j, k: ex.simplify_rational(half * (rho[j][k] - rho[k][j])))
+    return sym, alt
+
+
 def wall_extension():
     # the README wall chart, deformed by Phi_11 = x2 and Phi_12 = 1/x1
     base = geo.load_manifold({"dim": 2, "coords": ["x1", "x2"],
@@ -374,3 +437,35 @@ class TestSparseGeometryMatchesDense:
             point = ex.random_rational_point(4, rng)
             assert [ex.evaluate(e, point) for e in got] == \
                 [ex.evaluate(e, point) for e in want]
+
+
+SIX = {"c11_1": 1, "c11_2": -1, "c12_1": q(1, 2), "c12_2": 2, "c22_1": 0, "c22_2": 3}
+CATALOG_PARAMS = {"typeA": SIX, "typeB": SIX, "family3d": {"x": 1, "y": 2, "z": -1, "w": 3}}
+
+
+class TestLazyRicciSplit:
+    """sym and alt, built on first read, are the trees the eager split built."""
+
+    def check_split(self, m):
+        parts = geo.ricci(m)
+        sym, alt = reference_ricci_split(parts.full)
+        assert (parts.sym, parts.alt) == (sym, alt)
+
+    @pytest.mark.parametrize("kind", cat.MODEL_KINDS)
+    def test_catalog_models(self, kind):
+        self.check_split(cat.build_model(kind, CATALOG_PARAMS.get(kind)))
+
+    def test_exp_log_chart(self):
+        self.check_split(deformed_plane(ex.exp(ex.coord(0) - ex.coord(1)) / 2))
+
+    def test_exp3d_extensions(self):
+        rng = random.Random(12)
+        base = cat.exp3d_model()
+        for _ in range(5):
+            metric = xt.deformed_extension(base, xt.random_symmetric_phi(3, rng))
+            self.check_split(xt.levi_civita(metric))
+
+    def test_solution_dimension_never_builds_the_alternating_part(self):
+        m = cat.exp3d_model()
+        assert qs.solution_dimension(m, q(-3, 5), (0, 0, 0)).dim == 2
+        assert "sym" in vars(m.ricci_parts) and "alt" not in vars(m.ricci_parts)
