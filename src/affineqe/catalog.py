@@ -299,7 +299,8 @@ NOT_COVERED = Prediction("not-covered")
 
 
 def _surface_constants(tensor: geo.TensorField, point) -> list:
-    return [[ex.evaluate(tensor.comp(i, j), point) for j in range(2)] for i in range(2)]
+    values = ex.evaluate(geo.leaves(tensor), point)
+    return [list(values[:2]), list(values[2:])]
 
 
 def _ricci_constants_a(s: TypeASurface):
@@ -545,23 +546,22 @@ def _random_six(rng: random.Random) -> list:
     return [random_constant(rng) for _ in range(6)]
 
 
-def random_type_a(rng: random.Random, max_tries: int = 200) -> TypeASurface:
+def _random_curved(rng: random.Random, family, ricci_constants):
+    for _ in range(200):
+        surface = family(*_random_six(rng))
+        if exact_rank(ricci_constants(surface), 2):
+            return surface
+    raise RegimeError("could not draw a curved surface")
+
+
+def random_type_a(rng: random.Random) -> TypeASurface:
     """Random constant-symbol surface with nonvanishing Ricci tensor."""
-    for _ in range(max_tries):
-        surface = TypeASurface(*_random_six(rng))
-        if exact_rank(_ricci_constants_a(surface), 2):
-            return surface
-    raise RegimeError("could not draw a curved surface")
+    return _random_curved(rng, TypeASurface, _ricci_constants_a)
 
 
-def random_type_b(rng: random.Random, max_tries: int = 200) -> TypeBSurface:
+def random_type_b(rng: random.Random) -> TypeBSurface:
     """Random wall-chart surface with nonvanishing Ricci tensor."""
-    for _ in range(max_tries):
-        surface = TypeBSurface(*_random_six(rng))
-        full, _ = _ricci_constants_b(surface)
-        if exact_rank(full, 2):
-            return surface
-    raise RegimeError("could not draw a curved surface")
+    return _random_curved(rng, TypeBSurface, lambda s: _ricci_constants_b(s)[0])
 
 
 # --------------------------------------------------------------------------

@@ -4,7 +4,9 @@ The node set is deliberately small: rational constants, coordinates, sums,
 products, quotients, integer powers, and exp/log.  Trees are immutable and
 normalized lightly at construction (flattening, constant folding, dropping
 zeros); canonical-form work is delegated to :mod:`affineqe.poly` when an exact
-answer is required.
+answer is required.  Values at a point come from one walk, :func:`evaluate`,
+also over a sequence; :func:`float_faults` is the one rule that turns float
+overflow and division by zero into :class:`DomainError`.
 
 Grammar accepted by :func:`parse_scalar` (a leading minus is also allowed)::
 
@@ -21,6 +23,7 @@ from __future__ import annotations
 import enum
 import math as _math
 import random
+from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
@@ -547,14 +550,12 @@ def is_exact_point(point: EvalPoint) -> bool:
     return all(not isinstance(c, float) for c in point)
 
 
-def evaluate(e: ScalarExpr, point: EvalPoint):
+def evaluate(e: ScalarExpr | Sequence[ScalarExpr], point: EvalPoint):
     """Evaluate at a point: in Fractions when no coordinate is a float, else in
-    doubles.  exp/log at such an exact point raise ExactModeError; poles, logs of
-    non-positive values and float overflow raise DomainError."""
-    return _evaluate(e, point, is_exact_point(point))
-
-
-def _evaluate(e: ScalarExpr, point: EvalPoint, exact: bool):
+    doubles; a sequence of expressions gives their values as a tuple from one
+    walk with one memo.  exp/log at such an exact point raise ExactModeError;
+    poles, logs of non-positive values and float overflow raise DomainError."""
+    exact = is_exact_point(point)
     memo: dict = {}
 
     def walk(node: ScalarExpr):
@@ -576,14 +577,9 @@ def _evaluate(e: ScalarExpr, point: EvalPoint, exact: bool):
                 result *= walk(factor)
         elif isinstance(node, Div):
             den = walk(node.den)
-            if den == 0:
-                raise DomainError("division by zero at evaluation point")
             result = walk(node.num) / den
         elif isinstance(node, Pow):
-            base = walk(node.base)
-            if base == 0 and node.exponent < 0:
-                raise DomainError("negative power of zero at evaluation point")
-            result = base ** node.exponent
+            result = walk(node.base) ** node.exponent
         elif isinstance(node, Exp):
             if exact:
                 raise ExactModeError("exp is not available in exact mode")
@@ -601,9 +597,25 @@ def _evaluate(e: ScalarExpr, point: EvalPoint, exact: bool):
         return result
 
     try:
-        return walk(e)
-    except OverflowError as err:
-        raise DomainError(f"float overflow: {err}") from None
+        if isinstance(e, ScalarExpr):
+            return walk(e)
+        return tuple(map(walk, tuple(e)))  # the memo is keyed by id: keep every tree alive
+    except (OverflowError, ZeroDivisionError) as err:
+        raise _fault_error(err) from None
+
+
+def _fault_error(err: ArithmeticError) -> DomainError:
+    """The one report of a float overflow or a division by zero."""
+    return DomainError(f"{'float overflow' if isinstance(err, OverflowError) else 'pole'}: {err}")
+
+
+@contextmanager
+def float_faults():
+    """Float overflow and division by zero in the block raise DomainError."""
+    try:
+        yield
+    except (OverflowError, ZeroDivisionError) as err:
+        raise _fault_error(err) from None
 
 
 def to_ratfunc(e: ScalarExpr) -> RationalFunc:
@@ -721,6 +733,7 @@ def random_float_point(nvars: int, rng: random.Random, positive: bool = False) -
 
 def _sample_verdict(e: ScalarExpr, rng: random.Random) -> Verdict:
     nvars = max_coord_index(e) + 1
+    terms = e.terms if isinstance(e, Add) else (e,)
     collected = 0
     tries = 0
     positive = False
@@ -734,23 +747,15 @@ def _sample_verdict(e: ScalarExpr, rng: random.Random) -> Verdict:
         # a constant tree still needs a float coordinate to evaluate in doubles
         point = random_float_point(nvars, rng, positive=positive) or (0.0,)
         try:
-            value = evaluate(e, point)
+            values = evaluate(terms, point)
         except DomainError:
             continue
-        # past the absolute bound the value must also stand out of the rounding
-        # error of its terms, which are walked again only then
-        if (abs(value) > FLOAT_SAMPLE_TOL
-                and abs(value) > FLOAT_SAMPLE_TOL * _term_scale(e, point)):
+        # sum(values) is the float the walk of e gives; a nonzero must also stand
+        # out of its terms' rounding error, so large terms that cancel do not count
+        if abs(sum(values)) > FLOAT_SAMPLE_TOL * max(1.0, sum(map(abs, values))):
             return Verdict.NONZERO
         collected += 1
     return Verdict.NUMERIC_ONLY
-
-
-def _term_scale(e: ScalarExpr, point: EvalPoint) -> float:
-    """max(1, sum of |t_i|) over the float values of the top-level terms of e:
-    a sum that cancels to rounding error of large terms is not a nonzero."""
-    terms = e.terms if isinstance(e, Add) else (e,)
-    return max(1.0, sum(abs(_evaluate(t, point, False)) for t in terms))
 
 
 def is_identically_zero(e: ScalarExpr, rng: random.Random | None = None) -> Verdict:

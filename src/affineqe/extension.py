@@ -154,9 +154,8 @@ def signature_at(metric: PseudoMetric, point) -> tuple:
     """(positive, negative) eigenvalue counts of the metric at a point."""
     import numpy as np
 
-    values = np.array([[ex.evaluate(metric.comp(a, b), point)
-                        for b in range(metric.n)] for a in range(metric.n)], float)
-    eigenvalues = np.linalg.eigvalsh(values)
+    values = ex.evaluate([entry for row in metric.components for entry in row], point)
+    eigenvalues = np.linalg.eigvalsh(np.array(values, float).reshape(metric.n, metric.n))
     return int(np.sum(eigenvalues > 0)), int(np.sum(eigenvalues < 0))
 
 
@@ -301,10 +300,11 @@ def soliton_potential(f: ScalarExpr, eigenvalue) -> tuple:
 
 def sample_residual(tensor: geo.TensorField, points) -> float:
     """Worst absolute component value over the sample points."""
+    components = geo.leaves(tensor)
     worst = 0.0
-    for component in geo.leaves(tensor):
-        for p in points:
-            worst = max(worst, abs(float(ex.evaluate(component, p))))
+    for p in points:
+        for value in ex.evaluate(components, p):
+            worst = max(worst, abs(float(value)))
     return worst
 
 

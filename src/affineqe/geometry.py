@@ -61,10 +61,8 @@ class AffineManifold:
         return len(self.coords)
 
     def check_point(self, point) -> None:
-        for g in self.excluded:
-            if ex.evaluate(g, point) == 0:
-                raise ExcludedLocusError(
-                    f"point {tuple(point)} lies on the excluded locus")
+        if self.excluded and 0 in ex.evaluate(self.excluded, point):
+            raise ExcludedLocusError(f"point {tuple(point)} lies on the excluded locus")
 
     @cached_property
     def ricci_parts(self) -> RicciTensors:

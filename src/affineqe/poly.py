@@ -317,10 +317,7 @@ class RationalFunc:
         return RationalFunc(dn * self.den - self.num * dd, self.den * self.den)
 
     def eval(self, point: Sequence):
-        den = self.den.eval(point)
-        if den == 0:
-            raise ZeroDivisionError("denominator vanishes at evaluation point")
-        return self.num.eval(point) / den
+        return self.num.eval(point) / self.den.eval(point)
 
     def __repr__(self) -> str:
         return f"RationalFunc({self.num!r}, {self.den!r})"

@@ -265,17 +265,14 @@ def base_invariant_errors(chart: FlatChart) -> tuple:
 
 def chart_radius(manifold: geo.AffineManifold, basepoint) -> float:
     """Quarter of the (first-order) distance to the excluded locus, at most 0.5."""
-    if not manifold.excluded:
-        return 0.5
     point = [float(c) for c in basepoint]
     best = 2.0
     for g in manifold.excluded:
-        value = abs(ex.evaluate(g, point))
-        grad = math.sqrt(sum(
-            ex.evaluate(ex.differentiate(g, i), point) ** 2
-            for i in range(manifold.dim)))
-        if grad > 0:
-            best = min(best, value / grad)
+        guard = [g, *(ex.differentiate(g, i) for i in range(manifold.dim))]
+        value, *grad = ex.evaluate(guard, point)
+        norm = math.hypot(*grad)
+        if norm > 0:
+            best = min(best, abs(value) / norm)
     return best / 4
 
 
@@ -312,7 +309,7 @@ def integrate_geodesic(manifold: geo.AffineManifold, start, velocity,
     state = origin + [float(c) * horizon for c in velocity] + \
         [float(c) for jet in jets or () for c in jet]
     trail = [state]
-    with qs.float_faults():
+    with ex.float_faults():
         signs = qs.locus_sides(manifold, origin)
         for _ in range(steps):
             state = qs.finite(step(state))

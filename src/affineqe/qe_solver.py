@@ -14,12 +14,12 @@ the fundamental matrix), from the tree matrices compiled to floats once per
 generated for the nonzero pattern of the A_i and shared by every manifold of
 that pattern; the geodesics of `projective` carry jets through the same
 generator, in its (x, v, jets) form, and the same excluded-locus check.
+Float faults in row values and transport are reported by `expr.float_faults`.
 """
 
 from __future__ import annotations
 
 import math
-from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -27,6 +27,7 @@ from typing import Sequence
 
 from . import expr as ex
 from . import geometry as geo
+from .expr import float_faults
 from .linalg import RowReducer, float_rank_kernel
 from .poly import RationalFunc
 
@@ -102,17 +103,13 @@ class ConstraintRow:
     def is_structurally_zero(self) -> bool:
         return all(e.is_zero for e in self.entries)
 
-    def values(self, point) -> list:
+    def values(self, point) -> tuple:
         """The entries at a point: Fractions at an exact point, else floats."""
         if not isinstance(self.entries[0], RationalFunc):
-            return [ex.evaluate(e, point) for e in self.entries]
+            return ex.evaluate(self.entries, point)
         exact = ex.is_exact_point(point)
-        try:
-            return [e.eval(point) if exact else float(e.eval(point)) for e in self.entries]
-        except ZeroDivisionError:
-            raise ex.DomainError("division by zero at evaluation point") from None
-        except OverflowError as err:
-            raise ex.DomainError(f"float overflow: {err}") from None
+        with float_faults():
+            return tuple(e.eval(point) if exact else float(e.eval(point)) for e in self.entries)
 
 
 @dataclass
@@ -292,15 +289,6 @@ def solution_report(space: SolutionSpace) -> dict:
 
 # --------------------------------------------------------------------------
 # float engine and transport
-
-
-@contextmanager
-def float_faults():
-    """Float overflow and division by zero in the block raise DomainError."""
-    try:
-        yield
-    except (OverflowError, ZeroDivisionError) as err:
-        raise ex.DomainError(f"integration hit an overflow or a pole: {err}") from None
 
 
 def locus_sides(manifold: geo.AffineManifold, x, signs: list | None = None) -> list:

@@ -286,6 +286,15 @@ def test_flatten_overflow_is_input_error(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_flatten_with_an_overflowing_gradient_is_input_error(tmp_path, capsys):
+    # at x1 = 10^100 the guard x1^3 + 1 is finite but its gradient's square is not
+    path = tmp_path / "cubic.json"
+    path.write_text(json.dumps(CUBIC_DOC))
+    code = main(["flatten", str(path), "--basepoint", "1" + "0" * 100 + ",0"])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
 @pytest.mark.parametrize("grid", [[], ["--grid", "0.1"]])
 def test_flatten_overflow_off_the_integrator_is_input_error(grid, tmp_path, capsys):
     # without --grid the overflow comes from chart_radius, with it from the

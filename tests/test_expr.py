@@ -138,8 +138,15 @@ class TestEvaluate:
                 evaluate(parse_scalar("3/x1", XY), point)
 
     def test_log_domain(self):
-        with pytest.raises(DomainError):
-            evaluate(parse_scalar("log(x1)", XY), (-1.0, 0.0))
+        with pytest.raises(DomainError, match="log of a non-positive value"):
+            evaluate(parse_scalar("log(x1)", XY), (-1.0,))
+
+    def test_float_faults_are_domain_errors(self):
+        with pytest.raises(DomainError, match="overflow"):
+            evaluate(parse_scalar("x1^3", XY), (1e120,))
+        for point in ((0.0,), (q(0),)):
+            with pytest.raises(DomainError):
+                evaluate(parse_scalar("x1^-2", XY), point)
 
 
 class TestZeroTest:
@@ -179,6 +186,29 @@ class TestZeroTest:
     def test_rational_function_identity(self):
         e = parse_scalar("1/(x1*x2) - (1/x1)*(1/x2)", XY)
         assert is_identically_zero(e) is Verdict.ZERO
+
+    def test_log_identity_skips_samples_off_its_domain(self):
+        e = parse_scalar("log(x1) + log(x2) - log(x1*x2)", XY)
+        assert is_identically_zero(e) is Verdict.NUMERIC_ONLY
+
+    def test_positive_orthant_retry(self, monkeypatch):
+        # x1 > 2 lies outside the first sampling box [-2, 2]
+        orthants = []
+        draw = expr.random_float_point
+
+        def recording(nvars, rng, positive=False):
+            orthants.append(positive)
+            return draw(nvars, rng, positive)
+
+        monkeypatch.setattr(expr, "random_float_point", recording)
+        e = parse_scalar("log(x1 - 2) - log(x1 - 2)", XY)
+        assert is_identically_zero(e) is Verdict.NUMERIC_ONLY
+        assert orthants[0] is False and orthants[-1] is True
+        assert is_identically_zero(parse_scalar("log(x1 - 2)", XY)) is Verdict.NONZERO
+
+    def test_expression_defined_nowhere(self):
+        with pytest.raises(DomainError, match="could not be sampled anywhere"):
+            is_identically_zero(parse_scalar("log(-1 - x1^2)", XY))
 
     def test_identically_zero_denominator(self):
         e = parse_scalar("1/(x1 - x1)", XY)

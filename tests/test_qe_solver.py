@@ -154,6 +154,23 @@ class TestConstraints:
             value = sum(e * j for e, j in zip(row.values(point), jet))
             assert abs(value) < 1e-10
 
+    def test_rows_read_in_one_walk_match_entrywise_values(self):
+        # exp rows: the plane deformed by exp(x1 - x2)/2, prolonged once
+        g = ex.parse_scalar("exp(x1 - x2)/2", X2)
+        plane = pj.deform(geo.flat_manifold(2), pj.ProjectiveChange.from_potential(g, 2))
+        system = qs.build_jet_system(plane, q(-1))
+        stack = qs.prolong(system, qs.integrability_constraints(system))
+        entries = [e for row in stack.effective_rows() for e in row.entries]
+        assert not all(e.rational_only for e in entries)
+        rng = random.Random(11)
+        for _ in range(5):
+            point = ex.random_float_point(2, rng)
+            apart = [ex.evaluate(e, point) for e in entries]
+            for together in (ex.evaluate(entries, point),
+                             [v for row in stack.effective_rows() for v in row.values(point)]):
+                assert [(v, math.copysign(1.0, v)) for v in together] == \
+                    [(v, math.copysign(1.0, v)) for v in apart]
+
 
 class TestSolutionDimension:
     def test_flat_space_is_maximal(self):
