@@ -6,7 +6,9 @@ constant-symbol models with worked dimension tables.  ``expected_dimension``
 evaluates the published case analysis literally and therefore applies only to
 parameters already in the stated normal forms; wall charts outside them get a
 bound from the solutions of x1 alone, and anything else is classified by the
-solver alone (``crosscheck`` / ``sweep``).
+solver alone (``crosscheck`` / ``sweep``).  A curved constant-symbol chart at
+mu = 0 has dimension exactly 2 when C_12^1 = C_22^1 = 0 or C_11^2 = C_12^2 = 0
+(a function of x1 or of x2 alone joins the constants) and at least 1 otherwise.
 """
 
 from __future__ import annotations
@@ -322,10 +324,11 @@ def _expected_type_a(s: TypeASurface, mu: Fraction) -> Prediction:
     if mu == -1:
         return Prediction.exact(3)
     if mu == 0:
-        first_row = (s.c11_1, s.c12_1, s.c22_1)
-        if first_row in ((q(1), q(0), q(0)), (q(0), q(0), q(0))):
+        # f(x1) (or f(x2)) with f'' = C_11^1 f' (or C_22^2 f') has a null
+        # Hessian beside the constants; the curvature rules out a third one
+        if not (s.c12_1 or s.c22_1) or not (s.c11_2 or s.c12_2):
             return Prediction.exact(2)
-        return Prediction.exact(1)
+        return Prediction.at_least(1)
     return Prediction.exact(2 if rank == 1 else 0)
 
 

@@ -731,46 +731,44 @@ def random_float_point(nvars: int, rng: random.Random, positive: bool = False) -
     return tuple(2.0 * (2 * rng.random() - 1) for _ in range(nvars))
 
 
+# [-2, 2]^n, the log-friendly [0.05, 2.05]^n, then both scaled by 4, 16 and 64
+_SAMPLE_BOXES = tuple((scale, positive) for scale in (1, 4, 16, 64) for positive in (False, True))
+
+
 def _sample_verdict(e: ScalarExpr, rng: random.Random) -> Verdict:
     nvars = max_coord_index(e) + 1
     terms = e.terms if isinstance(e, Add) else (e,)
     collected = 0
-    tries = 0
-    positive = False
-    while collected < FLOAT_SAMPLE_COUNT:
-        tries += 1
-        if tries > 10 * FLOAT_SAMPLE_COUNT and collected == 0:
-            if positive:
-                raise DomainError("expression could not be sampled anywhere")
-            positive = True  # retry on the positive orthant (log-friendly)
-            tries = 0
-        # a constant tree still needs a float coordinate to evaluate in doubles
-        point = random_float_point(nvars, rng, positive=positive) or (0.0,)
-        try:
-            values = evaluate(terms, point)
-        except DomainError:
-            continue
-        # sum(values) is the float the walk of e gives; a nonzero must also stand
-        # out of its terms' rounding error, so large terms that cancel do not count
-        if abs(sum(values)) > FLOAT_SAMPLE_TOL * max(1.0, sum(map(abs, values))):
-            return Verdict.NONZERO
-        collected += 1
-    return Verdict.NUMERIC_ONLY
+    for scale, positive in _SAMPLE_BOXES:
+        tries = 0
+        # a box that yields no point in its tries hands over to the next one
+        while collected < FLOAT_SAMPLE_COUNT and (collected or tries < 10 * FLOAT_SAMPLE_COUNT):
+            tries += 1
+            # a constant tree still needs a float coordinate to evaluate in doubles
+            point = tuple(scale * c for c in random_float_point(nvars, rng, positive)) or (0.0,)
+            try:
+                values = evaluate(terms, point)
+            except DomainError:
+                continue
+            # sum(values) is the float the walk of e gives; a nonzero must also stand
+            # out of its terms' rounding error, so large terms that cancel do not count
+            if abs(sum(values)) > FLOAT_SAMPLE_TOL * max(1.0, sum(map(abs, values))):
+                return Verdict.NONZERO
+            collected += 1
+        if collected:
+            return Verdict.NUMERIC_ONLY
+    raise DomainError("expression could not be sampled anywhere")
 
 
-def is_identically_zero(e: ScalarExpr, rng: random.Random | None = None) -> Verdict:
-    """Exact verdict for rational-only trees, sampled verdict for exp/log trees.
-
-    Rational-only trees are decided by clearing denominators and normalizing the
-    numerator polynomial; a random-point evaluation cross-checks the zero claim.
-    """
-    if rng is None:
-        rng = random.Random(0x5EED)
+def is_identically_zero(e: ScalarExpr) -> Verdict:
+    """The one judge of zero, on raw trees: a rational-only tree is put into exact
+    form here and a random rational point cross-checks a zero claim; an exp/log
+    tree is sampled.  Draws come from a fixed seed, so the tree fixes the verdict."""
+    rng = random.Random(0x5EED)
     if not _rational_only(e):
         return _sample_verdict(e, rng)
-    rf = to_ratfunc(e)
-    if rf.is_zero:
-        point = random_rational_point(max(rf.den.max_var() + 1, max_coord_index(e) + 1), rng)
+    if to_ratfunc(e).is_zero:
+        point = random_rational_point(max_coord_index(e) + 1, rng)
         try:
             check = evaluate(e, point)
             if check != 0:

@@ -200,17 +200,8 @@ def _shared_connection(metric: PseudoMetric) -> geo.AffineManifold:
 
 def metric_compatibility_residual(g: PseudoMetric,
                                   conn: geo.AffineManifold) -> geo.TensorField:
-    """d_k g_ij - G_ki^l g_lj - G_kj^l g_il, identically zero for Levi-Civita."""
-    n = g.n
-
-    def fill(k, i, j):
-        total = ex.differentiate(g.comp(i, j), k)
-        for l in range(n):
-            total = total - conn.gamma[k][i][l] * g.comp(l, j) \
-                - conn.gamma[k][j][l] * g.comp(i, l)
-        return ex.simplify_rational(total)
-
-    return geo.tensor_from((n, n, n), fill)
+    """Raw d_k g_ij - G_ki^l g_lj - G_kj^l g_il, identically zero for Levi-Civita."""
+    return geo.covariant_derivative(conn, geo.TensorField(g.components))
 
 
 # --------------------------------------------------------------------------
@@ -226,7 +217,7 @@ class ExtensionResiduals:
 
 def extension_identities_residuals(manifold: geo.AffineManifold,
                                    phi, f: ScalarExpr) -> ExtensionResiduals:
-    """Residuals of the three pullback identities; all vanish for any Phi."""
+    """Raw residuals of the three pullback identities; all vanish for any Phi."""
     m = manifold.dim
     metric = deformed_extension(manifold, phi)
     conn = _shared_connection(metric)
@@ -237,14 +228,14 @@ def extension_identities_residuals(manifold: geo.AffineManifold,
 
     def hess_fill(a, b):
         want = base_hessian.comp(a, b) if a < m and b < m else ex.ZERO
-        return ex.simplify_rational(lifted_hessian.comp(a, b) - want)
+        return lifted_hessian.comp(a, b) - want
 
     rho_total = conn.ricci_parts.full
     rho_base = manifold.ricci_parts.sym
 
     def ricci_fill(a, b):
         want = 2 * rho_base.comp(a, b) if a < m and b < m else ex.ZERO
-        return ex.simplify_rational(rho_total.comp(a, b) - want)
+        return rho_total.comp(a, b) - want
 
     inverse = metric.inverse
     df = [ex.differentiate(f, a) for a in range(n)]
@@ -258,7 +249,7 @@ def extension_identities_residuals(manifold: geo.AffineManifold,
     return ExtensionResiduals(
         geo.tensor_from((n, n), hess_fill),
         geo.tensor_from((n, n), ricci_fill),
-        ex.simplify_rational(norm),
+        norm,
     )
 
 
@@ -267,7 +258,7 @@ def extension_identities_residuals(manifold: geo.AffineManifold,
 
 
 def quasi_einstein_residual(metric: PseudoMetric, psi: ScalarExpr, mu, lam) -> geo.TensorField:
-    """Component grid of H psi + rho - mu dpsi (x) dpsi - lambda g."""
+    """Raw component grid of H psi + rho - mu dpsi (x) dpsi - lambda g."""
     mu = Fraction(mu)
     lam = Fraction(lam)
     conn = _shared_connection(metric)
@@ -277,9 +268,8 @@ def quasi_einstein_residual(metric: PseudoMetric, psi: ScalarExpr, mu, lam) -> g
     dpsi = [ex.differentiate(psi, a) for a in range(n)]
 
     def fill(a, b):
-        total = hess.comp(a, b) + rho.comp(a, b) \
+        return hess.comp(a, b) + rho.comp(a, b) \
             - mu * dpsi[a] * dpsi[b] - lam * metric.comp(a, b)
-        return ex.simplify_rational(total)
 
     return geo.tensor_from((n, n), fill)
 

@@ -11,7 +11,6 @@ example with nonzero symbols 1/3/4/5):
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -143,11 +142,12 @@ def leaves(t: TensorField) -> list:
 
 
 def tensor_sub(a: TensorField, b: TensorField) -> TensorField:
-    return tensor_map(lambda x, y: ex.simplify_rational(x - y), a, b)
+    """The raw componentwise difference, for the zero-test."""
+    return tensor_map(ScalarExpr.__sub__, a, b)
 
 
-def tensor_zero_verdict(t: TensorField, rng: random.Random | None = None) -> Verdict:
-    return combine_verdicts(ex.is_identically_zero(c, rng) for c in leaves(t))
+def tensor_zero_verdict(t: TensorField) -> Verdict:
+    return combine_verdicts(ex.is_identically_zero(c) for c in leaves(t))
 
 
 # --------------------------------------------------------------------------
@@ -320,21 +320,26 @@ def hessian(m: AffineManifold, f: ScalarExpr) -> TensorField:
     return tensor_from((m.dim, m.dim), fill)
 
 
-def nabla_ricci(m: AffineManifold) -> TensorField:
-    """Covariant derivative of the full Ricci tensor, derivative slot first."""
-    rho = m.ricci_parts.full
+def covariant_derivative(m: AffineManifold, t: TensorField) -> TensorField:
+    """Raw components of the covariant derivative of a (0,2) tensor, derivative
+    slot first: d_i T_jk - G_ij^l T_lk - G_ik^l T_jl."""
 
     def fill(i, j, k):
-        total = ex.differentiate(rho.comp(j, k), i)
+        total = ex.differentiate(t.comp(j, k), i)
         for l in range(m.dim):
-            total = total - m.gamma[i][j][l] * rho.comp(l, k) \
-                - m.gamma[i][k][l] * rho.comp(j, l)
-        return ex.simplify_rational(total)
+            total = total - m.gamma[i][j][l] * t.comp(l, k) \
+                - m.gamma[i][k][l] * t.comp(j, l)
+        return total
 
     return tensor_from((m.dim,) * 3, fill)
 
 
-def is_totally_symmetric(t: TensorField, rng: random.Random | None = None) -> Verdict:
+def nabla_ricci(m: AffineManifold) -> TensorField:
+    """Covariant derivative of the full Ricci tensor, derivative slot first."""
+    return tensor_map(ex.simplify_rational, covariant_derivative(m, m.ricci_parts.full))
+
+
+def is_totally_symmetric(t: TensorField) -> Verdict:
     """True-ish verdict when every index permutation fixes the tensor."""
     if t.rank not in (2, 3):
         raise ValueError("total symmetry is defined here for (0,2) and (0,3) tensors")
@@ -343,27 +348,26 @@ def is_totally_symmetric(t: TensorField, rng: random.Random | None = None) -> Ve
     if t.rank == 2:
         for i in range(n):
             for j in range(i + 1, n):
-                verdicts.append(ex.is_identically_zero(t.comp(i, j) - t.comp(j, i), rng))
+                verdicts.append(ex.is_identically_zero(t.comp(i, j) - t.comp(j, i)))
     else:
         for i in range(n):
             for j in range(n):
                 for k in range(n):
                     base = t.comp(i, j, k)
                     for perm in ((i, k, j), (j, i, k), (j, k, i), (k, i, j), (k, j, i)):
-                        verdicts.append(ex.is_identically_zero(base - t.comp(*perm), rng))
+                        verdicts.append(ex.is_identically_zero(base - t.comp(*perm)))
     return combine_verdicts(verdicts)
 
 
 def apply_qe_operator(m: AffineManifold, mu: Fraction, f: ScalarExpr) -> TensorField:
-    """Residual H f - mu f rho_s; f solves the eigen-equation iff this is zero."""
+    """Raw residual H f - mu f rho_s; f solves the eigen-equation iff this is zero."""
     rho_s = m.ricci_parts.sym
     hess = hessian(m, f)
     mu = Fraction(mu)
-    return tensor_map(lambda h, r: ex.simplify_rational(h - mu * f * r), hess, rho_s)
+    return tensor_map(lambda h, r: h - mu * f * r, hess, rho_s)
 
 
-def is_affine_killing(m: AffineManifold, field: Sequence[ScalarExpr],
-                      rng: random.Random | None = None) -> Verdict:
+def is_affine_killing(m: AffineManifold, field: Sequence[ScalarExpr]) -> Verdict:
     """Verdict on the componentwise affine-Killing equation for a vector field."""
     if len(field) != m.dim:
         raise ValueError("vector field must have one component per coordinate")
@@ -379,7 +383,7 @@ def is_affine_killing(m: AffineManifold, field: Sequence[ScalarExpr],
                         + dfield[i][l] * m.gamma[l][j][k] \
                         + dfield[j][l] * m.gamma[i][l][k] \
                         - dfield[l][k] * m.gamma[i][j][l]
-                verdicts.append(ex.is_identically_zero(total, rng))
+                verdicts.append(ex.is_identically_zero(total))
     return combine_verdicts(verdicts)
 
 

@@ -173,14 +173,6 @@ class Poly:
             return Fraction(0) if not point or isinstance(point[0], (Fraction, int)) else 0.0
         return total
 
-    def max_var(self) -> int:
-        """Largest variable index appearing, or -1 for constants."""
-        best = -1
-        for mono in self.terms:
-            if mono:
-                best = max(best, mono[-1][0])
-        return best
-
     def monomial_content(self) -> Monomial:
         it = iter(self.terms)
         try:

@@ -40,9 +40,9 @@ class ProjectiveChange:
     def __post_init__(self):
         if self.potential is not None:
             for i, w in enumerate(self.omega):
-                check = ex.is_identically_zero(
-                    ex.differentiate(self.potential, i) - w)
-                if check is Verdict.NONZERO:
+                derivative = ex.differentiate(self.potential, i)
+                if derivative != w and \
+                        ex.is_identically_zero(derivative - w) is Verdict.NONZERO:
                     raise ValueError(
                         f"potential derivative along x{i + 1} does not match omega")
 
@@ -117,7 +117,7 @@ def deform(manifold: geo.AffineManifold, omega) -> geo.AffineManifold:
 
 def ricci_transform_residual(manifold: geo.AffineManifold,
                              potential: ScalarExpr) -> geo.TensorField:
-    """rho_s(deformed) - rho_s + (m-1)(H g - dg (x) dg); identically zero always."""
+    """Raw rho_s(deformed) - rho_s + (m-1)(H g - dg (x) dg); identically zero always."""
     m = manifold.dim
     change = ProjectiveChange.from_potential(potential, m)
     deformed = deform(manifold, change)
@@ -128,8 +128,7 @@ def ricci_transform_residual(manifold: geo.AffineManifold,
 
     def fill(i, j):
         correction = (m - 1) * (hess.comp(i, j) - dg[i] * dg[j])
-        return ex.simplify_rational(
-            rho_after.comp(i, j) - rho_before.comp(i, j) + correction)
+        return rho_after.comp(i, j) - rho_before.comp(i, j) + correction
 
     return geo.tensor_from((m, m), fill)
 
@@ -144,8 +143,7 @@ class LiouvilleReport:
         return bool(self.ricci_preserved) == bool(self.hessian_condition)
 
 
-def liouville_check(manifold: geo.AffineManifold, potential: ScalarExpr,
-                    rng: random.Random | None = None) -> LiouvilleReport:
+def liouville_check(manifold: geo.AffineManifold, potential: ScalarExpr) -> LiouvilleReport:
     """Equivalent tests for a Ricci-preserving strong deformation by dg.
 
     The third characterization (e^{-g} has parallel Hessian) reduces to the
@@ -156,12 +154,11 @@ def liouville_check(manifold: geo.AffineManifold, potential: ScalarExpr,
     change = ProjectiveChange.from_potential(potential, m)
     deformed = deform(manifold, change)
     diff = geo.tensor_sub(deformed.ricci_parts.sym, manifold.ricci_parts.sym)
-    ricci_preserved = geo.tensor_zero_verdict(diff, rng)
+    ricci_preserved = geo.tensor_zero_verdict(diff)
     hess = geo.hessian(manifold, potential)
     dg = change.omega
-    condition = geo.tensor_from(
-        (m, m), lambda i, j: ex.simplify_rational(hess.comp(i, j) - dg[i] * dg[j]))
-    hessian_condition = geo.tensor_zero_verdict(condition, rng)
+    condition = geo.tensor_from((m, m), lambda i, j: hess.comp(i, j) - dg[i] * dg[j])
+    hessian_condition = geo.tensor_zero_verdict(condition)
     return LiouvilleReport(ricci_preserved, hessian_condition)
 
 
@@ -177,8 +174,7 @@ class FlatnessReport:
     criteria_agree: bool | None
 
 
-def strong_flatness_test(manifold: geo.AffineManifold, basepoint,
-                         rng: random.Random | None = None) -> FlatnessReport:
+def strong_flatness_test(manifold: geo.AffineManifold, basepoint) -> FlatnessReport:
     """Maximal solution space at -1/(m-1) detects strong projective flatness.
 
     On surfaces the independent symmetry criterion (rho and grad rho totally
@@ -190,8 +186,8 @@ def strong_flatness_test(manifold: geo.AffineManifold, basepoint,
     surface_symmetry = None
     agree = None
     if manifold.dim == 2:
-        sym_rho = geo.is_totally_symmetric(manifold.ricci_parts.full, rng)
-        sym_nabla = geo.is_totally_symmetric(geo.nabla_ricci(manifold), rng)
+        sym_rho = geo.is_totally_symmetric(manifold.ricci_parts.full)
+        sym_nabla = geo.is_totally_symmetric(geo.nabla_ricci(manifold))
         surface_symmetry = combine_verdicts([sym_rho, sym_nabla])
         agree = bool(surface_symmetry) == flat
     return FlatnessReport(flat, space.dim, surface_symmetry, agree)
@@ -394,8 +390,7 @@ class GaugeResult:
     verdict: Verdict
 
 
-def ricci_flat_gauge(manifold: geo.AffineManifold, potential: ScalarExpr,
-                     rng: random.Random | None = None) -> GaugeResult:
+def ricci_flat_gauge(manifold: geo.AffineManifold, potential: ScalarExpr) -> GaugeResult:
     """Deform by dg so the symmetric Ricci tensor vanishes.
 
     Requires e^{-g} to solve the eigen-equation at -1/(m-1); the returned
@@ -405,12 +400,12 @@ def ricci_flat_gauge(manifold: geo.AffineManifold, potential: ScalarExpr,
     mu_m = qs.distinguished_eigenvalue(manifold.dim)
     candidate = ex.exp(ex.neg(potential))
     residual = geo.apply_qe_operator(manifold, mu_m, candidate)
-    if not geo.tensor_zero_verdict(residual, rng):
+    if not geo.tensor_zero_verdict(residual):
         raise DomainError(
             "e^{-g} does not solve the eigen-equation at -1/(m-1)")
     deformed = deform(manifold, ProjectiveChange.from_potential(potential, manifold.dim))
     rho_sym = deformed.ricci_parts.sym
-    return GaugeResult(deformed, rho_sym, geo.tensor_zero_verdict(rho_sym, rng))
+    return GaugeResult(deformed, rho_sym, geo.tensor_zero_verdict(rho_sym))
 
 
 def ricci_flat_residual_numeric(manifold: geo.AffineManifold,

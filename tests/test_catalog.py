@@ -128,6 +128,54 @@ class TestCrosscheck:
             assert report.agree and report.computed == 2
 
 
+class TestTypeAPredictions:
+    # constants with C_12^1 = C_22^1 = 0 (f(x1) solves) and C_11^2 = C_12^2 = 0
+    # (f(x2) solves); the literal first-row rule once predicted 1 for both
+    YAMABE_PAIRS = [
+        {"c11_1": -1, "c11_2": 2, "c12_1": 0, "c12_2": -3, "c22_1": 0, "c22_2": -2},
+        {"c11_1": -3, "c11_2": 0, "c12_1": 0, "c12_2": 0, "c22_1": -2, "c22_2": -2},
+    ]
+
+    @pytest.mark.parametrize("params", YAMABE_PAIRS)
+    def test_null_hessian_pair_at_mu_zero(self, params):
+        report = cat.crosscheck("typeA", params, 0)
+        assert report.predicted == cat.Prediction.exact(2)
+        assert (report.computed, report.agree) == (2, True)
+
+    def test_mu_zero_agrees_with_solver_on_seeded_draws(self):
+        rng = random.Random(61)
+        kinds = set()
+        for _ in range(25):
+            surface = cat.random_type_a(rng)
+            report = cat.crosscheck("typeA", surface.constants_dict(), 0)
+            assert report.agree
+            kinds.add(report.predicted.kind)
+            if report.predicted.kind == "exact":
+                assert parallel_pair_exists(surface)  # the test-side oracle
+        assert kinds == {"exact", "at-least"}
+
+    def test_generic_eigenvalues_follow_the_ricci_rank(self):
+        # random draws have Ricci rank 2 (dim 0), the exp normal form rank 1 (dim 2)
+        rng = random.Random(62)
+        dims = set()
+        for _ in range(6):
+            second = [cat.random_constant(rng) for _ in range(3)]
+            for surface in (cat.random_type_a(rng), cat.exp_surface(*second)):
+                for report in cat.crosschecks("typeA", surface.constants_dict(), [q(1, 2), 2]):
+                    assert report.predicted.kind == "exact" and report.agree
+                    dims.add(report.computed)
+        assert {0, 2} <= dims
+
+
+@pytest.mark.parametrize("eps", [1, -1])
+@pytest.mark.parametrize("c11_2", [q(1), q(1, 2)])
+def test_mixed_eigen_pair_at_its_eigenvalue(eps, c11_2):
+    surface = cat.wall_eigen_pair_mixed_surface(eps, c11_2)
+    mu = cat.wall_eigen_pair_mixed_value(surface)
+    report = cat.crosscheck("wallEigenPairMixed", {"eps": eps, "c11_2": c11_2}, mu)
+    assert (report.predicted, report.computed) == (cat.Prediction.exact(2), 2)
+
+
 class TestSweep:
     def test_family3d_grid_never_three(self):
         grid = [{"x": x, "y": 0, "z": z, "w": w}

@@ -162,6 +162,21 @@ def test_curvature_command(exp3d_path, capsys):
     assert "rho_33 = 10" in out
 
 
+def test_curvature_of_a_chart_away_from_the_origin(tmp_path, capsys):
+    # the chart lives on x1 > 3, outside both unit sampling boxes
+    path = tmp_path / "log.json"
+    path.write_text(json.dumps({"dim": 2, "coords": ["x1", "x2"],
+                                "christoffel": {"1,1^1": "log(x1 - 3)"}, "excluded": []}))
+    assert main(["curvature", str(path)]) == 0
+    assert capsys.readouterr().out.startswith("dim 2, curvature zero")
+
+
+def test_classify_type_a_null_hessian_pair(capsys):
+    params = '{"c11_1": -1, "c11_2": 2, "c12_1": 0, "c12_2": -3, "c22_1": 0, "c22_2": -2}'
+    assert main(["classify", "--kind", "typeA", "--params", params, "--mu", "0"]) == 0
+    assert capsys.readouterr().out == "mu = 0: predicted 2, computed 2, agree\n"
+
+
 def test_classify_wall_chart_outside_the_normal_forms(capsys):
     # f = x1^(1/2) solves at mu = -1 although no normal form of the case
     # analysis matches these constants

@@ -206,6 +206,13 @@ class TestZeroTest:
         assert orthants[0] is False and orthants[-1] is True
         assert is_identically_zero(parse_scalar("log(x1 - 2)", XY)) is Verdict.NONZERO
 
+    @pytest.mark.parametrize("offset", [3, 100])
+    def test_sampling_boxes_widen_away_from_the_origin(self, offset):
+        # x1 > offset lies outside both unit boxes; the scaled boxes reach it
+        e = parse_scalar(f"log(x1 - {offset})", XY)
+        assert is_identically_zero(e) is Verdict.NONZERO
+        assert is_identically_zero(e - e) is Verdict.NUMERIC_ONLY
+
     def test_expression_defined_nowhere(self):
         with pytest.raises(DomainError, match="could not be sampled anywhere"):
             is_identically_zero(parse_scalar("log(-1 - x1^2)", XY))
@@ -273,6 +280,13 @@ def test_derivative_matches_finite_difference():
         fd = (evaluate(e, shifted_up) - evaluate(e, shifted_dn)) / (2 * h)
         assert abs(fd - exact) <= 1e-5 * abs(exact)
         checked += 1
+
+
+@pytest.mark.parametrize("text", ["exp(x1 - x2)", "log(x1*x1 + 2)", "x1*exp(3*x3)",
+                                  "exp(-x1)", "log(x1)^2", "exp(x1/2)^2"])
+def test_exp_log_print_parse_roundtrip(text):
+    e = parse_scalar(text, ["x1", "x2", "x3"])
+    assert parse_scalar(format_expr(e), ["x1", "x2", "x3"]) == e
 
 
 def test_simplify_rational_is_canonical():

@@ -91,6 +91,13 @@ class TestIsStrong:
         with pytest.raises(ValueError):
             pj.ProjectiveChange((ex.coord(1), ex.ZERO), potential=ex.coord(0))
 
+    def test_derived_form_is_not_zero_tested_again(self, monkeypatch):
+        calls = []
+        judge = ex.is_identically_zero
+        monkeypatch.setattr(ex, "is_identically_zero", lambda e: calls.append(e) or judge(e))
+        change = pj.ProjectiveChange.from_potential(ex.coord(0) * ex.log(ex.coord(1)), 2)
+        assert change.omega[1] != ex.ZERO and calls == []
+
 
 class TestRicciTransform:
     def test_flat_linear_potential(self):
