@@ -77,7 +77,7 @@ def _cmd_curvature(args) -> tuple:
     manifold = _load_manifold(args.manifold)
     parts = manifold.ricci_parts
     curvature_zero = geo.tensor_zero_verdict(geo.curvature(manifold))
-    lines = [f"dim {manifold.dim}, curvature {'zero' if curvature_zero else 'nonzero'}"]
+    lines = [f"dim {manifold.dim}, curvature {curvature_zero.value}"]
     components = {}
     for j in range(manifold.dim):
         for k in range(manifold.dim):
@@ -87,12 +87,13 @@ def _cmd_curvature(args) -> tuple:
                 rendered = ex.format_expr(value, manifold.coords)
                 components[key] = rendered
                 lines.append(f"  {key} = {rendered}")
-    report = {
-        "dim": manifold.dim,
-        "flat": bool(curvature_zero),
-        "ricci": components,
-        "alternating_part_zero": bool(geo.tensor_zero_verdict(parts.alt)),
-    }
+    verdicts = {"flat": curvature_zero,
+                "alternating_part_zero": geo.tensor_zero_verdict(parts.alt)}
+    report = {"dim": manifold.dim, "ricci": components}
+    report.update((name, bool(verdict)) for name, verdict in verdicts.items())
+    sampled = [name for name, verdict in verdicts.items() if not verdict.certified]
+    if sampled:
+        report["numeric_only"] = sampled
     return report, True, "\n".join(lines)
 
 

@@ -110,44 +110,44 @@ class ScalarExpr:
         return f"<{type(self).__name__} {format_expr(self)}>"
 
 
-@dataclass(frozen=True, repr=False)
+@dataclass(frozen=True, repr=False, slots=True)
 class Const(ScalarExpr):
     value: Fraction
 
 
-@dataclass(frozen=True, repr=False)
+@dataclass(frozen=True, repr=False, slots=True)
 class Coord(ScalarExpr):
     index: int
 
 
-@dataclass(frozen=True, repr=False)
+@dataclass(frozen=True, repr=False, slots=True)
 class Add(ScalarExpr):
     terms: tuple
 
 
-@dataclass(frozen=True, repr=False)
+@dataclass(frozen=True, repr=False, slots=True)
 class Mul(ScalarExpr):
     factors: tuple
 
 
-@dataclass(frozen=True, repr=False)
+@dataclass(frozen=True, repr=False, slots=True)
 class Div(ScalarExpr):
     num: ScalarExpr
     den: ScalarExpr
 
 
-@dataclass(frozen=True, repr=False)
+@dataclass(frozen=True, repr=False, slots=True)
 class Pow(ScalarExpr):
     base: ScalarExpr
     exponent: int
 
 
-@dataclass(frozen=True, repr=False)
+@dataclass(frozen=True, repr=False, slots=True)
 class Exp(ScalarExpr):
     arg: ScalarExpr
 
 
-@dataclass(frozen=True, repr=False)
+@dataclass(frozen=True, repr=False, slots=True)
 class Log(ScalarExpr):
     arg: ScalarExpr
 

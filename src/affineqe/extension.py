@@ -56,7 +56,8 @@ class PseudoMetric:
 def _symmetric_or_raise(grid, size, what):
     for i in range(size):
         for j in range(i + 1, size):
-            if ex.is_identically_zero(grid[i][j] - grid[j][i]) is Verdict.NONZERO:
+            if grid[i][j] != grid[j][i] \
+                    and ex.is_identically_zero(grid[i][j] - grid[j][i]) is Verdict.NONZERO:
                 raise ValueError(f"{what} is not symmetric at ({i + 1},{j + 1})")
 
 
@@ -169,27 +170,37 @@ def levi_civita(metric: PseudoMetric) -> geo.AffineManifold:
 
     A rational metric and its inverse are converted to `RationalFunc` once and
     each symbol is rebuilt as a tree at the end; exp/log metrics stay trees.
-    Only nonzero g^{kl} and brackets enter the sums."""
+    Only nonzero g^{kl} and brackets enter the sums.  When the converted grid
+    is symmetric as pairs, the symbols of (j, i) are those of (i, j): sums of
+    pairs commute, while ordered tree sums of exp/log metrics do not."""
     n = metric.n
     grids = (metric.components, metric.inverse)
-    if all(e.rational_only for grid in grids for row in grid for e in row):
+    rational = all(e.rational_only for grid in grids for row in grid for e in row)
+    if rational:
         convert, rebuild = ex.to_ratfunc, ex.from_ratfunc
     else:
         convert, rebuild = (lambda e: e), ex.simplify_rational
     g, inverse = ([[convert(e) for e in row] for row in grid] for grid in grids)
     zero, half = convert(ex.ZERO), convert(ex.const(Fraction(1, 2)))
     dgrid = [[[g[j][l].diff(i) for l in range(n)] for j in range(n)] for i in range(n)]
-    bracket = [[[dgrid[i][j][l] + dgrid[j][i][l] - dgrid[l][i][j] for l in range(n)]
-                for j in range(n)] for i in range(n)]
 
-    def fill(i, j, k):
-        total = sum((inverse[k][l] * bracket[i][j][l] for l in range(n)
-                     if not inverse[k][l].is_zero and not bracket[i][j][l].is_zero), zero)
-        return rebuild(half * total)
+    def symbols(i, j):
+        bracket = [dgrid[i][j][l] + dgrid[j][i][l] - dgrid[l][i][j] for l in range(n)]
+        nonzero = [l for l in range(n) if not bracket[l].is_zero]
 
-    grid = tuple(tuple(tuple(fill(i, j, k) for k in range(n))
-                       for j in range(n)) for i in range(n))
-    return geo.AffineManifold(metric.coords, grid, metric.excluded)
+        def fill(k):
+            total = sum((inverse[k][l] * bracket[l] for l in nonzero
+                         if not inverse[k][l].is_zero), zero)
+            return rebuild(half * total)
+
+        return tuple(fill(k) for k in range(n))
+
+    mirror = rational and all(g[a][b] == g[b][a] for a in range(n) for b in range(a + 1, n))
+    grid = [[None] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            grid[i][j] = grid[j][i] if mirror and j < i else symbols(i, j)
+    return geo.AffineManifold(metric.coords, tuple(map(tuple, grid)), metric.excluded)
 
 
 @lru_cache(maxsize=1)

@@ -4,7 +4,9 @@ Monomials are sorted tuples of ``(variable_index, exponent)`` pairs, so the same
 objects work unchanged when the chart is enlarged (e.g. from m to 2m variables).
 Coefficients are ``fractions.Fraction``.  Rational functions are unreduced
 numerator/denominator pairs: only integer content and common *monomial* factors
-are stripped, never a polynomial GCD.
+are stripped, never a polynomial GCD.  Every pair is kept in that canonical
+form, so a product with a constant and a pair over the denominator 1 need no
+further canonicalisation.
 """
 
 from __future__ import annotations
@@ -218,6 +220,10 @@ class Poly:
 _ONE_POLY = Poly.const(1)  # shared: no Poly's terms are ever mutated in place
 
 
+def _is_one(p: Poly) -> bool:
+    return p is _ONE_POLY or (len(p.terms) == 1 and p.terms.get(_UNIT) == 1)
+
+
 class RationalFunc:
     """Unreduced quotient of two Poly values; denominator never the zero polynomial."""
 
@@ -250,6 +256,8 @@ class RationalFunc:
         # integer polynomial with positive leading coefficient
         if self.num.is_zero:
             self.den = _ONE_POLY
+            return
+        if _is_one(self.den):  # a polynomial: nothing to strip or scale
             return
         common = mono_gcd(self.num.monomial_content(), self.den.monomial_content())
         if common:
@@ -287,6 +295,14 @@ class RationalFunc:
     def __mul__(self, other: "RationalFunc") -> "RationalFunc":
         if self.is_zero or other.is_zero:
             return RationalFunc(Poly(), normalize=False)
+        # a constant factor scales the other, already canonical, pair: no monomial
+        # factor appears and the denominator stays primitive, so skip _normalize
+        for factor, rest in ((self, other), (other, self)):
+            if factor.num.is_constant and _is_one(factor.den):
+                c = factor.num.terms[_UNIT]
+                if c == 1:
+                    return rest
+                return RationalFunc(rest.num.scale(c), rest.den, normalize=False)
         return RationalFunc(self.num * other.num, self.den * other.den)
 
     def __truediv__(self, other: "RationalFunc") -> "RationalFunc":

@@ -167,8 +167,20 @@ def test_curvature_of_a_chart_away_from_the_origin(tmp_path, capsys):
     path = tmp_path / "log.json"
     path.write_text(json.dumps({"dim": 2, "coords": ["x1", "x2"],
                                 "christoffel": {"1,1^1": "log(x1 - 3)"}, "excluded": []}))
-    assert main(["curvature", str(path)]) == 0
-    assert capsys.readouterr().out.startswith("dim 2, curvature zero")
+    report = tmp_path / "log_report.json"
+    assert main(["curvature", str(path), "--json", str(report)]) == 0
+    assert capsys.readouterr().out.startswith("dim 2, curvature numeric-only")
+    payload = json.loads(report.read_text())
+    assert payload["numeric_only"] == ["flat", "alternating_part_zero"]
+    assert payload["flat"] and payload["alternating_part_zero"]
+
+
+def test_curvature_reports_certified_verdicts_without_a_sampled_list(exp3d_path, tmp_path,
+                                                                    capsys):
+    report = tmp_path / "report.json"
+    assert main(["curvature", exp3d_path, "--json", str(report)]) == 0
+    assert capsys.readouterr().out.startswith("dim 3, curvature nonzero")
+    assert "numeric_only" not in json.loads(report.read_text())
 
 
 def test_classify_type_a_null_hessian_pair(capsys):

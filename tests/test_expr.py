@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 import random
 from fractions import Fraction
 
@@ -33,7 +35,7 @@ from affineqe.expr import (
     powi,
     to_ratfunc,
 )
-from affineqe.poly import RationalFunc
+from affineqe.poly import Poly, RationalFunc, mono_gcd
 
 XY = ["x1", "x2"]
 
@@ -447,7 +449,87 @@ def test_to_ratfunc_matches_the_constant_seeded_accumulators(e):
         with pytest.raises(DomainError):
             to_ratfunc(e)
         return
-    new = to_ratfunc(e)
+    assert_same_pair(to_ratfunc(e), ref)
+
+
+def canonical_pair(num, den):
+    """The canonical pair of num/den by the full procedure, with no shortcut."""
+    if num.is_zero:
+        return RationalFunc(Poly(), normalize=False)
+    common = mono_gcd(num.monomial_content(), den.monomial_content())
+    if common:
+        num, den = num.shift_down(common), den.shift_down(common)
+    scale = den.content() * den.leading_sign()
+    if scale != 1:
+        num, den = num.scale(1 / scale), den.scale(1 / scale)
+    return RationalFunc(num, den, normalize=False)
+
+
+def slow_add(a, b):
+    if a.is_zero:
+        return b
+    if b.is_zero:
+        return a
+    if a.den == b.den:
+        return canonical_pair(a.num + b.num, a.den)
+    return canonical_pair(a.num * b.den + b.num * a.den, a.den * b.den)
+
+
+def slow_sub(a, b):
+    return slow_add(a, RationalFunc(-b.num, b.den, normalize=False))
+
+
+def slow_mul(a, b):
+    if a.is_zero or b.is_zero:
+        return RationalFunc(Poly(), normalize=False)
+    return canonical_pair(a.num * b.num, a.den * b.den)
+
+
+def slow_diff(a, index):
+    dn, dd = a.num.diff(index), a.den.diff(index)
+    if dd.is_zero:
+        return canonical_pair(dn, a.den)
+    return canonical_pair(dn * a.den - a.num * dd, a.den * a.den)
+
+
+def assert_same_pair(new, ref):
     assert new == ref
     assert list(new.num.terms.items()) == list(ref.num.terms.items())
     assert list(new.den.terms.items()) == list(ref.den.terms.items())
+
+
+def ratfunc_or_none(e):
+    try:
+        return to_ratfunc(e)
+    except DomainError:
+        return None
+
+
+pairs = (constructor_trees.map(ratfunc_or_none).filter(lambda rf: rf is not None)
+         | st.sampled_from([0, 1, -1, q(5, 2), q(-1, 3)]).map(RationalFunc.const))
+
+
+@given(pairs, pairs)
+@settings(max_examples=300, deadline=None)
+def test_ratfunc_fast_paths_match_the_normalize_always_reference(a, b):
+    for operand in (a, b):
+        assert_same_pair(operand, canonical_pair(operand.num, operand.den))
+        one = RationalFunc.const(1)
+        if not (operand.num.is_constant and operand.den.is_constant):  # else either may return
+            assert operand * one is operand and one * operand is operand
+        for index in (0, 1):
+            assert_same_pair(operand.diff(index), slow_diff(operand, index))
+    assert_same_pair(a + b, slow_add(a, b))
+    assert_same_pair(a - b, slow_sub(a, b))
+    assert_same_pair(a * b, slow_mul(a, b))
+    assert_same_pair(b * a, slow_mul(b, a))
+
+
+@given(constructor_trees)
+@settings(max_examples=100, deadline=None)
+def test_nodes_are_slotted_and_round_trip(e):
+    nodes = [e, e + Coord(2), expr.exp(e), expr.log(e + ONE), Div(e, Coord(0)), powi(Coord(1), -2)]
+    for node in nodes:
+        assert not hasattr(node, "__dict__")
+        assert pickle.loads(pickle.dumps(node)) == node
+        assert copy.deepcopy(node) == node

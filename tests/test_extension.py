@@ -368,14 +368,18 @@ def reference_ricci_split(full):
     return sym, alt
 
 
-def wall_extension():
-    # the README wall chart, deformed by Phi_11 = x2 and Phi_12 = 1/x1
-    base = geo.load_manifold({"dim": 2, "coords": ["x1", "x2"],
+def wall_chart():
+    # the README wall chart
+    return geo.load_manifold({"dim": 2, "coords": ["x1", "x2"],
                               "christoffel": {"1,1^1": "3/x1", "1,2^2": "1/x1",
                                               "2,2^1": "1/x1"},
                               "excluded": ["x1"]})
+
+
+def wall_extension():
+    # the README wall chart, deformed by Phi_11 = x2 and Phi_12 = 1/x1
     x1, x2 = ex.coord(0), ex.coord(1)
-    return xt.deformed_extension(base, [[x2, ex.ONE / x1], [ex.ONE / x1, ex.ZERO]])
+    return xt.deformed_extension(wall_chart(), [[x2, ex.ONE / x1], [ex.ONE / x1, ex.ZERO]])
 
 
 def exp_log_metric():
@@ -437,6 +441,31 @@ class TestSparseGeometryMatchesDense:
             point = ex.random_rational_point(4, rng)
             assert [ex.evaluate(e, point) for e in got] == \
                 [ex.evaluate(e, point) for e in want]
+
+
+class TestSymmetricSymbolsBuiltOnce:
+    """A rational metric symmetric as pairs builds the symbols of (i, j), i <= j,
+    and shares them with (j, i); the trees are those of the dense all-pairs sums."""
+
+    @pytest.mark.parametrize("base", [cat.exp3d_model(), wall_chart()], ids=["exp3d", "wall"])
+    def test_seeded_deformed_extensions(self, base):
+        rng = random.Random(23)
+        for _ in range(25):
+            metric = xt.deformed_extension(base, xt.random_symmetric_phi(base.dim, rng))
+            conn = xt.levi_civita(metric)
+            assert conn.gamma == reference_levi_civita(metric)
+            assert all(conn.gamma[j][i] is conn.gamma[i][j]
+                       for i in range(metric.n) for j in range(i))
+
+    def test_entries_equal_in_value_but_not_as_pairs_take_the_full_loop(self):
+        x1, x2 = ex.coord(0), ex.coord(1)
+        g12 = ex.parse_scalar("(x1^2 - 1)/(x1 - 1)", ["x1", "x2"])
+        g21 = x1 + 1
+        assert ex.to_ratfunc(g12) != ex.to_ratfunc(g21)
+        metric = xt.metric_from_grid(("x1", "x2"), [[x2, g12], [g21, x1 * x2]])
+        conn = xt.levi_civita(metric)
+        assert conn.gamma[1][0] is not conn.gamma[0][1]
+        assert conn.gamma == reference_levi_civita(metric)
 
 
 SIX = {"c11_1": 1, "c11_2": -1, "c12_1": q(1, 2), "c12_2": 2, "c22_1": 0, "c22_2": 3}
