@@ -6,7 +6,8 @@ normalized lightly at construction (flattening, constant folding, dropping
 zeros); canonical-form work is delegated to :mod:`affineqe.poly` when an exact
 answer is required.  Values at a point come from one walk, :func:`evaluate`,
 also over a sequence; :func:`float_faults` is the one rule that turns float
-overflow and division by zero into :class:`DomainError`.
+overflow, division by zero and the log of a non-positive value into
+:class:`DomainError`.
 
 Grammar accepted by :func:`parse_scalar` (a leading minus is also allowed)::
 
@@ -15,7 +16,9 @@ Grammar accepted by :func:`parse_scalar` (a leading minus is also allowed)::
     factor := base ('^' ['-'] integer)?
     base   := rational | ident | '(' expr ')' | ('exp'|'log') '(' expr ')'
 
-Rational literals are ``p`` or ``p/q``; decimals are rejected.
+Rational literals are ``p`` or ``p/q``; decimals are rejected.  Parentheses
+and exp/log nest at most ``MAX_NESTING`` deep, so no recursive walk of a
+parsed tree runs out of Python frames.
 """
 
 from __future__ import annotations
@@ -346,10 +349,14 @@ def _tokenize(text: str):
     return tokens
 
 
+MAX_NESTING = 200  # four parser frames a level: 800 stay inside the default limit of 1000
+
+
 class _Parser:
     def __init__(self, tokens, coords: Sequence[str]):
         self.tokens = tokens
         self.pos = 0
+        self.depth = 0
         self.index_of = {name: i for i, name in enumerate(coords)}
 
     def peek(self):
@@ -401,24 +408,26 @@ class _Parser:
         return base
 
     def parse_base(self) -> ScalarExpr:
-        tok = self.take()
-        kind, value, position = tok
+        kind, value, position = self.take()
         if kind == "num":
             return Const(Fraction(value))
-        if kind == "(":
-            inner = self.parse_expr()
-            self.expect(")")
-            return inner
-        if kind == "ident":
-            if value in ("exp", "log"):
-                self.expect("(")
-                inner = self.parse_expr()
-                self.expect(")")
-                return exp(inner) if value == "exp" else log(inner)
+        if kind == "ident" and value not in ("exp", "log"):
             if value in self.index_of:
                 return Coord(self.index_of[value])
             raise UnknownIdentifierError(f"unknown identifier {value!r}", position)
-        raise ExprSyntaxError(f"unexpected token {value!r}", position)
+        if kind == "ident":
+            self.expect("(")
+        elif kind != "(":
+            raise ExprSyntaxError(f"unexpected token {value!r}", position)
+        if self.depth == MAX_NESTING:
+            raise ExprSyntaxError(f"nesting deeper than {MAX_NESTING} levels", position)
+        self.depth += 1
+        inner = self.parse_expr()
+        self.expect(")")
+        self.depth -= 1
+        if kind == "(":
+            return inner
+        return exp(inner) if value == "exp" else log(inner)
 
 
 def parse_scalar(text: str, coords: Sequence[str]) -> ScalarExpr:
@@ -587,10 +596,7 @@ def evaluate(e: ScalarExpr | Sequence[ScalarExpr], point: EvalPoint):
         elif isinstance(node, Log):
             if exact:
                 raise ExactModeError("log is not available in exact mode")
-            arg = walk(node.arg)
-            if arg <= 0:
-                raise DomainError("log of a non-positive value")
-            result = _math.log(arg)
+            result = _math.log(walk(node.arg))
         else:
             raise TypeError(f"not a ScalarExpr: {node!r}")
         memo[id(node)] = result
@@ -600,21 +606,28 @@ def evaluate(e: ScalarExpr | Sequence[ScalarExpr], point: EvalPoint):
         if isinstance(e, ScalarExpr):
             return walk(e)
         return tuple(map(walk, tuple(e)))  # the memo is keyed by id: keep every tree alive
-    except (OverflowError, ZeroDivisionError) as err:
+    except _FLOAT_FAULTS as err:
         raise _fault_error(err) from None
 
 
-def _fault_error(err: ArithmeticError) -> DomainError:
-    """The one report of a float overflow or a division by zero."""
+# math.log's domain error is the one ValueError a tree's float values can raise
+_FLOAT_FAULTS = (OverflowError, ZeroDivisionError, ValueError)
+
+
+def _fault_error(err: Exception) -> DomainError:
+    """The one report of a float overflow, a division by zero or a log domain error."""
+    if isinstance(err, ValueError):
+        return DomainError("log of a non-positive value")
     return DomainError(f"{'float overflow' if isinstance(err, OverflowError) else 'pole'}: {err}")
 
 
 @contextmanager
 def float_faults():
-    """Float overflow and division by zero in the block raise DomainError."""
+    """Float overflow, division by zero and the log of a non-positive value in
+    the block raise DomainError."""
     try:
         yield
-    except (OverflowError, ZeroDivisionError) as err:
+    except _FLOAT_FAULTS as err:
         raise _fault_error(err) from None
 
 

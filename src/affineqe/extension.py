@@ -151,15 +151,6 @@ def inverse_metric(metric: PseudoMetric) -> tuple:
     return tuple(out)
 
 
-def signature_at(metric: PseudoMetric, point) -> tuple:
-    """(positive, negative) eigenvalue counts of the metric at a point."""
-    import numpy as np
-
-    values = ex.evaluate([entry for row in metric.components for entry in row], point)
-    eigenvalues = np.linalg.eigvalsh(np.array(values, float).reshape(metric.n, metric.n))
-    return int(np.sum(eigenvalues > 0)), int(np.sum(eigenvalues < 0))
-
-
 # --------------------------------------------------------------------------
 # the Levi-Civita connection
 
@@ -207,12 +198,6 @@ def levi_civita(metric: PseudoMetric) -> geo.AffineManifold:
 def _shared_connection(metric: PseudoMetric) -> geo.AffineManifold:
     """`levi_civita` of the last metric value asked for, with its cached Ricci."""
     return levi_civita(metric)
-
-
-def metric_compatibility_residual(g: PseudoMetric,
-                                  conn: geo.AffineManifold) -> geo.TensorField:
-    """Raw d_k g_ij - G_ki^l g_lj - G_kj^l g_il, identically zero for Levi-Civita."""
-    return geo.covariant_derivative(conn, geo.TensorField(g.components))
 
 
 # --------------------------------------------------------------------------

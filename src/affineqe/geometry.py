@@ -367,25 +367,5 @@ def apply_qe_operator(m: AffineManifold, mu: Fraction, f: ScalarExpr) -> TensorF
     return tensor_map(lambda h, r: h - mu * f * r, hess, rho_s)
 
 
-def is_affine_killing(m: AffineManifold, field: Sequence[ScalarExpr]) -> Verdict:
-    """Verdict on the componentwise affine-Killing equation for a vector field."""
-    if len(field) != m.dim:
-        raise ValueError("vector field must have one component per coordinate")
-    dfield = [[ex.differentiate(field[l], i) for l in range(m.dim)]
-              for i in range(m.dim)]
-    verdicts = []
-    for i in range(m.dim):
-        for j in range(i, m.dim):
-            for k in range(m.dim):
-                total = ex.differentiate(dfield[j][k], i)
-                for l in range(m.dim):
-                    total = total + field[l] * ex.differentiate(m.gamma[i][j][k], l) \
-                        + dfield[i][l] * m.gamma[l][j][k] \
-                        + dfield[j][l] * m.gamma[i][l][k] \
-                        - dfield[l][k] * m.gamma[i][j][l]
-                verdicts.append(ex.is_identically_zero(total))
-    return combine_verdicts(verdicts)
-
-
 def flat_manifold(dim: int) -> AffineManifold:
     return from_christoffel(tuple(f"x{i + 1}" for i in range(dim)), {})

@@ -1,7 +1,8 @@
 """Exact rational rank/kernel computations, with a float SVD fallback.
 
-The exact routine is fraction-free in spirit: rows are combined with exact
-Fraction arithmetic, so rank and kernel are certificates, not estimates.
+The exact routine is Gauss-Jordan elimination in `Fraction`s: each new row is
+reduced against the pivot rows and, when it is independent, divided by its
+pivot, so rank and kernel are certificates, not estimates.
 """
 
 from __future__ import annotations

@@ -133,35 +133,6 @@ def ricci_transform_residual(manifold: geo.AffineManifold,
     return geo.tensor_from((m, m), fill)
 
 
-@dataclass(frozen=True)
-class LiouvilleReport:
-    ricci_preserved: Verdict
-    hessian_condition: Verdict
-
-    @property
-    def consistent(self) -> bool:
-        return bool(self.ricci_preserved) == bool(self.hessian_condition)
-
-
-def liouville_check(manifold: geo.AffineManifold, potential: ScalarExpr) -> LiouvilleReport:
-    """Equivalent tests for a Ricci-preserving strong deformation by dg.
-
-    The third characterization (e^{-g} has parallel Hessian) reduces to the
-    Hessian condition through H e^{-g} = -e^{-g}(H g - dg (x) dg), so it is
-    implied rather than retested in exact mode.
-    """
-    m = manifold.dim
-    change = ProjectiveChange.from_potential(potential, m)
-    deformed = deform(manifold, change)
-    diff = geo.tensor_sub(deformed.ricci_parts.sym, manifold.ricci_parts.sym)
-    ricci_preserved = geo.tensor_zero_verdict(diff)
-    hess = geo.hessian(manifold, potential)
-    dg = change.omega
-    condition = geo.tensor_from((m, m), lambda i, j: hess.comp(i, j) - dg[i] * dg[j])
-    hessian_condition = geo.tensor_zero_verdict(condition)
-    return LiouvilleReport(ricci_preserved, hessian_condition)
-
-
 # --------------------------------------------------------------------------
 # flatness
 
@@ -378,88 +349,3 @@ def geodesic_straightness(manifold: geo.AffineManifold, chart: FlatChart,
             raise FlatnessError("geodesic kept leaving the chart region")
     return worst
 
-
-# --------------------------------------------------------------------------
-# the Ricci-flat gauge
-
-
-@dataclass(frozen=True)
-class GaugeResult:
-    manifold: geo.AffineManifold
-    residual: geo.TensorField
-    verdict: Verdict
-
-
-def ricci_flat_gauge(manifold: geo.AffineManifold, potential: ScalarExpr) -> GaugeResult:
-    """Deform by dg so the symmetric Ricci tensor vanishes.
-
-    Requires e^{-g} to solve the eigen-equation at -1/(m-1); the returned
-    verdict certifies (exactly or by sampling) that rho_s of the deformed
-    connection is zero.
-    """
-    mu_m = qs.distinguished_eigenvalue(manifold.dim)
-    candidate = ex.exp(ex.neg(potential))
-    residual = geo.apply_qe_operator(manifold, mu_m, candidate)
-    if not geo.tensor_zero_verdict(residual):
-        raise DomainError(
-            "e^{-g} does not solve the eigen-equation at -1/(m-1)")
-    deformed = deform(manifold, ProjectiveChange.from_potential(potential, manifold.dim))
-    rho_sym = deformed.ricci_parts.sym
-    return GaugeResult(deformed, rho_sym, geo.tensor_zero_verdict(rho_sym))
-
-
-def ricci_flat_residual_numeric(manifold: geo.AffineManifold,
-                                space: qs.SolutionSpace, points) -> float:
-    """Numerically evaluate rho_s of the gauge built from a solver solution.
-
-    A kernel jet with nonzero function part provides f by transport; second
-    derivatives come from finite differences of the transported gradient, so
-    the identity rho_s(deformed) = rho_s + (m-1) H f / f is measured, not
-    assumed.  Each transport takes 400 RK4 steps and the difference step is
-    1e-4.  Returns the worst absolute component over the sample points.
-    """
-    m = manifold.dim
-    mu_m = qs.distinguished_eigenvalue(m)
-    jet = next((vec for vec in space.basis if abs(float(vec[0])) > 1e-9), None)
-    if jet is None:
-        raise DomainError("no solution with nonzero value at the basepoint")
-    base = [float(c) for c in space.basepoint]
-    rho_indices, rho_symbols = ex.compile_symbols(manifold.ricci_parts.sym.components)
-    gamma_indices, gamma = manifold.float_gamma
-
-    def jet_at(x):
-        return qs.transport_jet(manifold, mu_m, [tuple(base), tuple(x)],
-                                [float(c) for c in jet], 400)
-
-    fd_step = 1e-4
-    worst = 0.0
-    for point in points:
-        x = [float(c) for c in point]
-        center = jet_at(x)
-        f_val = center[0]
-        if abs(f_val) < 1e-9:
-            raise DomainError(f"solution vanishes near {tuple(x)}")
-        grad = center[1:]
-        hess = [[0.0] * m for _ in range(m)]
-        for i in range(m):
-            up = list(x)
-            dn = list(x)
-            up[i] += fd_step
-            dn[i] -= fd_step
-            jet_up = jet_at(up)
-            jet_dn = jet_at(dn)
-            for j in range(m):
-                d2 = (jet_up[1 + j] - jet_dn[1 + j]) / (2 * fd_step)
-                hess[i][j] += d2
-        rho = [[0.0] * m for _ in range(m)]
-        for (i, j), value in zip(rho_indices, rho_symbols(x)):
-            rho[i][j] = value
-        gamma_grad = [[0.0] * m for _ in range(m)]
-        for (i, j, k), value in zip(gamma_indices, gamma(x)):
-            gamma_grad[i][j] += value * grad[k]
-        for i in range(m):
-            for j in range(m):
-                covariant = hess[i][j] - gamma_grad[i][j]
-                value = rho[i][j] + (m - 1) * covariant / f_val
-                worst = max(worst, abs(value))
-    return worst

@@ -251,26 +251,6 @@ def solution_dimension(manifold: geo.AffineManifold, mu, basepoint,
     )
 
 
-SPAN_TOL = 1e-8  # float spaces: residual allowed relative to the jet's norm
-
-
-def in_solution_space(space: SolutionSpace, jet) -> bool:
-    """Is the given jet in the span of the computed kernel basis?"""
-    if space.exact and ex.is_exact_point(jet):
-        reducer = RowReducer(len(jet))
-        for vec in space.basis:
-            reducer.add_row(vec)
-        return not reducer.add_row([Fraction(c) for c in jet])
-    if not space.basis:
-        return all(abs(float(c)) <= SPAN_TOL for c in jet)
-    import numpy as np
-
-    matrix = np.asarray([[float(c) for c in vec] for vec in space.basis], float).T
-    target = np.asarray([float(c) for c in jet], float)
-    coeffs, *_ = np.linalg.lstsq(matrix, target, rcond=None)
-    return bool(np.linalg.norm(matrix @ coeffs - target) <= SPAN_TOL * max(1.0, np.linalg.norm(target)))
-
-
 def solution_report(space: SolutionSpace) -> dict:
     """JSON-ready report document."""
 
@@ -412,6 +392,7 @@ def transport_jet(manifold: geo.AffineManifold, mu, path, u0,
         raise ValueError(f"jet must have {n} components")
     if not path:
         raise ValueError("path has no points")
+    mu = Fraction(mu)  # outside float_faults, which reads any ValueError as a log domain error
     h = 1.0 / steps_per_segment
     state = [c for jet in jets for c in jet]
     with float_faults():

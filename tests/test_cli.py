@@ -1,3 +1,4 @@
+import ast
 import json
 import os
 import subprocess
@@ -137,13 +138,35 @@ def test_symbolic_report_is_pinned(fixture, tmp_path):
 
 
 def test_start_up_does_not_import_numpy():
-    # numpy is imported only inside the functions that work in floats
+    # numpy is imported only inside linalg.float_rank_kernel
     src = str(Path(affineqe.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     code = "import sys, affineqe.cli; print('numpy' in sys.modules)"
     run = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True)
     assert run.stdout.strip() == "False"
+
+
+def _numpy_import_scopes(node, scope):
+    """Dotted scope of every statement under ``node`` that imports numpy."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.Import):
+            names = [alias.name for alias in child.names]
+        elif isinstance(child, ast.ImportFrom):
+            names = [child.module or ""]
+        else:
+            names = []
+        if any(name.split(".")[0] == "numpy" for name in names):
+            yield scope
+        named = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        yield from _numpy_import_scopes(child, f"{scope}.{child.name}" if named else scope)
+
+
+def test_numpy_is_imported_only_by_the_float_rank_kernel():
+    package = Path(affineqe.__file__).parent
+    scopes = [scope for path in sorted(package.glob("*.py"))
+              for scope in _numpy_import_scopes(ast.parse(path.read_text()), path.stem)]
+    assert scopes == ["linalg.float_rank_kernel"]
 
 
 def test_qe_dim_missing_file_is_input_error(capsys):
@@ -351,6 +374,17 @@ def test_extend_conflicting_phi_entries_are_input_error(exp3d_path, capsys):
     # the second entry used to overwrite the first for both slots and exit 0
     _assert_input_error(main(["extend", exp3d_path, "--phi", "1,2=x1", "--phi", "2,1=x2"]),
                         capsys, "conflicting --phi entries '1,2=x1' and '2,1=x2'")
+
+
+@pytest.mark.parametrize("opening", ["(", "exp("])
+def test_deep_nesting_is_input_error(opening, exp3d_path, tmp_path, capsys):
+    # 300 levels used to end every command in a RecursionError traceback
+    nest = opening * 300 + "x1" + ")" * 300
+    path = tmp_path / "deep.json"
+    path.write_text(json.dumps({**EXP3D_DOC, "christoffel": {"1,1^1": nest}}))
+    _assert_input_error(main(["curvature", str(path)]), capsys, "nesting deeper than 200")
+    _assert_input_error(main(["deform", exp3d_path, "--potential", nest]), capsys,
+                        "nesting deeper than 200")
 
 
 def test_extend_repeated_phi_entry_is_accepted(exp3d_path, tmp_path, capsys):

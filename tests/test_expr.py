@@ -77,6 +77,16 @@ class TestParse:
             parse_scalar("x1 + * x2", XY)
         assert err.value.position == 5
 
+    @pytest.mark.parametrize("opening, wrap", [("(", lambda e: e), ("exp(", expr.exp),
+                                               ("log(", expr.log)])
+    def test_nesting_is_capped_at_200_levels(self, opening, wrap):
+        built = Coord(0)
+        for _ in range(200):
+            built = wrap(built)
+        assert parse_scalar(opening * 200 + "x1" + ")" * 200, XY) == built
+        with pytest.raises(ExprSyntaxError, match="nesting deeper than 200 levels"):
+            parse_scalar(opening * 201 + "x1" + ")" * 201, XY)
+
     def test_precedence(self):
         e = parse_scalar("1 + 2*x1^2", XY)
         assert evaluate(e, (q(3), q(0))) == 19
@@ -142,6 +152,10 @@ class TestEvaluate:
     def test_log_domain(self):
         with pytest.raises(DomainError, match="log of a non-positive value"):
             evaluate(parse_scalar("log(x1)", XY), (-1.0,))
+        # compiled code goes through the same fault rule
+        compiled = expr.compile_float(parse_scalar("log(x1)", XY))
+        with pytest.raises(DomainError, match="log of a non-positive value"), expr.float_faults():
+            compiled((-1.0,))
 
     def test_float_faults_are_domain_errors(self):
         with pytest.raises(DomainError, match="overflow"):

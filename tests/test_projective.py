@@ -160,26 +160,32 @@ def test_ricci_identities_on_non_homogeneous_charts(chart):
         assert geo.tensor_zero_verdict(defect) is Verdict.ZERO
 
 
+def liouville_verdicts(manifold, potential):
+    """(rho_s preserved, Hess g = dg (x) dg) for the strong deformation by dg.
+
+    The third characterization (e^{-g} has parallel Hessian) reduces to the
+    Hessian condition through H e^{-g} = -e^{-g}(H g - dg (x) dg)."""
+    m = manifold.dim
+    change = pj.ProjectiveChange.from_potential(potential, m)
+    diff = geo.tensor_sub(pj.deform(manifold, change).ricci_parts.sym, manifold.ricci_parts.sym)
+    hess, dg = geo.hessian(manifold, potential), change.omega
+    condition = geo.tensor_from((m, m), lambda i, j: hess.comp(i, j) - dg[i] * dg[j])
+    return geo.tensor_zero_verdict(diff), geo.tensor_zero_verdict(condition)
+
+
 class TestLiouville:
     def test_exponential_family_potential(self):
         m = cat.exp_surface(0, q(1, 2), 0).manifold()
         g = ex.neg(ex.log(1 + ex.exp(ex.coord(0))))
-        report = pj.liouville_check(m, g)
-        assert report.ricci_preserved is Verdict.NUMERIC_ONLY
-        assert report.hessian_condition is Verdict.NUMERIC_ONLY
-        assert report.consistent
+        assert liouville_verdicts(m, g) == (Verdict.NUMERIC_ONLY, Verdict.NUMERIC_ONLY)
 
     def test_parallel_family_potential(self):
         m = cat.parallel_surface(1, q(1, 2), 1).manifold()
-        report = pj.liouville_check(m, ex.neg(ex.log(ex.coord(0))))
-        assert bool(report.ricci_preserved) and bool(report.hessian_condition)
-        assert report.consistent
+        preserved, condition = liouville_verdicts(m, ex.neg(ex.log(ex.coord(0))))
+        assert bool(preserved) and bool(condition)
 
     def test_flat_linear_potential_fails_both(self):
-        report = pj.liouville_check(FLAT, ex.coord(0))
-        assert report.ricci_preserved is Verdict.NONZERO
-        assert report.hessian_condition is Verdict.NONZERO
-        assert report.consistent
+        assert liouville_verdicts(FLAT, ex.coord(0)) == (Verdict.NONZERO, Verdict.NONZERO)
 
 
 class TestStrongFlatness:
@@ -323,27 +329,67 @@ class TestGeodesics:
             pj.integrate_geodesic(deformed, (0, 0), (1, 0), 50)
 
 
+def ricci_flat_gauge(manifold, potential):
+    """The deformation by dg and the verdict that its rho_s is zero; e^{-g}
+    must solve the eigen-equation at -1/(m-1)."""
+    mu_m = qs.distinguished_eigenvalue(manifold.dim)
+    residual = geo.apply_qe_operator(manifold, mu_m, ex.exp(ex.neg(potential)))
+    if not geo.tensor_zero_verdict(residual):
+        raise ex.DomainError("e^{-g} does not solve the eigen-equation at -1/(m-1)")
+    deformed = pj.deform(manifold, pj.ProjectiveChange.from_potential(potential, manifold.dim))
+    return deformed, geo.tensor_zero_verdict(deformed.ricci_parts.sym)
+
+
+def ricci_flat_residual_numeric(manifold, space, points):
+    """Worst component of rho_s + (m-1) H f / f over the points, for f the
+    transport of a kernel jet with nonzero value; second derivatives are
+    central differences (step 1e-4) of the transported gradient."""
+    m = manifold.dim
+    mu_m = qs.distinguished_eigenvalue(m)
+    jet = next(vec for vec in space.basis if abs(float(vec[0])) > 1e-9)
+    base = tuple(float(c) for c in space.basepoint)
+    rho_indices, rho_symbols = ex.compile_symbols(manifold.ricci_parts.sym.components)
+    gamma_indices, gamma = manifold.float_gamma
+
+    def jet_at(x):
+        return qs.transport_jet(manifold, mu_m, [base, tuple(x)], [float(c) for c in jet], 400)
+
+    worst = 0.0
+    for x in points:
+        f_val, *grad = jet_at(x)
+        covariant = [[0.0] * m for _ in range(m)]
+        for i in range(m):
+            up, dn = (jet_at([c + s * 1e-4 * (a == i) for a, c in enumerate(x)]) for s in (1, -1))
+            for j in range(m):
+                covariant[i][j] = (up[1 + j] - dn[1 + j]) / 2e-4
+        for (i, j, k), value in zip(gamma_indices, gamma(x)):
+            covariant[i][j] -= value * grad[k]
+        rho = dict(zip(rho_indices, rho_symbols(x)))
+        worst = max(worst, *(abs(rho.get((i, j), 0.0) + (m - 1) * covariant[i][j] / f_val)
+                             for i in range(m) for j in range(m)))
+    return worst
+
+
 class TestRicciFlatGauge:
     def test_already_flat_with_trivial_potential(self):
-        result = pj.ricci_flat_gauge(FLAT, ex.ZERO)
-        assert result.verdict is Verdict.ZERO
-        assert result.manifold.gamma == FLAT.gamma
+        deformed, verdict = ricci_flat_gauge(FLAT, ex.ZERO)
+        assert verdict is Verdict.ZERO
+        assert deformed.gamma == FLAT.gamma
 
     def test_unsolvable_potential_rejected(self):
         with pytest.raises(ex.DomainError):
-            pj.ricci_flat_gauge(FLAT, ex.coord(0))
+            ricci_flat_gauge(FLAT, ex.coord(0))
 
     def test_strong_deformation_returns_to_flat_gauge(self):
         g = ex.coord(0) * ex.coord(1)
         deformed = pj.deform(FLAT, pj.ProjectiveChange.from_potential(g, 2))
-        result = pj.ricci_flat_gauge(deformed, ex.neg(g))
-        assert result.verdict is Verdict.ZERO
+        assert ricci_flat_gauge(deformed, ex.neg(g))[1] is Verdict.ZERO
 
     def test_numeric_gauge_on_wall_surface(self):
         m = cat.wall_projflat_surface(1, 1).manifold()
         space = qs.solution_dimension(m, q(-1), WALL_BASE)
         points = [(1.0 + 0.05 * k, 0.04 * k) for k in range(6)]
-        worst = pj.ricci_flat_residual_numeric(m, space, points)
+        worst = ricci_flat_residual_numeric(m, space, points)
         assert worst < 1e-7
 
 
