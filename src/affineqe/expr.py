@@ -631,6 +631,14 @@ def float_faults():
         raise _fault_error(err) from None
 
 
+def float_values(values) -> list:
+    """Input numbers as floats; a number past the float range raises DomainError."""
+    try:
+        return [float(c) for c in values]
+    except OverflowError as err:
+        raise _fault_error(err) from None
+
+
 def to_ratfunc(e: ScalarExpr) -> RationalFunc:
     """Convert a rational-only tree to an exact rational-function pair."""
     memo: dict = {}

@@ -80,7 +80,7 @@ class AffineManifold:
 
     @cached_property
     def float_jet_systems(self) -> dict:
-        """mu -> the compiled A_i at mu, filled by `qe_solver.rk4_step`."""
+        """mu -> the compiled A_i at mu, filled by `qe_solver.rk4_run`."""
         return {}
 
 

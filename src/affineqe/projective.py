@@ -270,22 +270,14 @@ def integrate_geodesic(manifold: geo.AffineManifold, start, velocity,
     -1/(m-1), and the result is (samples, the moved jets at each sample).
     """
     m = manifold.dim
-    step = qs.rk4_step(manifold, qs.distinguished_eigenvalue(m), len(jets or ()), 1.0 / steps)
-    origin = [float(c) for c in start]
+    run = qs.rk4_run(manifold, qs.distinguished_eigenvalue(m), len(jets or ()), steps)
+    origin = ex.float_values(start)
     # the state is (x, v), reparametrized to unit time, then the stacked jets
-    state = origin + [float(c) * horizon for c in velocity] + \
-        [float(c) for jet in jets or () for c in jet]
+    state = origin + [c * horizon for c in ex.float_values(velocity)] + \
+        ex.float_values(c for jet in jets or () for c in jet)
     trail = [state]
     with ex.float_faults():
-        signs = qs.locus_sides(manifold, origin)
-        for _ in range(steps):
-            state = qs.finite(step(state))
-            x = state[:m]
-            qs.locus_sides(manifold, x, signs)
-            trail.append(state)
-            if max_distance is not None and math.sqrt(
-                    sum((a - b) ** 2 for a, b in zip(x, origin))) > max_distance:
-                break
+        run(state, qs.locus_sides(manifold, origin), trail, max_distance)
     if len(trail) < 3:
         raise DomainError("geodesic left the region immediately")
     picks = sorted({round(i * (len(trail) - 1) / 10) for i in range(11)})

@@ -10,11 +10,13 @@ from the matrices converted once; exp/log systems keep expression-tree rows,
 simplified after each step.  Transport moves a list of jets along one path
 in a single fixed-step classical Runge-Kutta run (the m+1 basis jets move as
 the fundamental matrix), from the tree matrices compiled to floats once per
-(manifold, mu) and kept on the manifold.  Each RK4 step is Python source
-generated for the nonzero pattern of the A_i and shared by every manifold of
-that pattern; the geodesics of `projective` carry jets through the same
-generator, in its (x, v, jets) form, and the same excluded-locus check.
-Float faults in row values and transport are reported by `expr.float_faults`.
+(manifold, mu) and kept on the manifold.  Each run of RK4 steps, a
+segment's or a geodesic's, is one Python loop generated for the nonzero
+pattern of the A_i and shared by every manifold of that pattern: each v^i A_i
+entry product is formed once for all jets, and the excluded-locus and
+finiteness checks run inside the loop; the geodesics of `projective` carry
+jets through the same generator, in its (x, v, jets) form.  Float faults in
+row values and transport are reported by `expr.float_faults`.
 """
 
 from __future__ import annotations
@@ -284,52 +286,48 @@ def locus_sides(manifold: geo.AffineManifold, x, signs: list | None = None) -> l
     return sides
 
 
-def finite(state: tuple) -> tuple:
-    """The state of an integration step; DomainError when it is not finite."""
-    if not all(map(math.isfinite, state)):
-        raise ex.DomainError("integration produced non-finite values")
-    return state
-
-
 @lru_cache(maxsize=64)
-def _rk4_maker(m: int, count: int, tables: tuple, gamma: tuple | None):
-    """Generate one classical RK4 step (Hairer-Norsett-Wanner, Solving ODEs I,
-    II.1) as straight-line Python for a pattern, shared by all its manifolds.
+def _rk4_maker(m: int, count: int, tables: tuple, gamma: tuple | None, guarded: bool):
+    """Generate a loop of classical RK4 steps (Hairer-Norsett-Wanner, Solving
+    ODEs I, II.1), each straight-line Python for a pattern shared by all its
+    manifolds; ``make(manifold, fns, gamma, steps, c=(), v=())`` returns the run.
 
     ``tables`` holds the (row, column) of each nonzero entry of each A_i, and
-    ``count`` jets evolve by d_t u = v^i A_i(x) u.  Without ``gamma`` the point
-    runs along x = c + t v and ``make(fns, None, h, c, v)`` returns
-    ``step(y, t0)``.  With the (i, j, k) of the nonzero Christoffel symbols the
-    state is a geodesic's (x, v, jets), d_t v^k = -G_ij^k v^i v^j, and
-    ``make(fns, gamma, h)`` returns ``step(y)``.  Every term is added in a
-    fixed order onto an accumulator that starts at 0.0: directions with
-    v^i != 0, then entries, then jets.
+    ``count`` jets evolve by d_t u = v^i A_i(x) u.  Without ``gamma``, x runs
+    along c + t v and ``run(y, signs)`` checks each step's end point against
+    the excluded locus (if ``guarded``) before the step.  With the (i, j, k) of
+    the nonzero Christoffel symbols the state is a geodesic's (x, v, jets),
+    d_t v^k = -G_ij^k v^i v^j; ``run(y, signs, trail, limit)`` checks x after
+    each step, appends the state to ``trail`` and stops once x is farther than
+    ``limit`` from its start.  Each step ends by checking that the state is
+    finite.  Terms are added in a fixed order onto accumulators that start at
+    0.0: directions with v^i != 0, entries, jets.  Each v^i A_i[q] is formed
+    once for all jets (v^i itself for the unit entry A_i[0][1+i]).
     """
     head = 0 if gamma is None else 2 * m  # x and v lead a geodesic's state
     size = head + count * (m + 1)
     first = head // 2  # a geodesic's dx/dt is its v, so slopes accumulate from m
-    body = ["".join(f"y{j}, " for j in range(size)) + "= y"]
+    body: list = []
 
-    def stage(s: int, state: list, t: str, fresh: bool = True) -> list:
-        # a stage that is not fresh reuses the A_i values at the previous stage's point
+    def stage(s: int, state: list, x: str | None) -> list:
+        # without a point ``x`` the stage reuses the previous stage's products
         k = [f"k{s}_{j}" for j in range(size)]
-        if gamma is None:
-            velocity = [f"v{i}" for i in range(m)]
-            if fresh:
-                body.append(f"t = {t}")
-                body.append("x = (" + "".join(f"c{i} + t * v{i}, " for i in range(m)) + ")")
-        else:
-            velocity = state[m:head]
-            body.append("x = (" + "".join(f"{c}, " for c in state[:m]) + ")")
-            body.append("g = gamma(x)")
+        velocity = [f"v{i}" for i in range(m)] if gamma is None else state[m:head]
+        if gamma is not None:
+            body.extend([f"x = ({', '.join(state[:m])},)", "g = gamma(x)"])
         body.append(" = ".join(k[first:]) + " = 0.0")
         for q, (i, j, c) in enumerate(gamma or ()):
             body.append(f"{k[m + c]} -= g[{q}] * {velocity[i]} * {velocity[j]}")
         for i, pairs in enumerate(tables):
+            products = [velocity[i] if pair == (0, 1 + i) else f"p{i}_{q}"
+                        for q, pair in enumerate(pairs)]
             body.append(f"if {velocity[i]} != 0.0:")
-            if fresh:
-                body.append(f"    a{i} = f{i}(x)")
-            body.extend(f"    {k[o + r]} += {velocity[i]} * a{i}[{q}] * {state[o + b]}"
+            if x is not None:
+                unpack = "".join(f"a{i}_{q}, " for q in range(len(pairs)))
+                body.append(f"    {unpack}= f{i}({x})")
+                body.extend(f"    {p} = {velocity[i]} * a{i}_{q}"
+                            for q, p in enumerate(products) if p != velocity[i])
+            body.extend(f"    {k[o + r]} += {products[q]} * {state[o + b]}"
                         for q, (r, b) in enumerate(pairs) for o in range(head, size, m + 1))
         return velocity[:first] + k[first:]
 
@@ -338,40 +336,65 @@ def _rk4_maker(m: int, count: int, tables: tuple, gamma: tuple | None):
         body.extend(f"{state[j]} = y{j} + {factor} * {slopes[j]}" for j in range(size))
         return state
 
+    def point(t: str) -> str:
+        return "(" + "".join(f"c{i} + {t} * v{i}, " for i in range(m)) + ")"
+
     y = [f"y{j}" for j in range(size)]
-    k1 = stage(1, y, "t0")
-    k2 = stage(2, advance(2, "half", k1), "t0 + half")
-    k3 = stage(3, advance(3, "half", k2), "t0 + half", fresh=gamma is not None)
-    k4 = stage(4, advance(4, "h", k3), "t0 + h")
-    body.append("return (" + "".join(
-        f"y{j} + sixth * ({a} + 2 * {b} + 2 * {c} + {d}), "
-        for j, (a, b, c, d) in enumerate(zip(k1, k2, k3, k4))) + ")")
-    bind = ["half = h / 2", "sixth = h / 6"]
+    state = f"({', '.join(y)},)"
+    guard = ["sides = guards(end)", "if 0.0 in sides or [side > 0.0 for side in sides] != signs:",
+             "    locus_sides(manifold, end, signs)"] if guarded else []
+    if gamma is None:  # the step's end point is known before the step
+        body += ["t0 = number * h", "t = t0 + h", f"end = {point('t')}", *guard,
+                 f"x = {point('t0')}"]
+    k1 = stage(1, y, "x")
+    if gamma is None:
+        body += ["t = t0 + half", f"x = {point('t')}"]
+    k2 = stage(2, advance(2, "half", k1), "x")
+    k3 = stage(3, advance(3, "half", k2), None if gamma is None else "x")
+    k4 = stage(4, advance(4, "h", k3), "end" if gamma is None else "x")
+    # in order: a geodesic's x reads the old v, which follows it in the state
+    body += [f"y{j} = y{j} + sixth * ({a} + 2.0 * {b} + 2.0 * {c} + {d})"
+             for j, (a, b, c, d) in enumerate(zip(k1, k2, k3, k4))]
+    body += [f"if not ({' and '.join(f'isfinite({j})' for j in y)}):",
+             "    raise DomainError('integration produced non-finite values')"]
+    before = [f"{state} = y"]
+    if gamma is not None:  # the step's end point is its new x; o is the start's
+        before.append("".join(f"o{i}, " for i in range(m)) + f"= y[:{m}]")
+        body += [f"end = ({', '.join(y[:m])},)", *guard, f"trail.append({state})",
+                 "if limit is not None and sqrt(sum(("
+                 + "".join(f"(y{i} - o{i}) ** 2, " for i in range(m)) + "))) > limit:", "    break"]
+    bind = ["h = 1.0 / steps", "half = h / 2", "sixth = h / 6"]
+    if guarded:
+        bind.append("guards = manifold.float_guards")
     if tables:
         bind.append("".join(f"f{i}, " for i in range(len(tables))) + "= fns")
     if gamma is None:
         bind += ["".join(f"{name}{i}, " for i in range(m)) + f"= {name}" for name in "cv"]
-    source = "\n    ".join(["def make(fns, gamma, h, c=(), v=()):", *bind,
-                            "def step(y, t0):" if gamma is None else "def step(y):",
-                            *("    " + line for line in body), "return step"])
+    source = "\n    ".join(["def make(manifold, fns, gamma, steps, c=(), v=()):", *bind,
+                            "def run(y, signs, trail=None, limit=None):",
+                            *("    " + line for line in before), "    for number in range(steps):",
+                            *("        " + line for line in body), f"    return {state}",
+                            "return run"])
     namespace: dict = {}
-    exec(source, ex._FLOAT_GLOBALS, namespace)  # noqa: S102
+    exec(source, {"isfinite": math.isfinite, "sqrt": math.sqrt, "DomainError": ex.DomainError,
+                  "locus_sides": locus_sides}, namespace)  # noqa: S102
     return namespace["make"]
 
 
-def rk4_step(manifold: geo.AffineManifold, mu, count: int, h: float, segment=None):
-    """A generated RK4 step of size h moving ``count`` jets by d_t u = v^i A_i u
-    at mu: along the straight ``segment`` (c, v) as ``step(y, t0)``, else along
-    a geodesic of the manifold as ``step(y)``.  The A_i are compiled once per
-    (manifold, mu) and kept on the manifold."""
+def rk4_run(manifold: geo.AffineManifold, mu, count: int, steps: int, segment=None):
+    """A generated run of ``steps`` RK4 steps of size 1/steps moving ``count``
+    jets by d_t u = v^i A_i u at mu: along the straight ``segment`` (c, v) as
+    ``run(y, signs)``, else along a geodesic as ``run(y, signs, trail, limit)``.
+    The A_i are compiled once per (manifold, mu) and kept on the manifold."""
     gamma_indices, gamma = (None, None) if segment else manifold.float_gamma
     compiled = manifold.float_jet_systems
     mu = Fraction(mu)
     if count and mu not in compiled:
         compiled[mu] = [ex.compile_symbols(a_i) for a_i in build_jet_system(manifold, mu).matrices]
     tables = compiled[mu] if count else ()
-    make = _rk4_maker(manifold.dim, count, tuple(indices for indices, _ in tables), gamma_indices)
-    return make([fn for _, fn in tables], gamma, h, *segment or ())
+    make = _rk4_maker(manifold.dim, count, tuple(indices for indices, _ in tables), gamma_indices,
+                      bool(manifold.excluded))
+    return make(manifold, [fn for _, fn in tables], gamma, steps, *segment or ())
 
 
 def _is_batch(u0) -> bool:
@@ -386,29 +409,26 @@ def transport_jet(manifold: geo.AffineManifold, mu, path, u0,
     move as the fundamental matrix); the result has the same form.  A
     zero-length segment leaves the jets as they are.
     """
-    jets = [[float(c) for c in jet] for jet in (u0 if _is_batch(u0) else [u0])]
+    jets = [ex.float_values(jet) for jet in (u0 if _is_batch(u0) else [u0])]
     n = manifold.dim + 1
     if any(len(jet) != n for jet in jets):
         raise ValueError(f"jet must have {n} components")
-    if not path:
+    points = [ex.float_values(point) for point in path]
+    if not points:
         raise ValueError("path has no points")
+    if steps_per_segment < 1:
+        raise ValueError("a segment needs at least one step")
     mu = Fraction(mu)  # outside float_faults, which reads any ValueError as a log domain error
-    h = 1.0 / steps_per_segment
     state = [c for jet in jets for c in jet]
     with float_faults():
-        signs = locus_sides(manifold, [float(c) for c in path[0]])
-        for start, stop in zip(path, path[1:]):
-            line = [float(c) for c in start]
-            velocity = [float(b) - a for a, b in zip(line, stop)]
-            if not any(velocity):
+        signs = locus_sides(manifold, points[0])
+        for line, stop in zip(points, points[1:]):
+            velocity = [b - a for a, b in zip(line, stop)]
+            if any(velocity):
+                run = rk4_run(manifold, mu, len(jets), steps_per_segment, (line, velocity))
+                state = run(state, signs)
+            else:
                 locus_sides(manifold, line, signs)
-                continue
-            step = rk4_step(manifold, mu, len(jets), h, (line, velocity))
-            for number in range(steps_per_segment):
-                t0 = number * h
-                if manifold.excluded:
-                    locus_sides(manifold, [c + (t0 + h) * v for c, v in zip(line, velocity)], signs)
-                state = finite(step(state, t0))
     moved = [list(state[o:o + n]) for o in range(0, len(state), n)]
     return moved if _is_batch(u0) else moved[0]
 
@@ -417,8 +437,7 @@ def holonomy_defect(manifold: geo.AffineManifold, mu, loop, u0,
                     steps_per_segment: int = 1000):
     """Norm of (transport around the closed loop) - identity applied to u0; a
     list of jets moves in one run and gives one defect per jet."""
-    first = [float(c) for c in loop[0]]
-    last = [float(c) for c in loop[-1]]
+    first, last = ex.float_values(loop[0]), ex.float_values(loop[-1])
     if any(abs(a - b) > 0.0 for a, b in zip(first, last)):
         raise ValueError("loop is not closed")
     jets = u0 if _is_batch(u0) else [u0]

@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from affineqe import catalog as cat
 from affineqe import expr as ex
@@ -310,6 +312,11 @@ class TestTransport:
         with pytest.raises(ValueError):
             qs.transport_jet(geo.flat_manifold(2), q(0), [], [1, 0, 0])
 
+    def test_step_count_below_one_rejected(self):
+        for steps in (0, -5):  # 0 divided by zero, -5 left the jet where it was
+            with pytest.raises(ValueError, match="at least one step"):
+                qs.transport_jet(geo.flat_manifold(2), q(0), [(0, 0), (1, 0)], [0, 1, 0], steps)
+
     def test_log_of_a_negative_value_is_domain_error(self):
         # Gamma_22^1 = log(x1) on x1 < 0 used to raise a bare ValueError
         m = geo.from_christoffel(X2, {(1, 1, 0): ex.log(ex.coord(0))})
@@ -317,6 +324,27 @@ class TestTransport:
             qs.transport_jet(m, q(-1), [(-0.5, 0), (-0.5, 1)], [1, 0, 0])
         with pytest.raises(ValueError):  # a bad eigenvalue is not a log domain error
             qs.transport_jet(m, "zebra", [(0.5, 0), (0.5, 1)], [1, 0, 0])
+
+    def test_non_numeric_path_coordinate_is_what_float_raises(self):
+        flat = geo.flat_manifold(2)
+        with pytest.raises(ValueError, match="could not convert"):
+            qs.transport_jet(flat, -1, [("a", 0), (1, 0)], [1, 0, 0])
+        with pytest.raises(TypeError):
+            qs.transport_jet(flat, -1, [(0, 0), (None, 0)], [1, 0, 0])
+
+    def test_path_coordinate_past_the_float_range_is_domain_error(self):
+        with pytest.raises(ex.DomainError, match="float overflow"):
+            qs.transport_jet(geo.flat_manifold(2), -1, [(0, 0), (10**400, 0)], [1, 0, 0])
+        with pytest.raises(ex.DomainError, match="float overflow"):
+            qs.holonomy_defect(geo.flat_manifold(2), -1, [(10**400, 0), (0, 0), (10**400, 0)],
+                               [1, 0, 0])
+        with pytest.raises(ex.DomainError, match="float overflow"):
+            pj.integrate_geodesic(geo.flat_manifold(2), (10**400, 0), (1, 0), 1.0)
+
+    def test_jet_component_past_the_float_range_is_domain_error(self):
+        for u0 in ([10**400, 0, 0], [[1, 0, 0], [0, q(10**400), 0]]):
+            with pytest.raises(ex.DomainError, match="float overflow"):
+                qs.transport_jet(geo.flat_manifold(2), -1, [(0, 0), (1, 0)], u0)
 
 
 def _identity_jets(size):
@@ -523,7 +551,7 @@ class TestGeneratedStepper:
         segment = ([1.0, 0.0], [0.1, 0.05])
 
         def code(manifold, *form):
-            return qs.rk4_step(manifold, q(-1), 3, 0.01, *form).__code__
+            return qs.rk4_run(manifold, q(-1), 3, 100, *form).__code__
 
         assert code(one, segment) is code(two, segment)
         assert code(one) is code(two)
@@ -533,9 +561,9 @@ class TestGeneratedStepper:
     def test_zero_length_segment_takes_no_steps(self, monkeypatch):
         m = cat.wall_projflat_surface(1, 1).manifold()
         segments = []
-        rk4_step = qs.rk4_step
-        monkeypatch.setattr(qs, "rk4_step",
-                            lambda *args: segments.append(args[4]) or rk4_step(*args))
+        rk4_run = qs.rk4_run
+        monkeypatch.setattr(qs, "rk4_run",
+                            lambda *args: segments.append(args[4]) or rk4_run(*args))
         jets = _identity_jets(3)
         assert qs.transport_jet(m, q(-1), [(1, 0), (1, 0)], jets) == jets
         assert segments == []
@@ -544,6 +572,18 @@ class TestGeneratedStepper:
             == reference_transport(m, q(-1), path, jets, 100)
         assert len(segments) == 2
 
+    @pytest.mark.parametrize("path, steps, message", [
+        ([(1, 0), (-1, 0)], 10, "path touched the excluded locus at (0.0, 0.0)"),
+        ([(q(1, 2), 0), (q(-1, 2), q(3, 10))], 7,
+         "path crossed the excluded locus near (-0.0714285714285714, 0.1714285714285714)"),
+    ])
+    def test_guard_check_inside_the_run_matches_the_reference(self, path, steps, message):
+        m = cat.wall_projflat_surface(1, 1).manifold()
+        for transport in (qs.transport_jet, reference_transport):
+            with pytest.raises(geo.ExcludedLocusError) as err:
+                transport(m, q(-1), path, _identity_jets(3), steps)
+            assert str(err.value) == message
+
     def test_non_finite_state_is_domain_error(self):
         huge = [1e308] * 4
         with pytest.raises(ex.DomainError, match="non-finite"):
@@ -551,6 +591,39 @@ class TestGeneratedStepper:
         with pytest.raises(ex.DomainError, match="non-finite"):
             pj.integrate_geodesic(example_b1(), (0, 0, 0), (1, 1, 1), 1e200,
                                   jets=_identity_jets(4))
+
+
+COEFFICIENTS = st.fractions(-1, 1, max_denominator=5)
+
+
+@st.composite
+def charts_with_paths(draw):
+    """A non-homogeneous chart with a path in it: the flat plane deformed by a
+    quadratic potential with rational coefficients, or a wall chart on a path
+    in x1 > 0."""
+    if draw(st.booleans()):
+        a, b, c = (draw(COEFFICIENTS) for _ in range(3))
+        x1, x2 = ex.coord(0), ex.coord(1)
+        change = pj.ProjectiveChange.from_potential(a * x1 * x2 + b * x1 * x1 + c * x2 * x2, 2)
+        manifold, first = pj.deform(geo.flat_manifold(2), change), st.fractions(-1, 1)
+    else:
+        c12_2 = draw(COEFFICIENTS.filter(bool))
+        manifold = cat.wall_projflat_surface(draw(st.sampled_from((1, -1))), c12_2).manifold()
+        first = st.fractions(q(1, 4), 2)
+    points = st.tuples(first.map(float), st.fractions(-1, 1).map(float))
+    path = draw(st.lists(points, min_size=2, max_size=4, unique=True))
+    jet = draw(st.lists(st.fractions(-2, 2).map(float), min_size=3, max_size=3))
+    return manifold, draw(st.sampled_from((q(-1), q(1, 2), q(2)))), path, \
+        _identity_jets(3) + [jet], draw(st.integers(1, 80))
+
+
+@given(charts_with_paths())
+@settings(max_examples=30, deadline=None)
+def test_generated_transport_is_the_reference_on_non_homogeneous_charts(case):
+    manifold, mu, path, jets, steps = case
+    # repr tells -0.0 from 0.0, so equal reprs are equal bits
+    assert repr(qs.transport_jet(manifold, mu, path, jets, steps)) \
+        == repr(reference_transport(manifold, mu, path, jets, steps))
 
 
 UNIT_LOOP_13 = [(0, 0, 0), (1, 0, 0), (1, 0, 1), (0, 0, 1), (0, 0, 0)]
