@@ -554,17 +554,12 @@ def differentiate(e: ScalarExpr, index: int) -> ScalarExpr:
     return walk(e)
 
 
-def is_exact_point(point: EvalPoint) -> bool:
-    """A point without float coordinates: values there are exact Fractions."""
-    return all(not isinstance(c, float) for c in point)
-
-
 def evaluate(e: ScalarExpr | Sequence[ScalarExpr], point: EvalPoint):
     """Evaluate at a point: in Fractions when no coordinate is a float, else in
     doubles; a sequence of expressions gives their values as a tuple from one
     walk with one memo.  exp/log at such an exact point raise ExactModeError;
     poles, logs of non-positive values and float overflow raise DomainError."""
-    exact = is_exact_point(point)
+    exact = all(not isinstance(c, float) for c in point)
     memo: dict = {}
 
     def walk(node: ScalarExpr):
@@ -803,30 +798,49 @@ def is_identically_zero(e: ScalarExpr) -> Verdict:
 _FLOAT_GLOBALS = {"_exp": _math.exp, "_log": _math.log}  # shared by every compiled callable
 
 
+NEST_BOUND = 50  # brackets of one emitted expression; CPython's tokenizer stops at 200
+
+
 def compile_float(e: ScalarExpr | Sequence[ScalarExpr]) -> Callable[[Sequence[float]], object]:
     """Compile to a plain-float callable for hot numeric loops; a sequence of
-    expressions compiles to one callable returning their values as a tuple."""
+    expressions compiles to one callable returning their values as a tuple.
+    A subtree whose text would nest deeper than NEST_BOUND brackets is bound
+    once to a local ahead of its readers, so trees nested as deep as the parser
+    allows compile too; shallower trees keep their one-expression text."""
+    hoisted: list = []  # "(_h<k> := <text>)", each before the subtrees that read it
+    names: dict = {}  # id of a hoisted subtree -> its local
 
-    def emit(node: ScalarExpr) -> str:
+    def emit(node: ScalarExpr) -> tuple:
+        """The node's text and the bracket depth of that text."""
+        if id(node) in names:
+            return names[id(node)], 0
         if isinstance(node, Const):
-            return repr(float(node.value))
+            return repr(float(node.value)), 0
         if isinstance(node, Coord):
-            return f"c[{node.index}]"
-        if isinstance(node, Add):
-            return "(" + "+".join(emit(t) for t in node.terms) + ")"
-        if isinstance(node, Mul):
-            return "(" + "*".join(emit(f) for f in node.factors) + ")"
-        if isinstance(node, Div):
-            return f"({emit(node.num)}/{emit(node.den)})"
-        if isinstance(node, Pow):
-            return f"({emit(node.base)})**({node.exponent})"
-        if isinstance(node, Exp):
-            return f"_exp({emit(node.arg)})"
-        if isinstance(node, Log):
-            return f"_log({emit(node.arg)})"
-        raise TypeError(f"not a ScalarExpr: {node!r}")
+            return f"c[{node.index}]", 1
+        if isinstance(node, (Add, Mul)):
+            kids = node.terms if isinstance(node, Add) else node.factors
+            form = "(" + ("+" if isinstance(node, Add) else "*").join(["{}"] * len(kids)) + ")"
+        elif isinstance(node, Div):
+            kids, form = (node.num, node.den), "({}/{})"
+        elif isinstance(node, Pow):
+            kids, form = (node.base,), f"({{}})**({node.exponent})"
+        elif isinstance(node, (Exp, Log)):
+            kids, form = (node.arg,), "_exp({})" if isinstance(node, Exp) else "_log({})"
+        else:
+            raise TypeError(f"not a ScalarExpr: {node!r}")
+        parts = [emit(kid) for kid in kids]
+        text, depth = form.format(*(t for t, _ in parts)), 1 + max(d for _, d in parts)
+        if depth <= NEST_BOUND:
+            return text, depth
+        names[id(node)] = f"_h{len(hoisted)}"
+        hoisted.append(f"({names[id(node)]} := {text})")
+        return names[id(node)], 0
 
-    body = emit(e) if isinstance(e, ScalarExpr) else "(" + "".join(emit(t) + "," for t in e) + ")"
+    body = emit(e)[0] if isinstance(e, ScalarExpr) \
+        else "(" + "".join(emit(t)[0] + "," for t in e) + ")"
+    if hoisted:  # a tuple's items run left to right: every local is bound before it is read
+        body = "(" + "".join(h + ", " for h in hoisted) + body + ")[-1]"
     return eval(f"lambda c: {body}", _FLOAT_GLOBALS)  # noqa: S307
 
 

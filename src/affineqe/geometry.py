@@ -60,7 +60,9 @@ class AffineManifold:
         return len(self.coords)
 
     def check_point(self, point) -> None:
-        if self.excluded and 0 in ex.evaluate(self.excluded, point):
+        """Raise ExcludedLocusError on the excluded locus; exp/log guards are read in floats."""
+        if any(ex.evaluate(g, point if g.rational_only else ex.float_values(point)) == 0
+               for g in self.excluded):
             raise ExcludedLocusError(f"point {tuple(point)} lies on the excluded locus")
 
     @cached_property

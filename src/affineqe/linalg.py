@@ -1,8 +1,10 @@
-"""Exact rational rank/kernel computations, with a float SVD fallback.
+"""Exact rational rank/kernel computations, with a float SVD for exp/log data.
 
-The exact routine is Gauss-Jordan elimination in `Fraction`s: each new row is
-reduced against the pivot rows and, when it is independent, divided by its
-pivot, so rank and kernel are certificates, not estimates.
+The exact routine is Gauss-Jordan elimination in `Fraction`s, kept in reduced
+echelon form as rows arrive: each new row is reduced against the pivot rows
+and, when it is independent, divided by its pivot and cleared from the earlier
+pivot rows.  Rank and kernel are certificates, not estimates, and the kernel
+is read off the reduced rows directly.
 """
 
 from __future__ import annotations
@@ -37,36 +39,23 @@ class RowReducer:
             if work[col]:
                 inv = 1 / work[col]
                 normalized = [v * inv for v in work]
+                for earlier in self.pivot_rows:
+                    factor = earlier[col]
+                    if factor:
+                        for j in range(self.ncols):
+                            earlier[j] -= factor * normalized[j]
                 self.pivot_rows.append(normalized)
                 self.pivot_cols.append(col)
                 return True
         return False
 
     def kernel_basis(self) -> list[tuple[Fraction, ...]]:
-        """Exact basis of {v : R v = 0} for the accumulated row space."""
-        # back-substitute to reduced echelon form
-        rows = [list(r) for r in self.pivot_rows]
-        cols = list(self.pivot_cols)
-        order = sorted(range(len(cols)), key=lambda i: cols[i])
-        rows = [rows[i] for i in order]
-        cols = [cols[i] for i in order]
-        for i in range(len(rows) - 1, -1, -1):
-            for k in range(i):
-                factor = rows[k][cols[i]]
-                if factor:
-                    for j in range(self.ncols):
-                        rows[k][j] -= factor * rows[i][j]
-        pivot_set = set(cols)
-        basis = []
-        for free in range(self.ncols):
-            if free in pivot_set:
-                continue
-            vec = [Fraction(0)] * self.ncols
-            vec[free] = Fraction(1)
-            for row, col in zip(rows, cols):
-                vec[col] = -row[free]
-            basis.append(tuple(vec))
-        return basis
+        """Exact basis of {v : R v = 0} for the accumulated row space, one
+        vector per free column in column order."""
+        by_col = dict(zip(self.pivot_cols, self.pivot_rows))
+        return [tuple(-by_col[j][free] if j in by_col else Fraction(j == free)
+                      for j in range(self.ncols))
+                for free in range(self.ncols) if free not in by_col]
 
 
 def exact_rank(rows: Sequence[Sequence[Fraction]], ncols: int) -> int:

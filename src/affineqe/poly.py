@@ -163,17 +163,15 @@ class Poly:
                     break
         return Poly(out)
 
-    def eval(self, point: Sequence):
-        """Evaluate at a point of Fractions (exact) or floats."""
+    def eval(self, point: Sequence) -> Fraction:
+        """Evaluate exactly at a point of Fractions."""
         total = None
         for mono, coeff in self.terms.items():
             value = coeff
             for var, exp in mono:
                 value = value * point[var] ** exp
             total = value if total is None else total + value
-        if total is None:
-            return Fraction(0) if not point or isinstance(point[0], (Fraction, int)) else 0.0
-        return total
+        return Fraction(0) if total is None else total
 
     def monomial_content(self) -> Monomial:
         it = iter(self.terms)

@@ -269,6 +269,8 @@ def integrate_geodesic(manifold: geo.AffineManifold, start, velocity,
     locus.  Given ``jets``, they move in the same run by d_t u = v^i A_i u at
     -1/(m-1), and the result is (samples, the moved jets at each sample).
     """
+    if steps < 1:
+        raise ValueError("a geodesic needs at least one step")
     m = manifold.dim
     run = qs.rk4_run(manifold, qs.distinguished_eigenvalue(m), len(jets or ()), steps)
     origin = ex.float_values(start)

@@ -6,17 +6,18 @@ Frobenius integrability produces linear constraints on admissible jets; the
 constraints are prolonged until their rank at the basepoint stabilizes, and the
 kernel of the evaluated stack is the space of admissible initial jets.  When
 the system is rational, constraint rows are `poly.RationalFunc` tuples built
-from the matrices converted once; exp/log systems keep expression-tree rows,
-simplified after each step.  Transport moves a list of jets along one path
-in a single fixed-step classical Runge-Kutta run (the m+1 basis jets move as
-the fundamental matrix), from the tree matrices compiled to floats once per
-(manifold, mu) and kept on the manifold.  Each run of RK4 steps, a
+from the matrices converted once, ranked exactly at any basepoint; exp/log
+systems keep expression-tree rows, simplified after each step and ranked by
+SVD.  Transport moves a list of jets along one path in a single fixed-step
+classical Runge-Kutta run (the m+1 basis jets move as the fundamental
+matrix), from the tree matrices compiled to floats once per (manifold, mu)
+and kept on the manifold.  Each run of RK4 steps, a
 segment's or a geodesic's, is one Python loop generated for the nonzero
 pattern of the A_i and shared by every manifold of that pattern: each v^i A_i
 entry product is formed once for all jets, and the excluded-locus and
 finiteness checks run inside the loop; the geodesics of `projective` carry
 jets through the same generator, in its (x, v, jets) form.  Float faults in
-row values and transport are reported by `expr.float_faults`.
+transport are reported by `expr.float_faults`.
 """
 
 from __future__ import annotations
@@ -106,12 +107,10 @@ class ConstraintRow:
         return all(e.is_zero for e in self.entries)
 
     def values(self, point) -> tuple:
-        """The entries at a point: Fractions at an exact point, else floats."""
+        """The entries at a point: Fractions for RationalFunc rows, else floats."""
         if not isinstance(self.entries[0], RationalFunc):
             return ex.evaluate(self.entries, point)
-        exact = ex.is_exact_point(point)
-        with float_faults():
-            return tuple(e.eval(point) if exact else float(e.eval(point)) for e in self.entries)
+        return tuple(e.eval(point) for e in self.entries)
 
 
 @dataclass
@@ -212,41 +211,43 @@ def solution_dimension(manifold: geo.AffineManifold, mu, basepoint,
     system = build_jet_system(manifold, mu)
     n = system.jet_size
     cap = max_generations if max_generations is not None else 2 * manifold.dim + 6
-    exact = system.rational_only and ex.is_exact_point(basepoint)
-    point = tuple(Fraction(c) for c in basepoint) if exact \
-        else tuple(float(c) for c in basepoint)
+    # a double is a dyadic rational, so Fraction(c) ranks rational data exactly at c itself
+    exact = system.rational_only
+    point = tuple(Fraction(c) if exact else float(c) for c in basepoint)
+    # a pole of a jet-system entry at the point is a DomainError, even where no row reads it
+    entries = [e for grid in system.row_matrices for row in grid for e in row]
+    if not exact:
+        ex.evaluate(entries, point)
+    elif any(not e.den.eval(point) for e in entries):
+        raise ex.DomainError(f"pole of the symbols at the basepoint ({', '.join(map(str, point))})")
 
     stack = integrability_constraints(system)
     latest = stack.effective_rows()
-    reducer = RowReducer(n) if exact else None
+    reducer = RowReducer(n)
     float_rows: list = []
     history: list = []
     while True:
-        for row in latest:
-            if exact:
+        if exact:
+            for row in latest:
                 reducer.add_row(row.values(point))
-            else:
-                float_rows.append(row.values(point))
-        history.append(reducer.rank if exact else float_rank_kernel(float_rows, n)[0])
-        stabilized = (history[-1] == n or not latest
-                      or len(history) >= 3 and history[-1] == history[-2] == history[-3])
+            rank = reducer.rank
+        else:
+            float_rows.extend(row.values(point) for row in latest)
+            rank, kernel = float_rank_kernel(float_rows, n)
+        history.append(rank)
+        stabilized = (rank == n or not latest
+                      or len(history) >= 3 and rank == history[-2] == history[-3])
         if stabilized or len(history) > cap:
             break
         before = len(stack.rows)
         stack = prolong(system, stack, rows=latest)
         latest = stack.rows[before:]
 
-    if exact:
-        basis = tuple(reducer.kernel_basis())
-        rank = reducer.rank
-    else:
-        rank, kernel = float_rank_kernel(float_rows, n)
-        basis = tuple(kernel)
     return SolutionSpace(
-        basepoint=tuple(point),
+        basepoint=point,
         mu=Fraction(mu),
         dim=n - rank,
-        basis=basis,
+        basis=tuple(reducer.kernel_basis() if exact else kernel),
         rank_history=tuple(history),
         stabilized=stabilized,
         exact=exact,
@@ -437,6 +438,8 @@ def holonomy_defect(manifold: geo.AffineManifold, mu, loop, u0,
                     steps_per_segment: int = 1000):
     """Norm of (transport around the closed loop) - identity applied to u0; a
     list of jets moves in one run and gives one defect per jet."""
+    if not loop:
+        raise ValueError("loop has no points")
     first, last = ex.float_values(loop[0]), ex.float_values(loop[-1])
     if any(abs(a - b) > 0.0 for a, b in zip(first, last)):
         raise ValueError("loop is not closed")

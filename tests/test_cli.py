@@ -444,3 +444,31 @@ def test_seed_help_names_what_it_seeds(command, capsys):
             "flatten": "seed for the random geodesic directions"}.get(
         command, "not read by this command")
     assert want in " ".join(capsys.readouterr().out.split())
+
+
+def test_exp_guard_is_read_in_floats(tmp_path, capsys):
+    # used to exit 2 with "exp is not available in exact mode"
+    path = tmp_path / "expwall.json"
+    path.write_text(json.dumps({"dim": 2, "christoffel": {"1,1^1": "1/(exp(x1) - 2)"},
+                                "excluded": ["exp(x1) - 2"]}))
+    assert main(["qe-dim", str(path), "--mu", "-1", "--basepoint", "0,0"]) == 0
+    assert "mu = -1: dim = 3" in capsys.readouterr().out
+    assert main(["flatten", str(path)]) == 0
+
+
+@pytest.mark.parametrize("command", [["qe-dim", "--mu", "-1"], ["verify"], ["flatten"]])
+def test_pole_read_by_no_row_is_input_error(command, tmp_path, capsys):
+    # Gamma_11^1 = 1/x1 gives only zero rows: the pole at the basepoint used to go unseen
+    path = tmp_path / "pole.json"
+    path.write_text(json.dumps({"dim": 2, "christoffel": {"1,1^1": "1/x1"}}))
+    code = main([command[0], str(path), *command[1:], "--basepoint", "0,0"])
+    _assert_input_error(code, capsys, "pole")
+
+
+def test_flatten_of_a_symbol_at_the_nesting_cap(tmp_path, capsys):
+    # 100 levels of x1 - (...) is 2; its compiled form used to be a SyntaxError traceback
+    nest = "x1 - (" * 100 + "2" + ")" * 100
+    path = tmp_path / "nested.json"
+    path.write_text(json.dumps({"dim": 2, "christoffel": {"1,1^1": nest, "1,2^2": "1"}}))
+    assert main(["flatten", str(path)]) == 0
+    assert "strongly projectively flat: True" in capsys.readouterr().out

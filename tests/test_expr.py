@@ -1,3 +1,4 @@
+import builtins
 import copy
 import math
 import pickle
@@ -332,6 +333,43 @@ def test_compile_float_matches_evaluate():
     for _ in range(25):
         p = (rng.uniform(-2, 2), rng.uniform(-2, 2))
         assert fn(p) == pytest.approx(evaluate(e, p), rel=1e-12)
+
+
+def _nested_difference(levels):
+    """x1 - (x1 - (... (x1 - 2))), which is 2 for an even number of levels."""
+    return parse_scalar("x1 - (" * levels + "2" + ")" * levels, XY)
+
+
+@pytest.mark.parametrize("levels", [100, 200])
+def test_compile_float_of_a_tree_at_the_parsers_depth_cap(levels, monkeypatch):
+    # the one emitted expression used to nest past CPython's 200 brackets
+    sources = []
+    monkeypatch.setattr(expr, "eval", lambda text, names: sources.append(text)
+                        or builtins.eval(text, names), raising=False)
+    e = _nested_difference(levels)
+    for point in ((0.5, 0.0), (-3.0, 1.0)):
+        assert expr.compile_float(e)(point) == pytest.approx(evaluate(e, point), rel=1e-12)
+        assert expr.compile_float([e, e])(point) == (2.0, 2.0)
+    for text in sources:
+        depth = deepest = 0
+        for char in text:
+            depth += (char in "([") - (char in ")]")
+            deepest = max(deepest, depth)
+        # a bound local's text, its "(name := ...)" and the tuple that binds it
+        assert deepest <= expr.NEST_BOUND + 3
+
+
+def test_compile_float_binds_a_shared_deep_subtree_once():
+    e = _nested_difference(100)
+    alone = expr.compile_float(e).__code__.co_varnames
+    assert len(alone) > 1
+    assert expr.compile_float([e, e, e]).__code__.co_varnames == alone
+
+
+def test_shallow_trees_compile_without_locals():
+    e = parse_scalar("(1 + x1^2 - x2)/(2 + x2^2) + exp(x1/2)", XY)
+    assert expr.compile_float(e).__code__.co_varnames == ("c",)
+    assert expr.compile_float(_nested_difference(20)).__code__.co_varnames == ("c",)
 
 
 # ---------------------------------------------------------------------------

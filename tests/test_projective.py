@@ -303,6 +303,12 @@ class TestGeodesics:
         with pytest.raises(geo.ExcludedLocusError):
             pj.integrate_geodesic(m, (1.0, 0.0), (-1.0, 0.0), 2, jets=_identity_jets(3))
 
+    def test_step_count_below_one_rejected(self):
+        # 0 used to divide by zero, -3 to report that the geodesic left the region
+        for steps in (0, -3):
+            with pytest.raises(ValueError, match="at least one step"):
+                pj.integrate_geodesic(FLAT, (0.0, 0.0), (1.0, 0.0), 1.0, steps=steps)
+
     @pytest.mark.parametrize("surface", ["wall", "deformed_plane"])
     def test_jets_carried_along_the_geodesic_match_straight_transport(self, surface):
         if surface == "wall":

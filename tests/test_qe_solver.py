@@ -67,7 +67,7 @@ def rand_c(rng):
 def in_solution_space(space, jet) -> bool:
     """Is the jet in the span of the kernel basis: exactly for an exact space at
     an exact jet, else by least squares to 1e-8 of the jet's norm."""
-    if space.exact and ex.is_exact_point(jet):
+    if space.exact and all(not isinstance(c, float) for c in jet):
         reducer = RowReducer(len(jet))
         for vec in space.basis:
             reducer.add_row(vec)
@@ -247,23 +247,70 @@ class TestSolutionDimension:
         space = qs.solution_dimension(m, q(-1, 2), ORIGIN3, max_generations=0)
         assert not space.stabilized
 
-    def test_float_basepoint_uses_numeric_rank(self):
-        space = qs.solution_dimension(example_b1(), q(-3, 5), (0.1, -0.2, 0.05))
-        assert not space.exact
+    def test_float_basepoint_is_ranked_exactly(self):
+        # a double is a dyadic rational: rational data at a float point is ranked at Fraction(c)
+        point = (0.1, -0.2, 0.05)
+        space = qs.solution_dimension(example_b1(), q(-3, 5), point)
+        at_fraction = qs.solution_dimension(example_b1(), q(-3, 5), tuple(map(Fraction, point)))
+        assert space.exact
         assert space.dim == 2
+        assert space == at_fraction
+        assert space.basepoint == tuple(map(Fraction, point))
 
-    def test_float_solve_without_constraint_rows(self):
-        # the flat plane has no generation-0 rows, so the SVD sees an empty stack
+    def test_float_basepoint_without_constraint_rows_is_exact(self):
+        # the flat plane has no generation-0 rows: the empty stack is ranked exactly
         space = qs.solution_dimension(geo.flat_manifold(2), 0, (0.5, 0.5))
+        assert space.exact is True
+        assert space.dim == 3
+        assert space.rank_history == (0,)
+        assert space.basis == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+
+    def test_membership_at_a_float_basepoint_is_exact(self):
+        space = qs.solution_dimension(cat.wall_dim1_surface(1).manifold(), -1, (1.0, 0.0))
+        assert space.exact
+        assert in_solution_space(space, (q(2), q(0), q(0)))
+        assert not in_solution_space(space, (q(0), q(1), q(0)))
+
+    def test_exp_solve_without_constraint_rows(self):
+        # exp/log data is ranked by the SVD, here of an empty stack
+        m = geo.from_christoffel(X2, {(0, 0, 0): ex.parse_scalar("exp(x1)", X2)})
+        space = qs.solution_dimension(m, 0, ORIGIN2)
         assert space.exact is False
         assert space.dim == 3
         assert space.rank_history == (0,)
 
-    def test_membership_in_a_float_space(self):
-        space = qs.solution_dimension(cat.wall_dim1_surface(1).manifold(), -1, (1.0, 0.0))
+    def test_membership_in_an_exp_deformed_float_space(self):
+        # strong projective invariance at -1/(m-1): the exp deformation keeps dim 1
+        g = ex.parse_scalar("exp(x2)/3", X2)
+        m = pj.deform(cat.wall_dim1_surface(1).manifold(), pj.ProjectiveChange.from_potential(g, 2))
+        space = qs.solution_dimension(m, -1, WALL_BASE)
         assert not space.exact
-        assert in_solution_space(space, (2.0, 0.0, 0.0))
+        assert space.dim == 1
+        assert in_solution_space(space, (3.0, 0.0, 1.0))
         assert not in_solution_space(space, (0.0, 1.0, 0.0))
+
+    @pytest.mark.parametrize("point", [(q(0), q(0)), (0.0, 0.5)])
+    def test_pole_read_by_no_row_is_domain_error(self, point):
+        # every constraint row of Gamma_11^1 = 1/x1 is zero, so only the symbols see the pole
+        m = geo.from_christoffel(X2, {(0, 0, 0): 1 / ex.coord(0)})
+        assert not qs.integrability_constraints(qs.build_jet_system(m, q(-1))).effective_rows()
+        with pytest.raises(ex.DomainError, match="pole"):
+            qs.solution_dimension(m, q(-1), point)
+
+    def test_pole_of_exp_data_read_by_no_row_is_domain_error(self):
+        # tree rows: Gamma_11^1 = 1/x1 beside Gamma_22^2 = exp(x2) gives no row at mu 0
+        m = geo.from_christoffel(X2, {(0, 0, 0): 1 / ex.coord(0),
+                                      (1, 1, 1): ex.parse_scalar("exp(x2)", X2)})
+        assert not qs.integrability_constraints(qs.build_jet_system(m, q(0))).effective_rows()
+        with pytest.raises(ex.DomainError, match="pole"):
+            qs.solution_dimension(m, q(0), ORIGIN2)
+
+    def test_exp_guard_is_read_in_floats(self):
+        guard = ex.parse_scalar("exp(x1) - 2", X2)
+        m = geo.from_christoffel(X2, {(0, 0, 0): 1 / guard}, excluded=[guard])
+        assert qs.solution_dimension(m, q(-1), ORIGIN2).dim == 3
+        with pytest.raises(geo.ExcludedLocusError):
+            m.check_point((math.log(2.0), 0.0))
 
 
 class TestTransport:
@@ -311,6 +358,11 @@ class TestTransport:
     def test_empty_path_rejected(self):
         with pytest.raises(ValueError):
             qs.transport_jet(geo.flat_manifold(2), q(0), [], [1, 0, 0])
+
+    def test_empty_loop_rejected(self):
+        # used to be a bare IndexError
+        with pytest.raises(ValueError, match="loop has no points"):
+            qs.holonomy_defect(geo.flat_manifold(2), q(0), [], [1, 0, 0])
 
     def test_step_count_below_one_rejected(self):
         for steps in (0, -5):  # 0 divided by zero, -5 left the jet where it was
