@@ -554,13 +554,14 @@ def differentiate(e: ScalarExpr, index: int) -> ScalarExpr:
     return walk(e)
 
 
-def evaluate(e: ScalarExpr | Sequence[ScalarExpr], point: EvalPoint):
+def evaluate(e: ScalarExpr | Sequence[ScalarExpr], point: EvalPoint, memo: dict | None = None):
     """Evaluate at a point: in Fractions when no coordinate is a float, else in
     doubles; a sequence of expressions gives their values as a tuple from one
     walk with one memo.  exp/log at such an exact point raise ExactModeError;
-    poles, logs of non-positive values and float overflow raise DomainError."""
+    poles, logs of non-positive values and float overflow raise DomainError.
+    A shared `memo` (keyed by id) needs points agreeing on the coordinates read."""
     exact = all(not isinstance(c, float) for c in point)
-    memo: dict = {}
+    memo = {} if memo is None else memo
 
     def walk(node: ScalarExpr):
         hit = memo.get(id(node))
@@ -634,9 +635,9 @@ def float_values(values) -> list:
         raise _fault_error(err) from None
 
 
-def to_ratfunc(e: ScalarExpr) -> RationalFunc:
+def to_ratfunc(e: ScalarExpr, memo: dict | None = None) -> RationalFunc:
     """Convert a rational-only tree to an exact rational-function pair."""
-    memo: dict = {}
+    memo = {} if memo is None else memo
 
     def walk(node: ScalarExpr) -> RationalFunc:
         hit = memo.get(id(node))
@@ -776,23 +777,46 @@ def _sample_verdict(e: ScalarExpr, rng: random.Random) -> Verdict:
     raise DomainError("expression could not be sampled anywhere")
 
 
-def is_identically_zero(e: ScalarExpr) -> Verdict:
+# coordinate count -> the cross-check point: the seed's first draws, so each point
+# is a prefix of the longer ones and one value memo serves any coordinate count
+_CHECK_POINTS: dict = {}
+
+
+def is_identically_zero(e: ScalarExpr, memos: tuple | None = None) -> Verdict:
     """The one judge of zero, on raw trees: a rational-only tree is put into exact
     form here and a random rational point cross-checks a zero claim; an exp/log
-    tree is sampled.  Draws come from a fixed seed, so the tree fixes the verdict."""
-    rng = random.Random(0x5EED)
+    tree is sampled.  Draws come from a fixed seed, so the tree fixes the verdict.
+    `memos`, a (to_ratfunc, evaluate) pair of dicts, serves trees kept alive together."""
     if not _rational_only(e):
-        return _sample_verdict(e, rng)
-    if to_ratfunc(e).is_zero:
-        point = random_rational_point(max_coord_index(e) + 1, rng)
+        return _sample_verdict(e, random.Random(0x5EED))
+    ratfunc_memo, value_memo = memos or (None, None)
+    if to_ratfunc(e, ratfunc_memo).is_zero:
+        nvars = max_coord_index(e) + 1
+        point = _CHECK_POINTS.get(nvars) or _CHECK_POINTS.setdefault(
+            nvars, random_rational_point(nvars, random.Random(0x5EED)))
         try:
-            check = evaluate(e, point)
+            check = evaluate(e, point, value_memo)
             if check != 0:
                 raise AssertionError("canonical form disagrees with evaluation")
         except DomainError:
             pass  # point hit a pole of an intermediate subexpression
         return Verdict.ZERO
     return Verdict.NONZERO
+
+
+def check_defined(e: ScalarExpr) -> None:
+    """DomainError if a rational part of e has an identically-zero denominator,
+    which derivatives can fold away: d(1/(x1 - x1)) = 0."""
+    stack = [e]
+    while stack:
+        node = stack.pop()
+        if _rational_only(node):
+            to_ratfunc(node)
+        elif isinstance(node, (Add, Mul, Div)):
+            stack.extend(node.terms if isinstance(node, Add) else node.factors
+                         if isinstance(node, Mul) else (node.num, node.den))
+        else:
+            stack.append(node.base if isinstance(node, Pow) else node.arg)
 
 
 _FLOAT_GLOBALS = {"_exp": _math.exp, "_log": _math.log}  # shared by every compiled callable

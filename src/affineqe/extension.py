@@ -7,8 +7,10 @@ tensor Phi is the 2m-dimensional metric
 
 (the mixed terms read as the symmetric pairing).  Its components are degree-1
 polynomials in the fiber coordinates, so metrics, inverses and connections are
-expression trees on the chart enlarged from m to 2m coordinates; the
-Levi-Civita symbols of a rational metric are computed in `RationalFunc`.
+expression trees on the chart enlarged from m to 2m coordinates.  Rational data
+keeps one exact `RationalFunc` grid from metric to inverse (its negation) to the
+Koszul sums, and trees are rebuilt only for what is returned; exp/log data runs
+the same code on the trees themselves.
 The pullback identities and the quasi-Einstein residual of one metric value
 share one Levi-Civita chart and its Ricci tensor, kept for the last metric.
 """
@@ -16,7 +18,7 @@ share one Levi-Civita chart and its Ricci tensor, kept for the last metric.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from typing import Sequence
@@ -24,6 +26,20 @@ from typing import Sequence
 from . import expr as ex
 from . import geometry as geo
 from .expr import DomainError, ScalarExpr, Verdict
+from .poly import RationalFunc
+
+
+def _row_form(rational: bool) -> tuple:
+    """(convert, rebuild) between trees and the rows the metric chain computes in:
+    `RationalFunc` pairs for rational data, else the trees themselves."""
+    return (ex.to_ratfunc, ex.from_ratfunc) if rational else ((lambda e: e), ex.simplify_rational)
+
+
+def _block_grid(m, xx, yy, one, zero) -> tuple:
+    """The 2m grid with xx(a, b) and yy(a, b) in its diagonal blocks, paired by the identity."""
+    return tuple(tuple(xx(a, b) if a < m and b < m else yy(a - m, b - m) if a >= m and b >= m
+                       else one if abs(a - b) == m else zero
+                       for b in range(2 * m)) for a in range(2 * m))
 
 
 @dataclass(frozen=True)
@@ -33,12 +49,17 @@ class PseudoMetric:
     coords: tuple
     components: tuple
     excluded: tuple = ()
+    rows: tuple | None = field(default=None, compare=False, repr=False)  # see _row_form
 
     def __post_init__(self):
         n = len(self.components)
         if not n or n % 2 or len(self.coords) != n or any(len(r) != n for r in self.components):
             raise ValueError(f"a metric needs a 2m x 2m grid on 2m coordinates, not {n} rows "
                              f"on {len(self.coords)} coordinates")
+        if self.rows is None:
+            convert, _ = _row_form(all(e.rational_only for r in self.components for e in r))
+            object.__setattr__(self, "rows", tuple(tuple(map(convert, r))
+                                                   for r in self.components))
 
     @property
     def n(self) -> int:
@@ -46,6 +67,13 @@ class PseudoMetric:
 
     def comp(self, a: int, b: int) -> ScalarExpr:
         return self.components[a][b]
+
+    @cached_property
+    def block_form(self) -> bool:
+        """The form of a deformed extension: identity dx-dy pairing, zero yy-block."""
+        m = self.n // 2
+        return all(self.comp(a, m + b) == self.comp(m + b, a) == (ex.ONE if a == b else ex.ZERO)
+                   and self.comp(m + a, m + b) == ex.ZERO for a in range(m) for b in range(m))
 
     @cached_property
     def inverse(self) -> tuple:
@@ -63,7 +91,7 @@ def _symmetric_or_raise(grid, size, what):
 
 def deformed_extension(manifold: geo.AffineManifold,
                        phi: Sequence | None = None) -> PseudoMetric:
-    """The neutral metric with xx-block Phi_ij - 2 y_k G_ij^k."""
+    """The neutral metric with xx-block Phi_ij - 2 y_k G_ij^k, summed in the row form."""
     m = manifold.dim
     if phi is None:
         phi = [[ex.ZERO] * m for _ in range(m)]
@@ -72,21 +100,23 @@ def deformed_extension(manifold: geo.AffineManifold,
         raise ValueError(f"deformation tensor must be {m}x{m}")
     _symmetric_or_raise(phi, m, "deformation tensor")
     coords = tuple(manifold.coords) + tuple(f"y{i + 1}" for i in range(m))
+    gamma = manifold.gamma
+    rational = all(e.rational_only for row in phi for e in row) \
+        and all(s.rational_only for plane in gamma for row in plane for s in row)
+    convert, rebuild = _row_form(rational)
+    lifts = [convert(ex.const(2)) * convert(ex.coord(m + k)) for k in range(m)]
 
-    def fill(a, b):
-        if a < m and b < m:
-            total = phi[a][b]
-            for k in range(m):
-                total = total - 2 * ex.coord(m + k) * manifold.gamma[a][b][k]
-            return ex.simplify_rational(total)
-        if a < m <= b:
-            return ex.ONE if b - m == a else ex.ZERO
-        if b < m <= a:
-            return ex.ONE if a - m == b else ex.ZERO
-        return ex.ZERO
+    def entry(a, b):
+        total = convert(phi[a][b])
+        for lift, symbol in zip(lifts, gamma[a][b]):
+            if symbol != ex.ZERO:
+                total = total - lift * convert(symbol)
+        return total
 
-    grid = tuple(tuple(fill(a, b) for b in range(2 * m)) for a in range(2 * m))
-    return PseudoMetric(coords, grid, excluded=manifold.excluded)
+    xx, zero = [[entry(a, b) for b in range(m)] for a in range(m)], convert(ex.ZERO)
+    trees = _block_grid(m, lambda a, b: rebuild(xx[a][b]), lambda a, b: ex.ZERO, ex.ONE, ex.ZERO)
+    rows = _block_grid(m, lambda a, b: xx[a][b], lambda a, b: zero, convert(ex.ONE), zero)
+    return PseudoMetric(coords, trees, manifold.excluded, rows if rational else None)
 
 
 def metric_from_grid(coords, grid, excluded=()) -> PseudoMetric:
@@ -115,40 +145,27 @@ def _determinant(grid, rows, cols):
 def inverse_metric(metric: PseudoMetric) -> tuple:
     """Exact inverse component grid.
 
-    Metrics whose components have the form of a deformed extension (identity
-    dx-dy pairing, zero yy-block) use the closed form: zero xx-block, identity
-    pairing, yy-block the negative of the xx-block.  General metrics go
-    through the adjugate, rejecting an identically-degenerate determinant.
+    Metrics in block form use the closed form: zero xx-block, identity pairing,
+    yy-block the negative of the xx-block, negated in the row form.  General
+    metrics go through the adjugate, rejecting an identically-degenerate
+    determinant.
     """
     n = metric.n
-    m = n // 2
-    if all(metric.comp(a, m + b) == metric.comp(m + b, a) == (ex.ONE if a == b else ex.ZERO)
-           and metric.comp(m + a, m + b) == ex.ZERO for a in range(m) for b in range(m)):
-        def fill(a, b):
-            if a < m and b < m:
-                return ex.ZERO
-            if a < m <= b:
-                return ex.ONE if b - m == a else ex.ZERO
-            if b < m <= a:
-                return ex.ONE if a - m == b else ex.ZERO
-            return ex.simplify_rational(ex.neg(metric.comp(a - m, b - m)))
-
-        return tuple(tuple(fill(a, b) for b in range(n)) for a in range(n))
+    if metric.block_form:
+        _, rebuild = _row_form(isinstance(metric.rows[0][0], RationalFunc))
+        return _block_grid(n // 2, lambda a, b: ex.ZERO, lambda a, b: rebuild(-metric.rows[a][b]),
+                           ex.ONE, ex.ZERO)
     everything = tuple(range(n))
     det = _determinant(metric.components, everything, everything)
     if ex.is_identically_zero(det) is not Verdict.NONZERO:
         raise DomainError("metric is degenerate")
-    out = []
-    for a in range(n):
-        row = []
-        for b in range(n):
-            rows = tuple(r for r in everything if r != b)
-            cols = tuple(c for c in everything if c != a)
-            cofactor = _determinant(metric.components, rows, cols)
-            sign = 1 if (a + b) % 2 == 0 else -1
-            row.append(ex.simplify_rational(sign * cofactor / det))
-        out.append(tuple(row))
-    return tuple(out)
+
+    def entry(a, b):
+        cofactor = _determinant(metric.components, everything[:b] + everything[b + 1:],
+                                everything[:a] + everything[a + 1:])
+        return ex.simplify_rational((1 if (a + b) % 2 == 0 else -1) * cofactor / det)
+
+    return tuple(tuple(entry(a, b) for b in range(n)) for a in range(n))
 
 
 # --------------------------------------------------------------------------
@@ -159,20 +176,18 @@ def levi_civita(metric: PseudoMetric) -> geo.AffineManifold:
     """The torsion-free metric connection as an affine chart on the metric's
     coordinates: Koszul symbols (1/2) g^{kl} (d_i g_jl + d_j g_il - d_l g_ij).
 
-    A rational metric and its inverse are converted to `RationalFunc` once and
-    each symbol is rebuilt as a tree at the end; exp/log metrics stay trees.
-    Only nonzero g^{kl} and brackets enter the sums.  When the converted grid
-    is symmetric as pairs, the symbols of (j, i) are those of (i, j): sums of
-    pairs commute, while ordered tree sums of exp/log metrics do not."""
+    The sums run on the metric's rows and its inverse in that form (the closed
+    form negates the rows); symbols are rebuilt as trees at the end, and only
+    nonzero g^{kl} and brackets are summed.  For `RationalFunc` rows symmetric
+    as pairs the symbols of (j, i) are those of (i, j): sums of pairs commute,
+    while ordered tree sums of exp/log metrics do not."""
     n = metric.n
-    grids = (metric.components, metric.inverse)
-    rational = all(e.rational_only for grid in grids for row in grid for e in row)
-    if rational:
-        convert, rebuild = ex.to_ratfunc, ex.from_ratfunc
-    else:
-        convert, rebuild = (lambda e: e), ex.simplify_rational
-    g, inverse = ([[convert(e) for e in row] for row in grid] for grid in grids)
-    zero, half = convert(ex.ZERO), convert(ex.const(Fraction(1, 2)))
+    g = metric.rows
+    exact = isinstance(g[0][0], RationalFunc)
+    convert, rebuild = _row_form(exact)
+    zero, one, half = (convert(ex.const(c)) for c in (0, 1, Fraction(1, 2)))
+    inverse = _block_grid(n // 2, lambda a, b: zero, lambda a, b: -g[a][b], one, zero) \
+        if exact and metric.block_form else [[convert(e) for e in row] for row in metric.inverse]
     dgrid = [[[g[j][l].diff(i) for l in range(n)] for j in range(n)] for i in range(n)]
 
     def symbols(i, j):
@@ -186,7 +201,7 @@ def levi_civita(metric: PseudoMetric) -> geo.AffineManifold:
 
         return tuple(fill(k) for k in range(n))
 
-    mirror = rational and all(g[a][b] == g[b][a] for a in range(n) for b in range(a + 1, n))
+    mirror = exact and all(g[a][b] == g[b][a] for a in range(n) for b in range(a + 1, n))
     grid = [[None] * n for _ in range(n)]
     for i in range(n):
         for j in range(n):
@@ -214,6 +229,7 @@ class ExtensionResiduals:
 def extension_identities_residuals(manifold: geo.AffineManifold,
                                    phi, f: ScalarExpr) -> ExtensionResiduals:
     """Raw residuals of the three pullback identities; all vanish for any Phi."""
+    ex.check_defined(f)
     m = manifold.dim
     metric = deformed_extension(manifold, phi)
     conn = _shared_connection(metric)
@@ -235,12 +251,8 @@ def extension_identities_residuals(manifold: geo.AffineManifold,
 
     inverse = metric.inverse
     df = [ex.differentiate(f, a) for a in range(n)]
-    norm = ex.ZERO
-    for a in range(n):
-        for b in range(n):
-            if df[a] == ex.ZERO or df[b] == ex.ZERO:
-                continue
-            norm = norm + inverse[a][b] * df[a] * df[b]
+    nonzero = [a for a in range(n) if df[a] != ex.ZERO]
+    norm = ex.add(*[inverse[a][b] * df[a] * df[b] for a in nonzero for b in nonzero])
 
     return ExtensionResiduals(
         geo.tensor_from((n, n), hess_fill),
@@ -280,6 +292,7 @@ def soliton_potential(f: ScalarExpr, eigenvalue) -> tuple:
     mu_a = Fraction(eigenvalue)
     if mu_a == 0:
         raise ValueError("the change of variables needs a nonzero eigenvalue")
+    ex.check_defined(f)
     psi = ex.simplify_rational(ex.mul(ex.const(Fraction(-2, 1) / mu_a), ex.log(f)))
     return psi, mu_a / 2
 

@@ -149,7 +149,9 @@ def tensor_sub(a: TensorField, b: TensorField) -> TensorField:
 
 
 def tensor_zero_verdict(t: TensorField) -> Verdict:
-    return combine_verdicts(ex.is_identically_zero(c) for c in leaves(t))
+    """Each component goes through the judge; they share its walks' memos."""
+    memos = ({}, {})
+    return combine_verdicts(ex.is_identically_zero(c, memos) for c in leaves(t))
 
 
 # --------------------------------------------------------------------------

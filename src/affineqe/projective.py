@@ -48,6 +48,7 @@ class ProjectiveChange:
 
     @classmethod
     def from_potential(cls, potential: ScalarExpr, dim: int) -> "ProjectiveChange":
+        ex.check_defined(potential)
         omega = tuple(ex.differentiate(potential, i) for i in range(dim))
         return cls(omega, potential)
 

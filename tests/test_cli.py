@@ -124,6 +124,9 @@ REPORTS_PINNED = {
                                       "--mu", "-3/5"]),
     "extend_wall.json": (WALL_DOC, ["extend", "--phi", "1,1=x2", "--phi", "1,2=1/x1",
                                     "--f", "x1^2*exp(x2)"]),
+    # verify's checks read tensor verdicts and the extension chain
+    "verify_exp3d.json": (EXP3D_DOC, ["verify"]),
+    "verify_wall.json": (WALL_DOC, ["verify"]),
 }
 
 
@@ -385,6 +388,21 @@ def test_deep_nesting_is_input_error(opening, exp3d_path, tmp_path, capsys):
     _assert_input_error(main(["curvature", str(path)]), capsys, "nesting deeper than 200")
     _assert_input_error(main(["deform", exp3d_path, "--potential", nest]), capsys,
                         "nesting deeper than 200")
+
+
+# d(1/(x1 - x1)) folds to 0, so these used to judge every identity zero and exit
+# 0 (1 on a sampled nonzero with --mu), or print the undeformed chart
+@pytest.mark.parametrize("command, flags", [
+    ("extend", ["--f", "1/(x1-x1)"]),
+    ("extend", ["--f", "1/(x1-x1)", "--mu", "-3/5"]),
+    ("extend", ["--f", "exp(x1) + 1/(x2 - x2)"]),
+    ("deform", ["--potential", "1/(x1-x1)"]),
+])
+def test_identically_undefined_function_is_input_error(command, flags, exp3d_path, wall_path,
+                                                       capsys):
+    path = exp3d_path if command == "extend" else wall_path
+    _assert_input_error(main([command, path, *flags]), capsys,
+                        "denominator is identically zero")
 
 
 def test_extend_repeated_phi_entry_is_accepted(exp3d_path, tmp_path, capsys):

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from affineqe import expr
+from affineqe import expr, geometry
 from affineqe.expr import (
     ONE,
     ZERO,
@@ -585,3 +585,93 @@ def test_nodes_are_slotted_and_round_trip(e):
         assert not hasattr(node, "__dict__")
         assert pickle.loads(pickle.dumps(node)) == node
         assert copy.deepcopy(node) == node
+
+
+# ---------------------------------------------------------------------------
+# the zero-test against the judge as it was before the cross-check point was
+# fixed per coordinate count and tensors shared its memos
+
+
+def reference_zero_test(e):
+    """A fresh generator, conversion and cross-check point for every tree."""
+    rng = random.Random(0x5EED)
+    if not e.rational_only:
+        return expr._sample_verdict(e, rng)
+    if to_ratfunc(e).is_zero:
+        point = expr.random_rational_point(expr.max_coord_index(e) + 1, rng)
+        try:
+            if evaluate(e, point) != 0:
+                raise AssertionError("canonical form disagrees with evaluation")
+        except DomainError:
+            pass
+        return Verdict.ZERO
+    return Verdict.NONZERO
+
+
+def judged(judge, *args):
+    """The verdict, or the type and text of what the judge raised."""
+    try:
+        return judge(*args)
+    except (DomainError, AssertionError) as err:
+        return type(err), str(err)
+
+
+three_coords = st.sampled_from([Coord(0), Coord(1), Coord(2)])
+# 1/(x1 - x1) and x2/(x3 - x3): identically undefined, found by the exact form
+undefined = st.sampled_from([div(ONE, Coord(0) - Coord(0)), div(Coord(1), Coord(2) - Coord(2))])
+
+
+def judged_tree(children):
+    return st.one_of(
+        st.tuples(children, children).map(lambda ab: ab[0] + ab[1]),
+        st.tuples(children, children).map(lambda ab: ab[0] - ab[1]),
+        st.tuples(children, children).map(lambda ab: ab[0] * ab[1]),
+        st.tuples(children, children).map(lambda ab: div(ab[0], ab[1] * ab[1] + ONE)),
+        st.tuples(children, st.integers(min_value=0, max_value=2)).map(lambda be: be[0] ** be[1]),
+    )
+
+
+judged_rational = st.recursive(three_coords | consts, judged_tree, max_leaves=8)
+judged_exprs = st.one_of(
+    judged_rational,
+    st.tuples(judged_rational, judged_rational).map(lambda ab: ab[0] - ab[1] + ab[1] - ab[0]),
+    st.tuples(judged_rational, judged_rational).map(lambda ab: expr.exp(ab[0] / 8) * ab[1]),
+    st.tuples(judged_rational, judged_rational).map(
+        lambda ab: expr.log(ab[0] * ab[0] + 1) - expr.log(ab[0] * ab[0] + 1) + ab[1] - ab[1]),
+    st.tuples(judged_rational, undefined).map(lambda au: au[0] * au[1]),
+    st.tuples(judged_rational, undefined).map(lambda au: au[0] + au[1] - au[1]),
+)
+
+
+@given(st.lists(judged_exprs, min_size=1, max_size=4))
+@settings(max_examples=80, deadline=None)
+def test_zero_test_judges_as_before(parts):
+    # components that share subtrees, so the shared memos are read across them
+    components = parts + [parts[0] - parts[-1], parts[-1] * parts[0] - parts[0] * parts[-1]]
+    for e in components:
+        assert judged(is_identically_zero, e) == judged(reference_zero_test, e)
+
+    want, stop = Verdict.ZERO, len(components)
+    for index, e in enumerate(components):
+        verdict = judged(reference_zero_test, e)
+        if not isinstance(verdict, Verdict) or verdict is Verdict.NONZERO:
+            want, stop = verdict, index + 1
+            break
+        if verdict is Verdict.NUMERIC_ONLY:
+            want = verdict
+    calls = []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(expr, "is_identically_zero",
+                      lambda e, memos=None: calls.append(e) or is_identically_zero(e, memos))
+        got = judged(geometry.tensor_zero_verdict, geometry.TensorField(tuple(components)))
+    assert got == want
+    assert calls == components[:stop]
+
+
+def test_a_canonical_form_that_disagrees_with_its_cross_check_raises(monkeypatch):
+    monkeypatch.setattr(expr, "to_ratfunc", lambda e, memo=None: RationalFunc.const(0))
+    e = parse_scalar("x1*x2 - 1", XY)
+    with pytest.raises(AssertionError, match="canonical form disagrees"):
+        is_identically_zero(e)
+    with pytest.raises(AssertionError, match="canonical form disagrees"):
+        geometry.tensor_zero_verdict(geometry.TensorField((ZERO, e)))

@@ -273,6 +273,15 @@ class TestOneConnectionPerMetric:
 
 
 class TestQuasiEinstein:
+    @pytest.mark.parametrize("text", ["1/(x1 - x1)", "x2*exp(x1) + 1/(x2 - x2)",
+                                      "exp(x1/(x1 - x1))"])
+    def test_undefined_functions_are_rejected(self, text):
+        f = ex.parse_scalar(text, ["x1", "x2", "x3"])
+        with pytest.raises(ex.DomainError, match="denominator is identically zero"):
+            xt.soliton_potential(f, q(-3, 5))
+        with pytest.raises(ex.DomainError, match="denominator is identically zero"):
+            xt.extension_identities_residuals(cat.exp3d_model(), None, f)
+
     def test_flat_trivial(self):
         metric = xt.deformed_extension(FLAT2)
         residual = xt.quasi_einstein_residual(metric, ex.ZERO, q(1, 2), 0)
@@ -507,3 +516,146 @@ class TestLazyRicciSplit:
         m = cat.exp3d_model()
         assert qs.solution_dimension(m, q(-3, 5), (0, 0, 0)).dim == 2
         assert "sym" in vars(m.ricci_parts) and "alt" not in vars(m.ricci_parts)
+
+
+# ----------------------------------------------------------------------------
+# the exact chain against the tree formulas it replaced: every xx entry summed
+# on trees and put into exact form on its own, the closed-form inverse negating
+# those trees, and the Koszul sums converting both tree grids back
+
+
+def tree_deformed_extension(manifold, phi):
+    m = manifold.dim
+
+    def fill(a, b):
+        if a < m and b < m:
+            total = ex.as_expr(phi[a][b])
+            for k in range(m):
+                total = total - 2 * ex.coord(m + k) * manifold.gamma[a][b][k]
+            return ex.simplify_rational(total)
+        return ex.ONE if abs(a - b) == m else ex.ZERO
+
+    return tuple(tuple(fill(a, b) for b in range(2 * m)) for a in range(2 * m))
+
+
+def tree_inverse(metric):
+    n = metric.n
+    m = n // 2
+    if metric.block_form:
+        def fill(a, b):
+            if a >= m and b >= m:
+                return ex.simplify_rational(ex.neg(metric.comp(a - m, b - m)))
+            return ex.ONE if abs(a - b) == m else ex.ZERO
+
+        return tuple(tuple(fill(a, b) for b in range(n)) for a in range(n))
+    everything = tuple(range(n))
+    det = xt._determinant(metric.components, everything, everything)
+    out = []
+    for a in range(n):
+        row = []
+        for b in range(n):
+            rows = tuple(r for r in everything if r != b)
+            cols = tuple(c for c in everything if c != a)
+            cofactor = xt._determinant(metric.components, rows, cols)
+            sign = 1 if (a + b) % 2 == 0 else -1
+            row.append(ex.simplify_rational(sign * cofactor / det))
+        out.append(tuple(row))
+    return tuple(out)
+
+
+def tree_levi_civita(metric):
+    n = metric.n
+    grids = (metric.components, tree_inverse(metric))
+    rational = all(e.rational_only for grid in grids for row in grid for e in row)
+    if rational:
+        convert, rebuild = ex.to_ratfunc, ex.from_ratfunc
+    else:
+        convert, rebuild = (lambda e: e), ex.simplify_rational
+    g, inverse = ([[convert(e) for e in row] for row in grid] for grid in grids)
+    zero, half = convert(ex.ZERO), convert(ex.const(q(1, 2)))
+    dgrid = [[[g[j][l].diff(i) for l in range(n)] for j in range(n)] for i in range(n)]
+
+    def fill(i, j, k):
+        total = zero
+        for l in range(n):
+            bracket = dgrid[i][j][l] + dgrid[j][i][l] - dgrid[l][i][j]
+            if not bracket.is_zero and not inverse[k][l].is_zero:
+                total = total + inverse[k][l] * bracket
+        return rebuild(half * total)
+
+    return tuple(tuple(tuple(fill(i, j, k) for k in range(n)) for j in range(n))
+                 for i in range(n))
+
+
+def random_chart(kind, rng):
+    names = ("c11_1", "c11_2", "c12_1", "c12_2", "c22_1", "c22_2")
+    return cat.build_model(kind, {name: q(rng.randint(-6, 6), rng.randint(1, 3))
+                                  for name in names})
+
+
+class TestExactChainGivesTheTreeFormulasTrees:
+    """deformed_extension, its inverse and levi_civita on RationalFunc rows give
+    the trees, as `==` and as printed, of the formulas summed on trees."""
+
+    def check_metric(self, metric, components):
+        pairs = [(metric.components, components),
+                 (metric.inverse, tree_inverse(metric)),
+                 (xt.levi_civita(metric).gamma, tree_levi_civita(metric))]
+        for got, want in pairs:
+            assert got == want
+            got_leaves, want_leaves = (geo.leaves(geo.TensorField(t)) for t in (got, want))
+            assert [ex.format_expr(e) for e in got_leaves] == \
+                [ex.format_expr(e) for e in want_leaves]
+
+    def check(self, manifold, phi):
+        self.check_metric(xt.deformed_extension(manifold, phi),
+                          tree_deformed_extension(manifold, phi))
+
+    def with_quotients(self, manifold, rng):
+        # entries whose denominators are not monomials, beside monomial ones
+        x1, x2 = ex.coord(0), ex.coord(1)
+        phi = xt.random_symmetric_phi(manifold.dim, rng)
+        phi[0][1] = phi[1][0] = phi[0][1] + ex.ONE / (x1 + 2)
+        phi[1][1] = phi[1][1] + x2 / x1
+        phi[0][0] = ex.ONE / (x1 + 2) + x2 * ex.coord(manifold.dim - 1)
+        return phi
+
+    def test_exp3d(self):
+        rng = random.Random(31)
+        for _ in range(4):
+            self.check(cat.exp3d_model(), xt.random_symmetric_phi(3, rng))
+            self.check(cat.exp3d_model(), self.with_quotients(cat.exp3d_model(), rng))
+
+    @pytest.mark.parametrize("kind", ["typeA", "typeB"])
+    def test_random_charts(self, kind):
+        rng = random.Random(32)
+        for _ in range(4):
+            chart = random_chart(kind, rng)
+            self.check(chart, xt.random_symmetric_phi(2, rng))
+            self.check(chart, self.with_quotients(chart, rng))
+
+    @pytest.mark.parametrize("sign, c", [(1, q(1, 2)), (-1, q(-1, 3)), (1, 2)])
+    def test_wall_projflat_surfaces(self, sign, c):
+        rng = random.Random(33)
+        chart = cat.wall_projflat_surface(sign, c).manifold()
+        self.check(chart, xt.random_symmetric_phi(2, rng))
+        self.check(chart, self.with_quotients(chart, rng))
+
+    def test_exp_log_phi_takes_the_tree_path(self):
+        x1, x2, x3 = ex.coord(0), ex.coord(1), ex.coord(2)
+        phi = [[ex.exp(x1 - x2) + x1 / (x2 + 3), ex.log(2 + x1 * x1), ex.ZERO],
+               [ex.log(2 + x1 * x1), x3 * ex.exp(x2), x1],
+               [ex.ZERO, x1, ex.ONE / (x1 + 2)]]
+        metric = xt.deformed_extension(cat.exp3d_model(), phi)
+        assert metric.rows == metric.components
+        self.check(cat.exp3d_model(), phi)
+
+    def test_adjugate_inverse_of_a_grid(self):
+        x1, x2, y1 = ex.coord(0), ex.coord(1), ex.coord(2)
+        grid = [[ex.ONE + x1 ** 2, ex.ZERO, ex.ONE, x2],
+                [ex.ZERO, ex.ONE + y1, ex.ZERO, ex.ZERO],
+                [ex.ONE, ex.ZERO, ex.ZERO, ex.ZERO],
+                [x2, ex.ZERO, ex.ZERO, ex.const(-1)]]
+        metric = xt.metric_from_grid(("x1", "x2", "y1", "y2"), grid)
+        assert not metric.block_form
+        self.check_metric(metric, tuple(map(tuple, grid)))

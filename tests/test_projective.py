@@ -87,6 +87,11 @@ class TestIsStrong:
         change = pj.ProjectiveChange((1 / ex.coord(0), ex.ZERO))
         assert pj.is_strong(change) is Verdict.ZERO
 
+    def test_undefined_potential_rejected(self):
+        # its derivatives fold to 0, which used to give the undeformed chart
+        with pytest.raises(ex.DomainError, match="denominator is identically zero"):
+            pj.ProjectiveChange.from_potential(ex.ONE / (ex.coord(0) - ex.coord(0)), 2)
+
     def test_potential_mismatch_rejected(self):
         with pytest.raises(ValueError):
             pj.ProjectiveChange((ex.coord(1), ex.ZERO), potential=ex.coord(0))
