@@ -69,6 +69,12 @@ def _emit(args, report: dict, text: str) -> None:
             handle.write("\n")
 
 
+def _sampled(checks: dict) -> dict:
+    """The report entry naming the checks whose verdicts are only sampled, if any."""
+    sampled = [name for name, value in checks.items() if value is ex.Verdict.NUMERIC_ONLY]
+    return {"numeric_only": sampled} if sampled else {}
+
+
 # --------------------------------------------------------------------------
 # handlers
 
@@ -91,9 +97,7 @@ def _cmd_curvature(args) -> tuple:
                 "alternating_part_zero": geo.tensor_zero_verdict(parts.alt)}
     report = {"dim": manifold.dim, "ricci": components}
     report.update((name, bool(verdict)) for name, verdict in verdicts.items())
-    sampled = [name for name, verdict in verdicts.items() if not verdict.certified]
-    if sampled:
-        report["numeric_only"] = sampled
+    report.update(_sampled(verdicts))
     return report, True, "\n".join(lines)
 
 
@@ -294,16 +298,13 @@ def _cmd_verify(args) -> tuple:
 
     parts = manifold.ricci_parts
     split = geo.tensor_map(lambda s, a, f: s + a - f, parts.sym, parts.alt, parts.full)
-    checks["ricci_split"] = bool(geo.tensor_zero_verdict(split))
+    checks["ricci_split"] = geo.tensor_zero_verdict(split)
 
     curvature = geo.curvature(manifold)
-    traced_ok = True
-    for j in range(manifold.dim):
-        for k in range(manifold.dim):
-            traced = ex.add(*[curvature.comp(i, j, k, i) for i in range(manifold.dim)])
-            if not ex.is_identically_zero(traced - parts.full.comp(j, k)):
-                traced_ok = False
-    checks["curvature_trace"] = traced_ok
+    checks["curvature_trace"] = ex.combine_verdicts(
+        ex.is_identically_zero(ex.add(*[curvature.comp(i, j, k, i) for i in range(manifold.dim)])
+                               - parts.full.comp(j, k))
+        for j in range(manifold.dim) for k in range(manifold.dim))
 
     stabilized = True
     bound = True
@@ -316,12 +317,14 @@ def _cmd_verify(args) -> tuple:
     checks["dimension_bound"] = bound
 
     residuals = xt.extension_identities_residuals(manifold, None, ex.coord(0))
-    checks["extension_identities"] = bool(
-        geo.tensor_zero_verdict(residuals.ricci_defect)) and bool(
-        geo.tensor_zero_verdict(residuals.hessian_defect))
+    checks["extension_identities"] = ex.combine_verdicts(
+        geo.tensor_zero_verdict(defect)
+        for defect in (residuals.ricci_defect, residuals.hessian_defect))
 
-    lines = [f"{name}: {'ok' if value else 'FAIL'}" for name, value in checks.items()]
-    return {"checks": checks}, all(checks.values()), "\n".join(lines)
+    lines = [f"{name}: " + ("numeric-only" if value is ex.Verdict.NUMERIC_ONLY
+                            else "ok" if value else "FAIL") for name, value in checks.items()]
+    report = {"checks": {name: bool(value) for name, value in checks.items()}, **_sampled(checks)}
+    return report, all(checks.values()), "\n".join(lines)
 
 
 # --------------------------------------------------------------------------

@@ -555,10 +555,10 @@ def differentiate(e: ScalarExpr, index: int) -> ScalarExpr:
 
 
 def evaluate(e: ScalarExpr | Sequence[ScalarExpr], point: EvalPoint, memo: dict | None = None):
-    """Evaluate at a point: in Fractions when no coordinate is a float, else in
-    doubles; a sequence of expressions gives their values as a tuple from one
-    walk with one memo.  exp/log at such an exact point raise ExactModeError;
-    poles, logs of non-positive values and float overflow raise DomainError.
+    """Evaluate at a point: in Fractions when no coordinate is a float, else in doubles; a
+    sequence of expressions gives their values as a tuple from one walk with one memo.
+    exp/log at such an exact point raise ExactModeError; poles, logs of non-positive values
+    and float overflow, of a value or of the values' summed magnitudes, raise DomainError.
     A shared `memo` (keyed by id) needs points agreeing on the coordinates read."""
     exact = all(not isinstance(c, float) for c in point)
     memo = {} if memo is None else memo
@@ -599,11 +599,13 @@ def evaluate(e: ScalarExpr | Sequence[ScalarExpr], point: EvalPoint, memo: dict 
         return result
 
     try:
-        if isinstance(e, ScalarExpr):
-            return walk(e)
-        return tuple(map(walk, tuple(e)))  # the memo is keyed by id: keep every tree alive
+        # the memo is keyed by id: keep every tree alive
+        values = tuple(map(walk, (e,) if isinstance(e, ScalarExpr) else tuple(e)))
+        if not (exact or _math.isfinite(sum(map(abs, values)))):  # + and * overflow silently
+            raise OverflowError("a value past the float range")
     except _FLOAT_FAULTS as err:
         raise _fault_error(err) from None
+    return values[0] if isinstance(e, ScalarExpr) else values
 
 
 # math.log's domain error is the one ValueError a tree's float values can raise
@@ -805,13 +807,17 @@ def is_identically_zero(e: ScalarExpr, memos: tuple | None = None) -> Verdict:
 
 
 def check_defined(e: ScalarExpr) -> None:
-    """DomainError if a rational part of e has an identically-zero denominator,
-    which derivatives can fold away: d(1/(x1 - x1)) = 0."""
+    """DomainError for an identically-zero denominator in a rational part of e or a
+    log of a rational constant <= 0, which derivatives can fold away: d log(x1 - x1) = 0."""
     stack = [e]
     while stack:
         node = stack.pop()
         if _rational_only(node):
             to_ratfunc(node)
+        elif isinstance(node, Log) and _rational_only(node.arg):
+            arg = to_ratfunc(node.arg)
+            if arg.num.is_constant and arg.den.is_constant and arg.eval(()) <= 0:
+                raise DomainError("log of an identically zero or negative constant")
         elif isinstance(node, (Add, Mul, Div)):
             stack.extend(node.terms if isinstance(node, Add) else node.factors
                          if isinstance(node, Mul) else (node.num, node.den))

@@ -1,10 +1,11 @@
-"""Exact rational rank/kernel computations, with a float SVD for exp/log data.
+"""Rank and kernel by Gauss-Jordan elimination, exact in `Fraction`s or in floats.
 
-The exact routine is Gauss-Jordan elimination in `Fraction`s, kept in reduced
-echelon form as rows arrive: each new row is reduced against the pivot rows
-and, when it is independent, divided by its pivot and cleared from the earlier
-pivot rows.  Rank and kernel are certificates, not estimates, and the kernel
-is read off the reduced rows directly.
+Exact rows are kept in reduced echelon form as they arrive: a new row is reduced
+against the pivot rows and, when it is independent, divided by its pivot and
+cleared from the earlier ones, so rank and kernel are certificates.  Float rows
+(exp/log data) are eliminated with complete pivoting, which reveals the rank of
+these narrow stacks (Businger & Golub, Numer. Math. 7, 1965).  Both read the
+kernel off the reduced rows, one vector per free column in column order.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
-SVD_RTOL = 1e-9
+PIVOT_RTOL = 1e-9  # smallest pivot of a float stack, relative to its largest |entry|
 
 
 class RowReducer:
@@ -66,15 +67,19 @@ def exact_rank(rows: Sequence[Sequence[Fraction]], ncols: int) -> int:
 
 
 def float_rank_kernel(rows: Sequence[Sequence[float]], ncols: int):
-    """Numeric rank and near-kernel basis via SVD with a relative threshold."""
-    if not rows:
-        return 0, [tuple(1.0 if j == i else 0.0 for j in range(ncols))
-                   for i in range(ncols)]
-    import numpy as np
-
-    matrix = np.asarray(rows, dtype=float)
-    _, singular, vt = np.linalg.svd(matrix)
-    cutoff = SVD_RTOL * (singular[0] if singular.size and singular[0] > 0 else 1.0)
-    rank = int(np.sum(singular > cutoff))
-    basis = [tuple(float(v) for v in vt[i]) for i in range(rank, ncols)]
-    return rank, basis
+    """Numeric rank and kernel basis of finite float rows: a pivot must exceed
+    PIVOT_RTOL times the largest |entry|; the basis has the form of `kernel_basis`."""
+    work = [[float(v) for v in row] for row in rows]
+    cutoff = PIVOT_RTOL * max((abs(v) for row in work for v in row), default=0.0)
+    by_col: dict = {}  # pivot column -> its row divided by the pivot
+    while work and len(by_col) < ncols:
+        size, i, col, value = max((abs(v), i, c, v) for i, row in enumerate(work)
+                                  for c, v in enumerate(row) if c not in by_col)
+        if size <= cutoff:
+            break
+        pivot = [v / value for v in work.pop(i)]
+        for row in (*work, *by_col.values()):
+            row[:] = [a - row[col] * b for a, b in zip(row, pivot)]
+        by_col[col] = pivot
+    return len(by_col), [tuple(0.0 - by_col[j][f] if j in by_col else float(j == f)  # no -0.0
+                               for j in range(ncols)) for f in range(ncols) if f not in by_col]

@@ -7,15 +7,15 @@ constraints are prolonged until their rank at the basepoint stabilizes, and the
 kernel of the evaluated stack is the space of admissible initial jets.  When
 the system is rational, constraint rows are `poly.RationalFunc` tuples built
 from the matrices converted once, ranked exactly at any basepoint; exp/log
-systems keep expression-tree rows, simplified after each step and ranked by
-SVD.  Transport moves a list of jets along one path in a single fixed-step
-classical Runge-Kutta run (the m+1 basis jets move as the fundamental
-matrix), from the tree matrices compiled to floats once per (manifold, mu)
-and kept on the manifold.  Each run of RK4 steps, a
-segment's or a geodesic's, is one Python loop generated for the nonzero
-pattern of the A_i and shared by every manifold of that pattern: each v^i A_i
-entry product is formed once for all jets, and the excluded-locus and
-finiteness checks run inside the loop; the geodesics of `projective` carry
+systems keep expression-tree rows, simplified after each step and ranked in
+floats by Gauss-Jordan elimination with complete pivoting.  Transport moves a
+list of jets along one path in a single fixed-step classical Runge-Kutta run
+(the m+1 basis jets move as the fundamental matrix), from the tree matrices
+compiled to floats once per (manifold, mu) and kept on the manifold.  Each run
+of RK4 steps, a segment's or a geodesic's, is one Python loop generated for
+the nonzero pattern of the A_i and shared by every manifold of that pattern:
+each v^i A_i entry product is formed once for all jets, and the excluded-locus
+and finiteness checks run inside the loop; the geodesics of `projective` carry
 jets through the same generator, in its (x, v, jets) form.  Float faults in
 transport are reported by `expr.float_faults`.
 """

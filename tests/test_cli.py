@@ -140,36 +140,44 @@ def test_symbolic_report_is_pinned(fixture, tmp_path):
     assert out.read_bytes() == (Path(__file__).parent / "data" / fixture).read_bytes()
 
 
-def test_start_up_does_not_import_numpy():
-    # numpy is imported only inside linalg.float_rank_kernel
+# wall_dim1_surface(1) deformed by g = exp(x2)/3, as `deform` prints it: its
+# solve at (1, 0) and -1 is ranked in floats, rank history (2, 2, 2)
+EXP_WALL_DOC = {
+    "dim": 2,
+    "coords": ["x1", "x2"],
+    "christoffel": {"1,2^1": "1/x1 + (1/3)*exp(x2)",
+                    "2,2^2": "1/x1 + (1/3)*exp(x2) + (1/3)*exp(x2)"},
+    "excluded": ["x1"],
+}
+
+
+def test_exp_log_qe_dim_does_not_import_numpy(tmp_path):
+    path = tmp_path / "expwall.json"
+    path.write_text(json.dumps(EXP_WALL_DOC))
     src = str(Path(affineqe.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    code = "import sys, affineqe.cli; print('numpy' in sys.modules)"
+    code = ("import sys; from affineqe.cli import main; "
+            f"code = main(['qe-dim', {str(path)!r}, '--mu', '-1', '--basepoint', '1,0']); "
+            "print(code, 'numpy' in sys.modules)")
     run = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True)
-    assert run.stdout.strip() == "False"
+    assert run.stdout.splitlines() == ["mu = -1: dim = 1", "0 False"]
 
 
-def _numpy_import_scopes(node, scope):
-    """Dotted scope of every statement under ``node`` that imports numpy."""
-    for child in ast.iter_child_nodes(node):
-        if isinstance(child, ast.Import):
-            names = [alias.name for alias in child.names]
-        elif isinstance(child, ast.ImportFrom):
-            names = [child.module or ""]
-        else:
-            names = []
-        if any(name.split(".")[0] == "numpy" for name in names):
-            yield scope
-        named = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-        yield from _numpy_import_scopes(child, f"{scope}.{child.name}" if named else scope)
+def _imported_modules(tree):
+    """Top-level names of the modules every import statement in ``tree`` reads."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            yield node.module.split(".")[0]
 
 
-def test_numpy_is_imported_only_by_the_float_rank_kernel():
+def test_no_module_in_src_imports_numpy():
     package = Path(affineqe.__file__).parent
-    scopes = [scope for path in sorted(package.glob("*.py"))
-              for scope in _numpy_import_scopes(ast.parse(path.read_text()), path.stem)]
-    assert scopes == ["linalg.float_rank_kernel"]
+    importers = [path.name for path in sorted(package.glob("*.py"))
+                 if "numpy" in _imported_modules(ast.parse(path.read_text()))]
+    assert importers == []
 
 
 def test_qe_dim_missing_file_is_input_error(capsys):
@@ -411,6 +419,60 @@ def test_extend_repeated_phi_entry_is_accepted(exp3d_path, tmp_path, capsys):
     assert main(["extend", exp3d_path, "--phi", "1,2=x1", "--phi", "2,1=x1",
                  "--json", str(twice)]) == 0
     assert once.read_bytes() == twice.read_bytes()
+
+
+# d log(x1 - x1) = 0/0 folds to 0 and a log of a constant differentiates to 0, so
+# these used to judge every identity zero and exit 0 (1 with --mu), or deform nothing
+@pytest.mark.parametrize("command, flags", [
+    ("extend", ["--f", "log(x1-x1)"]),
+    ("extend", ["--f", "log(x1-x1)", "--mu", "-3/5"]),
+    ("extend", ["--f", "x1 + log(-1)"]),
+    ("deform", ["--potential", "log(x1-x1)"]),
+])
+def test_log_of_a_non_positive_constant_is_input_error(command, flags, exp3d_path, wall_path,
+                                                       capsys):
+    path = exp3d_path if command == "extend" else wall_path
+    _assert_input_error(main([command, path, *flags]), capsys,
+                        "log of an identically zero or negative constant")
+
+
+def test_log_of_a_negative_non_constant_is_still_judged(exp3d_path, capsys):
+    assert main(["extend", exp3d_path, "--f", "log(-x1^2 - 1)"]) == 0
+
+
+def test_overflowing_solve_is_input_error(tmp_path, capsys):
+    # rows at x1 = 700 overflow to inf; a rank of them used to be numpy's error or a wrong dim
+    path = tmp_path / "over.json"
+    path.write_text(json.dumps({"dim": 2, "christoffel": {"1,1^1": "exp(x1)",
+                                                          "1,2^2": "x2*exp(x1)"}}))
+    _assert_input_error(main(["qe-dim", str(path), "--mu", "1", "--basepoint", "700,0"]),
+                        capsys, "float overflow")
+
+
+def test_curvature_sampled_only_to_overflow_is_input_error(tmp_path, capsys):
+    # the curvature's samples overflow, though rho_21 = -exp(x1 + 400)*exp(x2 + 400) is
+    # nonzero everywhere; an inf sample used to count as a zero one, so this printed
+    # "curvature numeric-only" and exited 0
+    path = tmp_path / "over.json"
+    path.write_text(json.dumps({"dim": 2, "christoffel": {
+        "1,1^1": "exp(400 + x1)*exp(400 + x2)"}}))
+    _assert_input_error(main(["curvature", str(path)]), capsys,
+                        "could not be sampled anywhere")
+
+
+def test_verify_reports_sampled_checks_as_numeric_only(tmp_path, capsys):
+    # the verdicts on this chart are sampled: verify used to print "ok" for them
+    path = tmp_path / "log.json"
+    path.write_text(json.dumps({"dim": 2, "coords": ["x1", "x2"],
+                                "christoffel": {"1,1^1": "log(x1 - 3)"}, "excluded": []}))
+    report = tmp_path / "verify.json"
+    assert main(["verify", str(path), "--basepoint", "4,0", "--json", str(report)]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "ricci_split: numeric-only", "curvature_trace: numeric-only", "solver_stabilized: ok",
+        "dimension_bound: ok", "extension_identities: numeric-only"]
+    payload = json.loads(report.read_text())
+    assert all(payload["checks"].values())
+    assert payload["numeric_only"] == ["ricci_split", "curvature_trace", "extension_identities"]
 
 
 @pytest.mark.parametrize("params, says", [('{"bogus": 1}', "unknown parameter 'bogus'"),

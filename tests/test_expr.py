@@ -165,6 +165,18 @@ class TestEvaluate:
             with pytest.raises(DomainError):
                 evaluate(parse_scalar("x1^-2", XY), point)
 
+    def test_non_finite_float_values_are_domain_errors(self):
+        # + and * overflow to inf and inf - inf is nan, with no float exception
+        for text in ("exp(400 + x1)*exp(400 + x2)", "exp(709 + x1) + exp(709 + x2)",
+                     "exp(400 + x1)*exp(400 + x2) - exp(400 + x2)*exp(400 + x1)"):
+            with pytest.raises(DomainError, match="float overflow"):
+                evaluate(parse_scalar(text, XY), (0.5, 0.5))
+        # values whose magnitudes overflow when summed, as a sampled sum would
+        big = parse_scalar("exp(709 + x1)", XY)
+        with pytest.raises(DomainError, match="float overflow"):
+            evaluate([big, big], (0.5,))
+        assert evaluate([big], (0.5,)) == (math.exp(709.5),)
+
 
 class TestZeroTest:
     def test_polynomial_identity(self):
@@ -178,6 +190,11 @@ class TestZeroTest:
     def test_exp_cancellation_numeric_only(self):
         e = parse_scalar("exp(x1)*exp(-x1) - 1", XY)
         assert is_identically_zero(e) is Verdict.NUMERIC_ONLY
+
+    def test_overflowing_samples_are_skipped(self):
+        # the product overflows at most samples: an inf sample used to count as a zero one
+        e = parse_scalar("exp(400 + x1)*exp(400 + x2) - 1", XY)
+        assert is_identically_zero(e) is Verdict.NONZERO
 
     def test_exp_nonzero(self):
         e = parse_scalar("exp(x1) - 1 - x1", XY)

@@ -1,10 +1,17 @@
+import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from affineqe.linalg import RowReducer, exact_rank, float_rank_kernel
+from affineqe import catalog as cat
+from affineqe import expr as ex
+from affineqe import geometry as geo
+from affineqe import projective as pj
+from affineqe import qe_solver as qs
+from affineqe.linalg import PIVOT_RTOL, RowReducer, exact_rank, float_rank_kernel
 
 
 def reduced_echelon(rows, ncols):
@@ -108,3 +115,111 @@ def test_float_rank_kernel_of_a_dependent_stack():
     assert len(basis) == 2
     for vec in basis:
         assert vec[0] + 2 * vec[1] == pytest.approx(0.0, abs=1e-12)
+
+
+def svd_rank_kernel(rows, ncols):
+    """Oracle: the SVD rank and near-kernel that ranked exp/log rows before
+    elimination, with the same relative cutoff against the largest singular value."""
+    if not rows:
+        return 0, [tuple(1.0 if j == i else 0.0 for j in range(ncols))
+                   for i in range(ncols)]
+    _, singular, vt = np.linalg.svd(np.asarray(rows, dtype=float))
+    cutoff = PIVOT_RTOL * (singular[0] if singular.size and singular[0] > 0 else 1.0)
+    rank = int(np.sum(singular > cutoff))
+    return rank, [tuple(float(v) for v in vt[i]) for i in range(rank, ncols)]
+
+
+def low_rank_rows(rng, term_scale):
+    """1-12 rows, 2-4 columns, rank 1 up to both: a sum of rank-one terms, each scaled
+    by term_scale(rng), the whole matrix by 10^(+-6)."""
+    ncols, nrows = rng.randint(2, 4), rng.randint(1, 12)
+    rank = rng.randint(1, min(nrows, ncols))
+    matrix = np.zeros((nrows, ncols))
+    for _ in range(rank):
+        u = np.array([rng.gauss(0, 1) for _ in range(nrows)])
+        v = np.array([rng.gauss(0, 1) for _ in range(ncols)])
+        matrix += term_scale(rng) * np.outer(u, v)
+    return (10.0 ** rng.uniform(-6, 6) * matrix).tolist(), ncols
+
+
+@pytest.mark.parametrize("count, term_scale", [
+    (3000, lambda rng: 1.0),
+    (5000, lambda rng: 10.0 ** rng.uniform(-4, 4)),  # badly scaled terms
+], ids=["plain", "badly_scaled"])
+def test_float_rank_kernel_matches_the_svd_oracle(count, term_scale):
+    rng = random.Random(20)
+    for _ in range(count):
+        rows, ncols = low_rank_rows(rng, term_scale)
+        rank, basis = float_rank_kernel(rows, ncols)
+        matrix = np.asarray(rows)
+        singular = np.linalg.svd(matrix, compute_uv=False)
+        ratios = singular / singular[0] if singular[0] > 0 else np.zeros(0)
+        if np.any((ratios >= 1e-10) & (ratios <= 1e-8)):
+            continue  # a singular value at the cutoff: either rank is a fair answer
+        assert rank == svd_rank_kernel(rows, ncols)[0], rows
+        assert len(basis) == ncols - rank
+        assert all(type(v) is float for vec in basis for v in vec)
+        for vec in basis:
+            v = np.asarray(vec)
+            residual = np.linalg.norm(matrix @ v)
+            assert residual <= 1e-8 * np.linalg.norm(matrix, 2) * np.linalg.norm(v), rows
+
+
+def test_float_rank_kernel_reads_the_basis_off_the_reduced_rows():
+    # one vector per free column, in column order, with a 1 there and no -0.0
+    assert float_rank_kernel([[3.0, 0.0, -9.0]], 3) == \
+        (1, [(1.0, 0.0, 1 / 3), (0.0, 1.0, 0.0)])
+    assert float_rank_kernel([[1.0, 0.0], [0.0, 1.0]], 2) == (2, [])
+    assert float_rank_kernel([[0.0, 0.0]], 2) == (0, [(1.0, 0.0), (0.0, 1.0)])
+
+
+def test_pivots_below_the_relative_cutoff_are_not_taken():
+    assert float_rank_kernel([[1.0, 0.0], [0.0, 1e-10]], 2)[0] == 1
+    assert float_rank_kernel([[1e-20, 0.0], [0.0, 1e-28]], 2)[0] == 2
+
+
+# the exp/log scan: flat R^2 and R^3 deformed by these potentials, at -1/(m-1); each
+# keeps exp or log in the jet system, so every solve is ranked in floats
+SCAN_POTENTIALS = ["exp(x1)", "exp(2*x2)/3", "exp(x1 + x2)", "x1*exp(x2)",
+                   "x2*exp(x1) + x1^2", "exp(-x1^2)/4 + x2^2", "x1*log(2 + x1)",
+                   "x1*log(3 + x2)", "log(2 + x1)*x2", "exp(x1)*log(2 + x2)",
+                   "exp(x2)*log(2 + x1)"]
+
+
+def scan_solves():
+    """(chart, mu, basepoint): the origin and five seeded points per chart, 132 solves."""
+    rng = random.Random(7)
+    for dim in (2, 3):
+        points = [(0,) * dim] + [tuple(Fraction(rng.randint(-50, 50), 100) for _ in range(dim))
+                                 for _ in range(5)]
+        for potential in SCAN_POTENTIALS:
+            g = ex.parse_scalar(potential, ["x1", "x2", "x3"][:dim])
+            chart = pj.deform(geo.flat_manifold(dim), pj.ProjectiveChange.from_potential(g, dim))
+            for point in points:
+                yield chart, qs.distinguished_eigenvalue(dim), point
+
+
+def spans_agree(basis, other):
+    """Two float bases of one size span the same space, up to rounding."""
+    if len(basis) != len(other) or not basis:
+        return len(basis) == len(other)
+    singular = np.linalg.svd(np.asarray([*basis, *other]), compute_uv=False)
+    return len(singular) == len(basis) or singular[len(basis)] <= 1e-6 * singular[0]
+
+
+def test_exp_log_scan_ranks_as_the_svd_oracle(monkeypatch):
+    calls = []
+
+    def both(rows, ncols):
+        got, oracle = float_rank_kernel(rows, ncols), svd_rank_kernel(rows, ncols)
+        calls.append((got, oracle))
+        return oracle
+
+    # the oracle drives the solves; equal ranks on every call make equal rank histories
+    monkeypatch.setattr(qs, "float_rank_kernel", both)
+    spaces = [qs.solution_dimension(*solve) for solve in scan_solves()]
+    assert len(spaces) == 132 and not any(space.exact for space in spaces)
+    assert len(calls) == sum(len(space.rank_history) for space in spaces)
+    for (rank, basis), (oracle_rank, oracle_basis) in calls:
+        assert rank == oracle_rank
+        assert spans_agree(basis, oracle_basis)

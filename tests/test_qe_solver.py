@@ -272,7 +272,7 @@ class TestSolutionDimension:
         assert not in_solution_space(space, (q(0), q(1), q(0)))
 
     def test_exp_solve_without_constraint_rows(self):
-        # exp/log data is ranked by the SVD, here of an empty stack
+        # exp/log data is ranked in floats, here an empty stack
         m = geo.from_christoffel(X2, {(0, 0, 0): ex.parse_scalar("exp(x1)", X2)})
         space = qs.solution_dimension(m, 0, ORIGIN2)
         assert space.exact is False
