@@ -70,14 +70,6 @@ class ScalarExpr:
     def rational_only(self) -> bool:
         return _rational_only(self)
 
-    @property
-    def is_zero(self) -> bool:
-        """Structurally zero; `is_identically_zero` decides the value."""
-        return self == ZERO
-
-    def diff(self, index: int) -> "ScalarExpr":
-        return differentiate(self, index)
-
     # add, mul and div coerce their operands themselves
     def __add__(self, other):
         return add(self, other)
@@ -601,8 +593,8 @@ def evaluate(e: ScalarExpr | Sequence[ScalarExpr], point: EvalPoint, memo: dict 
     try:
         # the memo is keyed by id: keep every tree alive
         values = tuple(map(walk, (e,) if isinstance(e, ScalarExpr) else tuple(e)))
-        if not (exact or _math.isfinite(sum(map(abs, values)))):  # + and * overflow silently
-            raise OverflowError("a value past the float range")
+        if not exact:
+            finite(values)
     except _FLOAT_FAULTS as err:
         raise _fault_error(err) from None
     return values[0] if isinstance(e, ScalarExpr) else values
@@ -617,6 +609,17 @@ def _fault_error(err: Exception) -> DomainError:
     if isinstance(err, ValueError):
         return DomainError("log of a non-positive value")
     return DomainError(f"{'float overflow' if isinstance(err, OverflowError) else 'pole'}: {err}")
+
+
+def finite(values) -> tuple:
+    """The float values, or one OverflowError for any value past the float range."""
+    try:
+        values = tuple(values)
+        if _math.isfinite(sum(map(abs, values))):  # + and * overflow silently
+            return values
+    except OverflowError:  # a power overflows with a message of its own
+        pass
+    raise OverflowError("a value past the float range")
 
 
 @contextmanager
@@ -637,8 +640,35 @@ def float_values(values) -> list:
         raise _fault_error(err) from None
 
 
-def to_ratfunc(e: ScalarExpr, memo: dict | None = None) -> RationalFunc:
-    """Convert a rational-only tree to an exact rational-function pair."""
+class Tower:
+    """The field Q(x, theta) of a chart's data on m coordinates, a differential tower (Bronstein,
+    Symbolic Integration I, 2005, ch. 3): `to_ratfunc` makes each exp/log node, told apart as a
+    tree, a variable theta_k at index m + k.  A zero polynomial in (x, theta) is a zero function."""
+
+    def __init__(self, m: int):
+        self.m = m
+        self.atoms: list = []   # theta_k's node
+        self.slopes: dict = {}  # k -> theta_k's D_0 .. D_(m-1)
+        self._index: dict = {}
+
+    def variable(self, node: ScalarExpr) -> RationalFunc:
+        k = self._index.get(node)
+        if k is None:  # appended before its slopes, each of which holds the node itself
+            k = self._index[node] = len(self.atoms)
+            self.atoms.append(node)
+            self.slopes[k] = [to_ratfunc(differentiate(node, i), tower=self) for i in range(self.m)]
+        return RationalFunc.coord(self.m + k)
+
+    def diff(self, f: RationalFunc, i: int) -> RationalFunc:
+        """The derivation D_i = d_i + sum_k (D_i theta_k) d/d theta_k."""
+        total = f.diff(i)
+        for k, slopes in self.slopes.items():
+            total = total + slopes[i] * f.diff(self.m + k)
+        return total
+
+
+def to_ratfunc(e: ScalarExpr, memo: dict | None = None, tower: Tower | None = None) -> RationalFunc:
+    """Convert to an exact rational-function pair; an exp/log node needs a `tower`."""
     memo = {} if memo is None else memo
 
     def walk(node: ScalarExpr) -> RationalFunc:
@@ -668,7 +698,9 @@ def to_ratfunc(e: ScalarExpr, memo: dict | None = None) -> RationalFunc:
             except ZeroDivisionError:
                 raise DomainError("negative power of the identically-zero expression") from None
         elif isinstance(node, (Exp, Log)):
-            raise ExactModeError("exp/log tree has no exact rational form")
+            if tower is None:
+                raise ExactModeError("exp/log tree has no exact rational form")
+            result = tower.variable(node)
         else:
             raise TypeError(f"not a ScalarExpr: {node!r}")
         memo[id(node)] = result
@@ -677,7 +709,7 @@ def to_ratfunc(e: ScalarExpr, memo: dict | None = None) -> RationalFunc:
     return walk(e)
 
 
-def from_ratfunc(rf: RationalFunc) -> ScalarExpr:
+def from_ratfunc(rf: RationalFunc, tower: Tower | None = None) -> ScalarExpr:
     """Rebuild a compact canonical tree (sum of monomials over sum of monomials)."""
 
     def poly_expr(p: Poly) -> ScalarExpr:
@@ -685,7 +717,8 @@ def from_ratfunc(rf: RationalFunc) -> ScalarExpr:
         for mono, coeff in sorted(p.terms.items()):
             factors = [Const(coeff)] if coeff != 1 or not mono else []
             for var, expo in mono:
-                factors.append(powi(Coord(var), expo))
+                leaf = tower.atoms[var - tower.m] if tower and var >= tower.m else Coord(var)
+                factors.append(powi(leaf, expo))
             terms.append(mul(*factors) if factors else ONE)
         return add(*terms)
 

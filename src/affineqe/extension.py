@@ -7,10 +7,10 @@ tensor Phi is the 2m-dimensional metric
 
 (the mixed terms read as the symmetric pairing).  Its components are degree-1
 polynomials in the fiber coordinates, so metrics, inverses and connections are
-expression trees on the chart enlarged from m to 2m coordinates.  Rational data
-keeps one exact `RationalFunc` grid from metric to inverse (its negation) to the
-Koszul sums, and trees are rebuilt only for what is returned; exp/log data runs
-the same code on the trees themselves.
+expression trees on the chart enlarged from m to 2m coordinates.  One exact
+`RationalFunc` grid, in the `expr.Tower` of the metric's data (each exp/log node
+one more variable), goes from metric to inverse (its negation) to the Koszul
+sums, and trees are rebuilt only for what is returned.
 The pullback identities and the quasi-Einstein residual of one metric value
 share one Levi-Civita chart and its Ricci tensor, kept for the last metric.
 """
@@ -29,12 +29,6 @@ from .expr import DomainError, ScalarExpr, Verdict
 from .poly import RationalFunc
 
 
-def _row_form(rational: bool) -> tuple:
-    """(convert, rebuild) between trees and the rows the metric chain computes in:
-    `RationalFunc` pairs for rational data, else the trees themselves."""
-    return (ex.to_ratfunc, ex.from_ratfunc) if rational else ((lambda e: e), ex.simplify_rational)
-
-
 def _block_grid(m, xx, yy, one, zero) -> tuple:
     """The 2m grid with xx(a, b) and yy(a, b) in its diagonal blocks, paired by the identity."""
     return tuple(tuple(xx(a, b) if a < m and b < m else yy(a - m, b - m) if a >= m and b >= m
@@ -49,7 +43,8 @@ class PseudoMetric:
     coords: tuple
     components: tuple
     excluded: tuple = ()
-    rows: tuple | None = field(default=None, compare=False, repr=False)  # see _row_form
+    rows: tuple | None = field(default=None, compare=False, repr=False)  # the grid in `tower`
+    tower: ex.Tower | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         n = len(self.components)
@@ -57,9 +52,9 @@ class PseudoMetric:
             raise ValueError(f"a metric needs a 2m x 2m grid on 2m coordinates, not {n} rows "
                              f"on {len(self.coords)} coordinates")
         if self.rows is None:
-            convert, _ = _row_form(all(e.rational_only for r in self.components for e in r))
-            object.__setattr__(self, "rows", tuple(tuple(map(convert, r))
-                                                   for r in self.components))
+            object.__setattr__(self, "tower", ex.Tower(n))
+            object.__setattr__(self, "rows", tuple(tuple(ex.to_ratfunc(e, tower=self.tower)
+                                                         for e in r) for r in self.components))
 
     @property
     def n(self) -> int:
@@ -91,7 +86,7 @@ def _symmetric_or_raise(grid, size, what):
 
 def deformed_extension(manifold: geo.AffineManifold,
                        phi: Sequence | None = None) -> PseudoMetric:
-    """The neutral metric with xx-block Phi_ij - 2 y_k G_ij^k, summed in the row form."""
+    """The neutral metric with xx-block Phi_ij - 2 y_k G_ij^k, summed in the tower."""
     m = manifold.dim
     if phi is None:
         phi = [[ex.ZERO] * m for _ in range(m)]
@@ -100,23 +95,21 @@ def deformed_extension(manifold: geo.AffineManifold,
         raise ValueError(f"deformation tensor must be {m}x{m}")
     _symmetric_or_raise(phi, m, "deformation tensor")
     coords = tuple(manifold.coords) + tuple(f"y{i + 1}" for i in range(m))
-    gamma = manifold.gamma
-    rational = all(e.rational_only for row in phi for e in row) \
-        and all(s.rational_only for plane in gamma for row in plane for s in row)
-    convert, rebuild = _row_form(rational)
-    lifts = [convert(ex.const(2)) * convert(ex.coord(m + k)) for k in range(m)]
+    tower = ex.Tower(2 * m)
+    lifts = [RationalFunc.const(2) * RationalFunc.coord(m + k) for k in range(m)]
 
     def entry(a, b):
-        total = convert(phi[a][b])
-        for lift, symbol in zip(lifts, gamma[a][b]):
+        total = ex.to_ratfunc(phi[a][b], tower=tower)
+        for lift, symbol in zip(lifts, manifold.gamma[a][b]):
             if symbol != ex.ZERO:
-                total = total - lift * convert(symbol)
+                total = total - lift * ex.to_ratfunc(symbol, tower=tower)
         return total
 
-    xx, zero = [[entry(a, b) for b in range(m)] for a in range(m)], convert(ex.ZERO)
-    trees = _block_grid(m, lambda a, b: rebuild(xx[a][b]), lambda a, b: ex.ZERO, ex.ONE, ex.ZERO)
-    rows = _block_grid(m, lambda a, b: xx[a][b], lambda a, b: zero, convert(ex.ONE), zero)
-    return PseudoMetric(coords, trees, manifold.excluded, rows if rational else None)
+    xx, zero = [[entry(a, b) for b in range(m)] for a in range(m)], RationalFunc.const(0)
+    trees = _block_grid(m, lambda a, b: ex.from_ratfunc(xx[a][b], tower), lambda a, b: ex.ZERO,
+                        ex.ONE, ex.ZERO)
+    rows = _block_grid(m, lambda a, b: xx[a][b], lambda a, b: zero, RationalFunc.const(1), zero)
+    return PseudoMetric(coords, trees, manifold.excluded, rows, tower)
 
 
 def metric_from_grid(coords, grid, excluded=()) -> PseudoMetric:
@@ -146,14 +139,14 @@ def inverse_metric(metric: PseudoMetric) -> tuple:
     """Exact inverse component grid.
 
     Metrics in block form use the closed form: zero xx-block, identity pairing,
-    yy-block the negative of the xx-block, negated in the row form.  General
+    yy-block the negative of the xx-block, negated in the metric's tower.  General
     metrics go through the adjugate, rejecting an identically-degenerate
     determinant.
     """
     n = metric.n
     if metric.block_form:
-        _, rebuild = _row_form(isinstance(metric.rows[0][0], RationalFunc))
-        return _block_grid(n // 2, lambda a, b: ex.ZERO, lambda a, b: rebuild(-metric.rows[a][b]),
+        return _block_grid(n // 2, lambda a, b: ex.ZERO,
+                           lambda a, b: ex.from_ratfunc(-metric.rows[a][b], metric.tower),
                            ex.ONE, ex.ZERO)
     everything = tuple(range(n))
     det = _determinant(metric.components, everything, everything)
@@ -176,19 +169,17 @@ def levi_civita(metric: PseudoMetric) -> geo.AffineManifold:
     """The torsion-free metric connection as an affine chart on the metric's
     coordinates: Koszul symbols (1/2) g^{kl} (d_i g_jl + d_j g_il - d_l g_ij).
 
-    The sums run on the metric's rows and its inverse in that form (the closed
+    The sums run on the metric's rows and its inverse in its tower (the closed
     form negates the rows); symbols are rebuilt as trees at the end, and only
-    nonzero g^{kl} and brackets are summed.  For `RationalFunc` rows symmetric
-    as pairs the symbols of (j, i) are those of (i, j): sums of pairs commute,
-    while ordered tree sums of exp/log metrics do not."""
+    nonzero g^{kl} and brackets are summed.  For rows symmetric as pairs the
+    symbols of (j, i) are those of (i, j), since sums of pairs commute."""
     n = metric.n
-    g = metric.rows
-    exact = isinstance(g[0][0], RationalFunc)
-    convert, rebuild = _row_form(exact)
-    zero, one, half = (convert(ex.const(c)) for c in (0, 1, Fraction(1, 2)))
+    g, tower = metric.rows, metric.tower
+    zero, one, half = (RationalFunc.const(c) for c in (0, 1, Fraction(1, 2)))
     inverse = _block_grid(n // 2, lambda a, b: zero, lambda a, b: -g[a][b], one, zero) \
-        if exact and metric.block_form else [[convert(e) for e in row] for row in metric.inverse]
-    dgrid = [[[g[j][l].diff(i) for l in range(n)] for j in range(n)] for i in range(n)]
+        if metric.block_form else [[ex.to_ratfunc(e, tower=tower) for e in row]
+                                   for row in metric.inverse]
+    dgrid = [[[tower.diff(g[j][l], i) for l in range(n)] for j in range(n)] for i in range(n)]
 
     def symbols(i, j):
         bracket = [dgrid[i][j][l] + dgrid[j][i][l] - dgrid[l][i][j] for l in range(n)]
@@ -197,11 +188,11 @@ def levi_civita(metric: PseudoMetric) -> geo.AffineManifold:
         def fill(k):
             total = sum((inverse[k][l] * bracket[l] for l in nonzero
                          if not inverse[k][l].is_zero), zero)
-            return rebuild(half * total)
+            return ex.from_ratfunc(half * total, tower)
 
         return tuple(fill(k) for k in range(n))
 
-    mirror = exact and all(g[a][b] == g[b][a] for a in range(n) for b in range(a + 1, n))
+    mirror = all(g[a][b] == g[b][a] for a in range(n) for b in range(a + 1, n))
     grid = [[None] * n for _ in range(n)]
     for i in range(n):
         for j in range(n):

@@ -285,32 +285,33 @@ class RicciTensors:
         return self._part(ScalarExpr.__sub__)
 
 
+def ricci_terms(g, diff: Callable, j: int, k: int) -> list:
+    """The terms of rho_jk in the traced curvature display, in order, over the symbols
+    ``g`` (None where zero, and such terms left out) with the derivative ``diff(s, i)``."""
+    terms = []
+    for i in range(len(g)):
+        if g[j][k][i]:
+            terms.append(diff(g[j][k][i], i))
+        if g[i][k][i]:
+            terms.append(-diff(g[i][k][i], j))
+        for n in range(len(g)):
+            if g[i][n][i] and g[j][k][n]:
+                terms.append(g[i][n][i] * g[j][k][n])
+            if g[j][n][i] and g[i][k][n]:
+                terms.append(-(g[j][n][i] * g[i][k][n]))
+    return terms
+
+
 def ricci(m: AffineManifold) -> RicciTensors:
     """Ricci tensor; its symmetric and antisymmetric parts are built on first read.
 
-    Computed from the traced curvature display directly; the trace-consistency
-    with :func:`curvature` is a tested invariant rather than an assumption.
-    Each component is one sum of the display's terms in their order, skipping
-    every term with a zero symbol, which would add nothing to the tree.
+    Computed from the traced curvature display directly (`ricci_terms`); the
+    trace-consistency with :func:`curvature` is a tested invariant rather than
+    an assumption.  Each component is one sum of the display's terms.
     """
-    # the symbols, None where zero
     g = [[[None if s == ex.ZERO else s for s in row] for row in plane] for plane in m.gamma]
-
-    def rho_jk(j, k):
-        terms = []
-        for i in range(m.dim):
-            if g[j][k][i]:
-                terms.append(ex.differentiate(g[j][k][i], i))
-            if g[i][k][i]:
-                terms.append(ex.neg(ex.differentiate(g[i][k][i], j)))
-            for n in range(m.dim):
-                if g[i][n][i] and g[j][k][n]:
-                    terms.append(g[i][n][i] * g[j][k][n])
-                if g[j][n][i] and g[i][k][n]:
-                    terms.append(ex.neg(g[j][n][i] * g[i][k][n]))
-        return ex.simplify_rational(ex.add(*terms))
-
-    return RicciTensors(tensor_from((m.dim, m.dim), rho_jk))
+    return RicciTensors(tensor_from((m.dim, m.dim), lambda j, k: ex.simplify_rational(
+        ex.add(*ricci_terms(g, ex.differentiate, j, k)))))
 
 
 def hessian(m: AffineManifold, f: ScalarExpr) -> TensorField:

@@ -1,7 +1,7 @@
 """Sparse multivariate polynomials and rational-function pairs over exact rationals.
 
 Monomials are sorted tuples of ``(variable_index, exponent)`` pairs, so the same
-objects work unchanged when the chart is enlarged (e.g. from m to 2m variables).
+objects work when the chart is enlarged (m to 2m, or by `expr.Tower` atoms).
 Coefficients are ``fractions.Fraction``.  Rational functions are unreduced
 numerator/denominator pairs: only integer content and common *monomial* factors
 are stripped, never a polynomial GCD.  Every pair is kept in that canonical

@@ -4,11 +4,12 @@ The second-order equation ``H f = mu f rho_s`` is rewritten as the first-order
 system ``d_i u = A_i u`` on the jet vector ``u = (f, d_1 f, ..., d_m f)``.
 Frobenius integrability produces linear constraints on admissible jets; the
 constraints are prolonged until their rank at the basepoint stabilizes, and the
-kernel of the evaluated stack is the space of admissible initial jets.  When
-the system is rational, constraint rows are `poly.RationalFunc` tuples built
-from the matrices converted once, ranked exactly at any basepoint; exp/log
-systems keep expression-tree rows, simplified after each step and ranked in
-floats by Gauss-Jordan elimination with complete pivoting.  Transport moves a
+kernel of the evaluated stack is the space of admissible initial jets.  Rows
+are `poly.RationalFunc` tuples in the `expr.Tower` of the chart's data, where
+rho_s is summed from the symbols; a row zero there is zero as a function.  Data
+with no exp/log node is ranked exactly at any basepoint, other rows in floats at
+the coordinates and atom values, by Gauss-Jordan elimination with complete
+pivoting.  Transport moves a
 list of jets along one path in a single fixed-step classical Runge-Kutta run
 (the m+1 basis jets move as the fundamental matrix), from the tree matrices
 compiled to floats once per (manifold, mu) and kept on the manifold.  Each run
@@ -50,7 +51,8 @@ class JetSystem:
 
     manifold: geo.AffineManifold
     mu: Fraction
-    matrices: tuple  # one (m+1)x(m+1) grid of ScalarExpr per coordinate
+    tower: ex.Tower
+    grids: tuple  # one (m+1)x(m+1) grid of RationalFunc in the tower per coordinate
 
     @property
     def dim(self) -> int:
@@ -60,38 +62,36 @@ class JetSystem:
     def jet_size(self) -> int:
         return self.manifold.dim + 1
 
-    @property
-    def rational_only(self) -> bool:
-        return all(entry.rational_only
-                   for grid in self.matrices for row in grid for entry in row)
-
     @cached_property
-    def row_matrices(self) -> tuple:
-        """The matrices in the type of the constraint rows: RationalFunc if rational."""
-        if not self.rational_only:
-            return self.matrices
-        return tuple(tuple(tuple(ex.to_ratfunc(entry) for entry in row) for row in grid)
-                     for grid in self.matrices)
+    def matrices(self) -> tuple:
+        return tree_matrices(self.manifold, self.mu)
+
+
+def tree_matrices(manifold: geo.AffineManifold, mu: Fraction) -> tuple:
+    """The A_i as trees from the tree Ricci, built only for transport's float compile."""
+    rho_s = manifold.ricci_parts.sym
+    return _jet_grids(manifold.gamma, ex.ZERO, ex.ONE,
+                      lambda i, j: ex.simplify_rational(mu * rho_s.comp(i, j)))
+
+
+def _jet_grids(gamma, zero, one, lead) -> tuple:
+    """A_i: the row e_(1+i), then (lead(i, j), G_ij^1, ..., G_ij^m); a None symbol is zero."""
+    m = len(gamma)
+    return tuple((tuple(one if b == 1 + i else zero for b in range(m + 1)),
+                  *((lead(i, j), *(s or zero for s in gamma[i][j])) for j in range(m)))
+                 for i in range(m))
 
 
 def build_jet_system(manifold: geo.AffineManifold, mu) -> JetSystem:
     """First-order form of the eigen-equation: d_i d_j f = G_ij^k d_k f + mu rho_s_ij f."""
-    mu = Fraction(mu)
-    rho_s = manifold.ricci_parts.sym
-    m = manifold.dim
-    matrices = []
-    for i in range(m):
-        grid = []
-        row0 = [ex.ZERO] * (m + 1)
-        row0[1 + i] = ex.ONE
-        grid.append(tuple(row0))
-        for j in range(m):
-            row = [ex.simplify_rational(mu * rho_s.comp(i, j))]
-            for k in range(m):
-                row.append(manifold.gamma[i][j][k])
-            grid.append(tuple(row))
-        matrices.append(tuple(grid))
-    return JetSystem(manifold, mu, tuple(matrices))
+    mu, m = Fraction(mu), manifold.dim
+    tower, zero = ex.Tower(m), RationalFunc.const(0)
+    g = [[[None if s == ex.ZERO else ex.to_ratfunc(s, tower=tower) for s in row] for row in plane]
+         for plane in manifold.gamma]
+    rho = [[sum(geo.ricci_terms(g, tower.diff, j, k), zero) for k in range(m)] for j in range(m)]
+    half_mu, one = RationalFunc.const(mu / 2), RationalFunc.const(1)
+    grids = _jet_grids(g, zero, one, lambda i, j: half_mu * (rho[i][j] + rho[j][i]))
+    return JetSystem(manifold, mu, tower, grids)
 
 
 # --------------------------------------------------------------------------
@@ -100,17 +100,18 @@ def build_jet_system(manifold: geo.AffineManifold, mu) -> JetSystem:
 
 @dataclass(frozen=True)
 class ConstraintRow:
-    entries: tuple  # jet_size RationalFunc or ScalarExpr; the constraint is entries . u = 0
+    entries: tuple  # jet_size RationalFunc in the tower; the constraint is entries . u = 0
 
     @property
     def is_structurally_zero(self) -> bool:
         return all(e.is_zero for e in self.entries)
 
     def values(self, point) -> tuple:
-        """The entries at a point: Fractions for RationalFunc rows, else floats."""
-        if not isinstance(self.entries[0], RationalFunc):
-            return ex.evaluate(self.entries, point)
-        return tuple(e.eval(point) for e in self.entries)
+        """The entries at (coordinates, atom values): Fractions, or floats by `expr.finite`."""
+        if not isinstance(point[0], float):
+            return tuple(e.eval(point) for e in self.entries)
+        with float_faults():
+            return ex.finite(e.eval(point) for e in self.entries)
 
 
 @dataclass
@@ -121,23 +122,18 @@ class ConstraintStack:
         return [r for r in self.rows if not r.is_structurally_zero]
 
 
-def _tidy(entry):
-    """Tree entries are simplified after each row operation; RationalFunc needs nothing."""
-    return entry if isinstance(entry, RationalFunc) else ex.simplify_rational(entry)
-
-
 def _commutator_rows(system: JetSystem, i: int, j: int):
     """Rows of d_i A_j - d_j A_i + A_j A_i - A_i A_j."""
-    a_i = system.row_matrices[i]
-    a_j = system.row_matrices[j]
+    a_i, a_j = system.grids[i], system.grids[j]
+    diff = system.tower.diff
     n = system.jet_size
     for a in range(n):
         entries = []
         for b in range(n):
-            total = a_j[a][b].diff(i) - a_i[a][b].diff(j)
+            total = diff(a_j[a][b], i) - diff(a_i[a][b], j)
             for s in range(n):
                 total = total + a_j[a][s] * a_i[s][b] - a_i[a][s] * a_j[s][b]
-            entries.append(_tidy(total))
+            entries.append(total)
         yield tuple(entries)
 
 
@@ -152,17 +148,17 @@ def integrability_constraints(system: JetSystem) -> ConstraintStack:
 
 
 def _prolong_row(system: JetSystem, entries: tuple, direction: int) -> tuple:
-    """d_i c + c . A_i, valid on solution jets whenever c . u = 0 is."""
-    a = system.row_matrices[direction]
+    """D_i c + c . A_i, valid on solution jets whenever c . u = 0 is."""
+    a = system.grids[direction]
     n = system.jet_size
     new = []
     for b in range(n):
-        total = entries[b].diff(direction)
+        total = system.tower.diff(entries[b], direction)
         for s in range(n):
             if entries[s].is_zero or a[s][b].is_zero:
                 continue
             total = total + entries[s] * a[s][b]
-        new.append(_tidy(total))
+        new.append(total)
     return tuple(new)
 
 
@@ -211,14 +207,13 @@ def solution_dimension(manifold: geo.AffineManifold, mu, basepoint,
     system = build_jet_system(manifold, mu)
     n = system.jet_size
     cap = max_generations if max_generations is not None else 2 * manifold.dim + 6
-    # a double is a dyadic rational, so Fraction(c) ranks rational data exactly at c itself
-    exact = system.rational_only
+    # a double is a dyadic rational, so Fraction(c) ranks data with no atom exactly at c itself
+    exact = not system.tower.atoms
     point = tuple(Fraction(c) if exact else float(c) for c in basepoint)
+    at = point if exact else point + ex.evaluate(system.tower.atoms, point)
     # a pole of a jet-system entry at the point is a DomainError, even where no row reads it
-    entries = [e for grid in system.row_matrices for row in grid for e in row]
-    if not exact:
-        ex.evaluate(entries, point)
-    elif any(not e.den.eval(point) for e in entries):
+    dens = ConstraintRow(tuple(e.den for grid in system.grids for row in grid for e in row))
+    if not all(dens.values(at)):
         raise ex.DomainError(f"pole of the symbols at the basepoint ({', '.join(map(str, point))})")
 
     stack = integrability_constraints(system)
@@ -229,10 +224,10 @@ def solution_dimension(manifold: geo.AffineManifold, mu, basepoint,
     while True:
         if exact:
             for row in latest:
-                reducer.add_row(row.values(point))
+                reducer.add_row(row.values(at))
             rank = reducer.rank
         else:
-            float_rows.extend(row.values(point) for row in latest)
+            float_rows.extend(row.values(at) for row in latest)
             rank, kernel = float_rank_kernel(float_rows, n)
         history.append(rank)
         stabilized = (rank == n or not latest
@@ -391,7 +386,7 @@ def rk4_run(manifold: geo.AffineManifold, mu, count: int, steps: int, segment=No
     compiled = manifold.float_jet_systems
     mu = Fraction(mu)
     if count and mu not in compiled:
-        compiled[mu] = [ex.compile_symbols(a_i) for a_i in build_jet_system(manifold, mu).matrices]
+        compiled[mu] = [ex.compile_symbols(a_i) for a_i in tree_matrices(manifold, mu)]
     tables = compiled[mu] if count else ()
     make = _rk4_maker(manifold.dim, count, tuple(indices for indices, _ in tables), gamma_indices,
                       bool(manifold.excluded))

@@ -179,11 +179,16 @@ def test_pivots_below_the_relative_cutoff_are_not_taken():
 
 
 # the exp/log scan: flat R^2 and R^3 deformed by these potentials, at -1/(m-1); each
-# keeps exp or log in the jet system, so every solve is ranked in floats
+# keeps exp or log in the jet system, so every solve has an atom in its tower
 SCAN_POTENTIALS = ["exp(x1)", "exp(2*x2)/3", "exp(x1 + x2)", "x1*exp(x2)",
                    "x2*exp(x1) + x1^2", "exp(-x1^2)/4 + x2^2", "x1*log(2 + x1)",
                    "x1*log(3 + x2)", "log(2 + x1)*x2", "exp(x1)*log(2 + x2)",
                    "exp(x2)*log(2 + x1)"]
+
+
+def deformed_flat(potential, dim):
+    g = ex.parse_scalar(potential, ["x1", "x2", "x3"][:dim])
+    return pj.deform(geo.flat_manifold(dim), pj.ProjectiveChange.from_potential(g, dim))
 
 
 def scan_solves():
@@ -193,10 +198,63 @@ def scan_solves():
         points = [(0,) * dim] + [tuple(Fraction(rng.randint(-50, 50), 100) for _ in range(dim))
                                  for _ in range(5)]
         for potential in SCAN_POTENTIALS:
-            g = ex.parse_scalar(potential, ["x1", "x2", "x3"][:dim])
-            chart = pj.deform(geo.flat_manifold(dim), pj.ProjectiveChange.from_potential(g, dim))
+            chart = deformed_flat(potential, dim)
             for point in points:
                 yield chart, qs.distinguished_eigenvalue(dim), point
+
+
+def test_exp_log_scan_gives_the_maximal_space():
+    # strongly projectively flat charts: the paper's m+1 at -1/(m-1), from generation-0
+    # rows that are all zero as polynomials in the tower, so no row is ranked in floats
+    solves = list(scan_solves())
+    assert len(solves) == 132
+    for chart, mu, point in solves:
+        system = qs.build_jet_system(chart, mu)
+        assert system.tower.atoms
+        assert qs.integrability_constraints(system).effective_rows() == []
+        space = qs.solution_dimension(chart, mu, point)
+        assert (space.dim, space.rank_history, space.exact) == (chart.dim + 1, (0,), False)
+
+
+@pytest.mark.parametrize("potential", ["x1^2*log(2 + x2)", "exp(x1*x2)", "exp(x1/2)*x2",
+                                       "log(3 + x1*x2)*x1", "x1*log(3 + x1*x2)"])
+def test_slow_tree_potentials_give_the_maximal_space(potential):
+    # the tree rows took seconds here; x1*log(3 + x1*x2) gave dim 0, history (0, 0, 1, 4)
+    space = qs.solution_dimension(deformed_flat(potential, 3), Fraction(-1, 2), (0, 0, 0))
+    assert (space.dim, space.rank_history) == (4, (0,))
+
+
+@pytest.mark.parametrize("potential, point", [
+    ("exp(x1 - x2)/2", (Fraction(3, 10), Fraction(-1, 5))),  # the tree rows gave dim 0
+    ("x1*log(x1)", (Fraction(1, 2), 0)),  # the tree rows gave dim 2 at both points
+    ("x1*log(x1)", (2, Fraction(1, 3))),
+])
+def test_float_rank_repros_give_the_maximal_space(potential, point):
+    assert qs.solution_dimension(deformed_flat(potential, 2), -1, point).dim == 3
+
+
+def expdeformed_wall():
+    """wall_dim1_surface(1) deformed by exp(x2)/3, CI's expdeformed.json."""
+    g = ex.parse_scalar("exp(x2)/3", ["x1", "x2"])
+    return pj.deform(cat.wall_dim1_surface(1).manifold(), pj.ProjectiveChange.from_potential(g, 2))
+
+
+def exp_chart():
+    return geo.load_manifold({"dim": 2, "christoffel": {"1,1^1": "exp(x1)", "1,2^2": "x2*exp(x1)"}})
+
+
+def log_chart():
+    return geo.load_manifold({"dim": 2, "christoffel": {"2,2^1": "log(x1)"}})
+
+
+# curved exp/log charts, whose rows are not zero: (chart, mu, basepoint, rank history)
+CURVED_SOLVES = [
+    (expdeformed_wall, -1, (1, 0), (2, 2, 2)),
+    (expdeformed_wall, -1, (Fraction(7, 5), Fraction(1, 3)), (2, 2, 2)),
+    (exp_chart, 1, (0, 0), (2, 3)),
+    (log_chart, -1, (1, 0), (1, 3)),
+    (exp_chart, 1, (200, 0), (1, 3)),
+]
 
 
 def spans_agree(basis, other):
@@ -207,7 +265,7 @@ def spans_agree(basis, other):
     return len(singular) == len(basis) or singular[len(basis)] <= 1e-6 * singular[0]
 
 
-def test_exp_log_scan_ranks_as_the_svd_oracle(monkeypatch):
+def test_curved_exp_log_charts_rank_as_the_svd_oracle(monkeypatch):
     calls = []
 
     def both(rows, ncols):
@@ -217,9 +275,23 @@ def test_exp_log_scan_ranks_as_the_svd_oracle(monkeypatch):
 
     # the oracle drives the solves; equal ranks on every call make equal rank histories
     monkeypatch.setattr(qs, "float_rank_kernel", both)
-    spaces = [qs.solution_dimension(*solve) for solve in scan_solves()]
-    assert len(spaces) == 132 and not any(space.exact for space in spaces)
-    assert len(calls) == sum(len(space.rank_history) for space in spaces)
+    for chart, mu, point, history in CURVED_SOLVES:
+        space = qs.solution_dimension(chart(), mu, point)
+        assert not space.exact
+        assert (space.dim, space.rank_history) == (3 - history[-1], history)
+    assert len(calls) == sum(len(history) for *_, history in CURVED_SOLVES)
     for (rank, basis), (oracle_rank, oracle_basis) in calls:
         assert rank == oracle_rank
         assert spans_agree(basis, oracle_basis)
+
+
+@pytest.mark.parametrize("x1", [360, 700])
+def test_overflowing_row_values_are_domain_errors(x1):
+    # at x1 = 200 the exp chart still ranks, in CURVED_SOLVES; past it the rows overflow
+    with pytest.raises(ex.DomainError, match="float overflow: a value past the float range"):
+        qs.solution_dimension(exp_chart(), 1, (x1, 0))
+
+
+def test_log_of_a_non_positive_basepoint_value_is_a_domain_error():
+    with pytest.raises(ex.DomainError, match="log of a non-positive value"):
+        qs.solution_dimension(log_chart(), -1, (-1, 0))

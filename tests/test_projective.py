@@ -280,9 +280,9 @@ class TestGeodesics:
         # geodesics add one compiled Christoffel table and nothing else
         builds = []
         compiles = []
-        build = qs.build_jet_system
+        build = qs.tree_matrices
         compile_float = ex.compile_float
-        monkeypatch.setattr(qs, "build_jet_system",
+        monkeypatch.setattr(qs, "tree_matrices",
                             lambda m, mu: builds.append((m, mu)) or build(m, mu))
         monkeypatch.setattr(ex, "compile_float",
                             lambda e: compiles.append(e) or compile_float(e))
@@ -291,10 +291,9 @@ class TestGeodesics:
                               steps_per_segment=100)
         chart_compiles = len(compiles)
         pj.geodesic_straightness(m, chart, 3, random.Random(2), steps_per_segment=100)
-        # one build for the exact solve, one for the compiled float form
-        assert builds == [(m, -1), (m, -1)]
-        tables = [tuple(e for row in grid for e in row if e != ex.ZERO)
-                  for grid in build(m, -1).matrices]
+        # one tree build, for the compiled float form: the exact solve reads its tower alone
+        assert builds == [(m, -1)]
+        tables = [tuple(e for row in grid for e in row if e != ex.ZERO) for grid in build(m, -1)]
         symbols = tuple(e for plane in m.gamma for row in plane for e in row if e != ex.ZERO)
         assert compiles == [m.excluded] + tables + [symbols]
         assert chart_compiles == 1 + len(tables)

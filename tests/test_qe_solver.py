@@ -14,6 +14,7 @@ from affineqe import projective as pj
 from affineqe import qe_solver as qs
 from affineqe.expr import Verdict
 from affineqe.linalg import RowReducer, exact_rank
+from affineqe.poly import RationalFunc
 
 X2 = ["x1", "x2"]
 X3 = ["x1", "x2", "x3"]
@@ -155,7 +156,8 @@ class TestConstraints:
 
     def test_prolong_gradient_row_with_flat_system(self):
         system = qs.build_jet_system(geo.flat_manifold(2), q(0))
-        stack = qs.ConstraintStack([qs.ConstraintRow((ex.ZERO, ex.ONE, ex.ZERO))])
+        zero, one = RationalFunc.const(0), RationalFunc.const(1)
+        stack = qs.ConstraintStack([qs.ConstraintRow((zero, one, zero))])
         prolonged = qs.prolong(system, stack)
         assert len(prolonged.rows) == 1  # appended rows were all zero
 
@@ -172,21 +174,22 @@ class TestConstraints:
             assert abs(value) < 1e-10
 
     def test_rows_read_in_one_walk_match_entrywise_values(self):
-        # exp rows: the plane deformed by exp(x1 - x2)/2, prolonged once
+        # rows with an atom: the plane sheared by x2 dx1 and deformed by exp(x1 - x2)/2,
+        # prolonged once; at (x, theta(x)) they take the values one walk of their trees gives at x
         g = ex.parse_scalar("exp(x1 - x2)/2", X2)
-        plane = pj.deform(geo.flat_manifold(2), pj.ProjectiveChange.from_potential(g, 2))
+        plane = pj.deform(sheared_flat_plane(), pj.ProjectiveChange.from_potential(g, 2))
         system = qs.build_jet_system(plane, q(-1))
+        assert system.tower.atoms == [ex.parse_scalar("exp(x1 - x2)", X2)]
         stack = qs.prolong(system, qs.integrability_constraints(system))
-        entries = [e for row in stack.effective_rows() for e in row.entries]
-        assert not all(e.rational_only for e in entries)
+        rows = stack.effective_rows()
+        trees = [ex.from_ratfunc(e, system.tower) for row in rows for e in row.entries]
+        assert rows and not all(e.rational_only for e in trees)
         rng = random.Random(11)
         for _ in range(5):
             point = ex.random_float_point(2, rng)
-            apart = [ex.evaluate(e, point) for e in entries]
-            for together in (ex.evaluate(entries, point),
-                             [v for row in stack.effective_rows() for v in row.values(point)]):
-                assert [(v, math.copysign(1.0, v)) for v in together] == \
-                    [(v, math.copysign(1.0, v)) for v in apart]
+            at = point + ex.evaluate(system.tower.atoms, point)
+            got = [v for row in rows for v in row.values(at)]
+            assert got == pytest.approx(ex.evaluate(trees, point), rel=1e-12, abs=1e-12)
 
 
 class TestSolutionDimension:
@@ -220,10 +223,10 @@ class TestSolutionDimension:
         assert qs.solution_dimension(sheared_flat_plane(), q(-1), ORIGIN2).dim == 0
 
     def test_exp_deformation_keeps_the_maximal_space(self):
-        # strong projective invariance at -1/(m-1), solved on expression-tree rows
+        # strong projective invariance at -1/(m-1), solved on rows with an atom
         g = ex.parse_scalar("exp(x1 - x2)/2", X2)
         m = pj.deform(geo.flat_manifold(2), pj.ProjectiveChange.from_potential(g, 2))
-        assert not qs.build_jet_system(m, q(-1)).rational_only
+        assert qs.build_jet_system(m, q(-1)).tower.atoms
         space = qs.solution_dimension(m, qs.distinguished_eigenvalue(2), ORIGIN2)
         assert not space.exact
         assert space.dim == 3
