@@ -208,6 +208,7 @@ def _parse_grid_spec(text: str | None):
 
 
 def _cmd_flatten(args) -> tuple:
+    radius, per_axis = _parse_grid_spec(args.grid)
     manifold = _load_manifold(args.manifold)
     basepoint = _parse_basepoint(args.basepoint, manifold)
     flatness = pj.strong_flatness_test(manifold, basepoint)
@@ -220,7 +221,6 @@ def _cmd_flatten(args) -> tuple:
     }
     ok = flatness.criteria_agree is not False
     if flatness.flat:
-        radius, per_axis = _parse_grid_spec(args.grid)
         if radius is None:
             radius = pj.chart_radius(manifold, basepoint)
         grid = pj.box_grid(basepoint, radius, per_axis=per_axis)

@@ -25,7 +25,7 @@ from typing import Sequence
 
 from . import expr as ex
 from . import geometry as geo
-from .expr import DomainError, ScalarExpr, Verdict
+from .expr import ScalarExpr, Verdict
 from .poly import RationalFunc
 
 
@@ -38,23 +38,14 @@ def _block_grid(m, xx, yy, one, zero) -> tuple:
 
 @dataclass(frozen=True)
 class PseudoMetric:
-    """Symmetric metric grid on a 2m chart (x^1..x^m, y_1..y_m); m is read off the grid."""
+    """A deformed extension on its 2m chart (x^1..x^m, y_1..y_m), built by
+    `deformed_extension`: the component trees, and the same grid as `rows` in `tower`."""
 
     coords: tuple
     components: tuple
-    excluded: tuple = ()
-    rows: tuple | None = field(default=None, compare=False, repr=False)  # the grid in `tower`
-    tower: ex.Tower | None = field(default=None, compare=False, repr=False)
-
-    def __post_init__(self):
-        n = len(self.components)
-        if not n or n % 2 or len(self.coords) != n or any(len(r) != n for r in self.components):
-            raise ValueError(f"a metric needs a 2m x 2m grid on 2m coordinates, not {n} rows "
-                             f"on {len(self.coords)} coordinates")
-        if self.rows is None:
-            object.__setattr__(self, "tower", ex.Tower(n))
-            object.__setattr__(self, "rows", tuple(tuple(ex.to_ratfunc(e, tower=self.tower)
-                                                         for e in r) for r in self.components))
+    excluded: tuple
+    rows: tuple = field(compare=False, repr=False)
+    tower: ex.Tower = field(compare=False, repr=False)
 
     @property
     def n(self) -> int:
@@ -62,13 +53,6 @@ class PseudoMetric:
 
     def comp(self, a: int, b: int) -> ScalarExpr:
         return self.components[a][b]
-
-    @cached_property
-    def block_form(self) -> bool:
-        """The form of a deformed extension: identity dx-dy pairing, zero yy-block."""
-        m = self.n // 2
-        return all(self.comp(a, m + b) == self.comp(m + b, a) == (ex.ONE if a == b else ex.ZERO)
-                   and self.comp(m + a, m + b) == ex.ZERO for a in range(m) for b in range(m))
 
     @cached_property
     def inverse(self) -> tuple:
@@ -112,53 +96,17 @@ def deformed_extension(manifold: geo.AffineManifold,
     return PseudoMetric(coords, trees, manifold.excluded, rows, tower)
 
 
-def metric_from_grid(coords, grid, excluded=()) -> PseudoMetric:
-    metric = PseudoMetric(tuple(coords), tuple(tuple(ex.as_expr(e) for e in row) for row in grid),
-                          excluded=tuple(excluded))
-    _symmetric_or_raise(metric.components, metric.n, "metric")
-    return metric
-
-
 # --------------------------------------------------------------------------
 # inverse metric
 
 
-def _determinant(grid, rows, cols):
-    if len(rows) == 1:
-        return grid[rows[0]][cols[0]]
-    total = ex.ZERO
-    top = rows[0]
-    for position, col in enumerate(cols):
-        minor = _determinant(grid, rows[1:], cols[:position] + cols[position + 1:])
-        term = grid[top][col] * minor
-        total = total + (term if position % 2 == 0 else ex.neg(term))
-    return ex.simplify_rational(total)
-
-
 def inverse_metric(metric: PseudoMetric) -> tuple:
-    """Exact inverse component grid.
-
-    Metrics in block form use the closed form: zero xx-block, identity pairing,
-    yy-block the negative of the xx-block, negated in the metric's tower.  General
-    metrics go through the adjugate, rejecting an identically-degenerate
-    determinant.
-    """
-    n = metric.n
-    if metric.block_form:
-        return _block_grid(n // 2, lambda a, b: ex.ZERO,
-                           lambda a, b: ex.from_ratfunc(-metric.rows[a][b], metric.tower),
-                           ex.ONE, ex.ZERO)
-    everything = tuple(range(n))
-    det = _determinant(metric.components, everything, everything)
-    if ex.is_identically_zero(det) is not Verdict.NONZERO:
-        raise DomainError("metric is degenerate")
-
-    def entry(a, b):
-        cofactor = _determinant(metric.components, everything[:b] + everything[b + 1:],
-                                everything[:a] + everything[a + 1:])
-        return ex.simplify_rational((1 if (a + b) % 2 == 0 else -1) * cofactor / det)
-
-    return tuple(tuple(entry(a, b) for b in range(n)) for a in range(n))
+    """Exact inverse component grid, in closed form: zero xx-block, identity
+    pairing, yy-block the xx rows negated in the metric's tower.  The grid
+    [[A, I], [I, 0]] has determinant (-1)^m, so it is never degenerate."""
+    return _block_grid(metric.n // 2, lambda a, b: ex.ZERO,
+                       lambda a, b: ex.from_ratfunc(-metric.rows[a][b], metric.tower),
+                       ex.ONE, ex.ZERO)
 
 
 # --------------------------------------------------------------------------
@@ -169,16 +117,15 @@ def levi_civita(metric: PseudoMetric) -> geo.AffineManifold:
     """The torsion-free metric connection as an affine chart on the metric's
     coordinates: Koszul symbols (1/2) g^{kl} (d_i g_jl + d_j g_il - d_l g_ij).
 
-    The sums run on the metric's rows and its inverse in its tower (the closed
-    form negates the rows); symbols are rebuilt as trees at the end, and only
+    The sums run on the metric's rows in its tower and on the inverse's closed
+    form, the negated xx rows; symbols are rebuilt as trees at the end, and only
     nonzero g^{kl} and brackets are summed.  For rows symmetric as pairs the
-    symbols of (j, i) are those of (i, j), since sums of pairs commute."""
+    symbols of (j, i) are those of (i, j), since sums of pairs commute; Phi
+    entries equal in value need not be equal as pairs, and take the full loop."""
     n = metric.n
     g, tower = metric.rows, metric.tower
     zero, one, half = (RationalFunc.const(c) for c in (0, 1, Fraction(1, 2)))
-    inverse = _block_grid(n // 2, lambda a, b: zero, lambda a, b: -g[a][b], one, zero) \
-        if metric.block_form else [[ex.to_ratfunc(e, tower=tower) for e in row]
-                                   for row in metric.inverse]
+    inverse = _block_grid(n // 2, lambda a, b: zero, lambda a, b: -g[a][b], one, zero)
     dgrid = [[[tower.diff(g[j][l], i) for l in range(n)] for j in range(n)] for i in range(n)]
 
     def symbols(i, j):

@@ -26,7 +26,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import Sequence
 
 from . import expr as ex
@@ -61,10 +61,6 @@ class JetSystem:
     @property
     def jet_size(self) -> int:
         return self.manifold.dim + 1
-
-    @cached_property
-    def matrices(self) -> tuple:
-        return tree_matrices(self.manifold, self.mu)
 
 
 def tree_matrices(manifold: geo.AffineManifold, mu: Fraction) -> tuple:

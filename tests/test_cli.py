@@ -482,10 +482,12 @@ def test_classify_bad_params_is_input_error(params, says, capsys):
                               "--mu", "-1"]), capsys, says)
 
 
-@pytest.mark.parametrize("grid", ["0.1:0", "0.1:-1", "nan"])
-def test_flatten_bad_grid_is_input_error(grid, wall_path, capsys):
-    _assert_input_error(main(["flatten", wall_path, "--basepoint", "1,0",
-                              "--grid", grid]), capsys, "bad --grid")
+@pytest.mark.parametrize("grid", ["0.1:0", "0.1:-1", "nan", "inf", "0", "-1"])
+def test_flatten_bad_grid_is_input_error(grid, wall_path, exp3d_path, capsys):
+    # the grid is checked before the solve, on flat and non-flat charts alike
+    for path, basepoint in ((wall_path, "1,0"), (exp3d_path, "0,0,0")):
+        _assert_input_error(main(["flatten", path, "--basepoint", basepoint,
+                                  "--grid", grid]), capsys, "bad --grid")
 
 
 @pytest.mark.parametrize("command, flag", [("sweep", "--n"), ("flatten", "--geodesics")])

@@ -81,9 +81,9 @@ def in_solution_space(space, jet) -> bool:
 
 class TestJetSystem:
     def test_flat_matrices_have_only_unit_rows(self):
-        system = qs.build_jet_system(geo.flat_manifold(2), q(5))
+        matrices = qs.tree_matrices(geo.flat_manifold(2), q(5))
         for i in range(2):
-            grid = system.matrices[i]
+            grid = matrices[i]
             for a in range(3):
                 for b in range(3):
                     want = ex.ONE if (a == 0 and b == 1 + i) else ex.ZERO
@@ -93,9 +93,9 @@ class TestJetSystem:
         m = example_b1()
         mu = q(-3, 5)
         rho_s = geo.ricci(m).sym
-        system = qs.build_jet_system(m, mu)
+        matrices = qs.tree_matrices(m, mu)
         for i in range(3):
-            grid = system.matrices[i]
+            grid = matrices[i]
             for j in range(3):
                 lead = grid[1 + j][0]
                 want = ex.simplify_rational(mu * rho_s.comp(i, j))
@@ -104,14 +104,13 @@ class TestJetSystem:
                     assert grid[1 + j][1 + k] == m.gamma[i][j][k]
 
     def test_hessian_symmetry_of_rows(self):
-        system = qs.build_jet_system(example_b1(), q(2))
+        matrices = qs.tree_matrices(example_b1(), q(2))
         for i in range(3):
             for j in range(3):
-                assert system.matrices[i][1 + j] == system.matrices[j][1 + i]
+                assert matrices[i][1 + j] == matrices[j][1 + i]
 
     def test_wall_chart_entries_scale_inversely(self):
-        system = qs.build_jet_system(type_b(c12_1=1, c22_2=1), q(1))
-        entry = system.matrices[0][2][1]  # Gamma_12^1 = 1/x1
+        entry = qs.tree_matrices(type_b(c12_1=1, c22_2=1), q(1))[0][2][1]  # Gamma_12^1 = 1/x1
         assert ex.is_identically_zero(entry - 1 / ex.coord(0)) is Verdict.ZERO
 
 
@@ -479,7 +478,7 @@ def reference_field(manifold, mu, count):
     """du = velocity^i A_i(x) u for ``count`` stacked jets."""
     n = manifold.dim + 1
     tables = []
-    for a_i in qs.build_jet_system(manifold, mu).matrices:
+    for a_i in qs.tree_matrices(manifold, mu):
         indices, fn = ex.compile_symbols(a_i)
         tables.append((fn, [(k, o + a, o + b) for k, (a, b) in enumerate(indices)
                             for o in range(0, count * n, n)]))
