@@ -820,10 +820,15 @@ _CHECK_POINTS: dict = {}
 def is_identically_zero(e: ScalarExpr, memos: tuple | None = None) -> Verdict:
     """The one judge of zero, on raw trees: a rational-only tree is put into exact
     form here and a random rational point cross-checks a zero claim; an exp/log
-    tree is sampled.  Draws come from a fixed seed, so the tree fixes the verdict.
+    tree is sampled, and a sampled nonzero is confirmed in a `Tower`.  Draws come
+    from a fixed seed, so the tree fixes the verdict.
     `memos`, a (to_ratfunc, evaluate) pair of dicts, serves trees kept alive together."""
     if not _rational_only(e):
-        return _sample_verdict(e, random.Random(0x5EED))
+        verdict = _sample_verdict(e, random.Random(0x5EED))
+        # a sampled nonzero can be rounding; a zero polynomial in a tower is a zero function
+        if verdict is Verdict.NONZERO and to_ratfunc(e, tower=Tower(max_coord_index(e) + 1)).is_zero:
+            return Verdict.ZERO
+        return verdict
     ratfunc_memo, value_memo = memos or (None, None)
     if to_ratfunc(e, ratfunc_memo).is_zero:
         nvars = max_coord_index(e) + 1

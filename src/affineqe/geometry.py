@@ -24,6 +24,7 @@ from .expr import (
     Verdict,
     combine_verdicts,
 )
+from .poly import RationalFunc
 
 
 class ManifoldFormatError(AffineQEError):
@@ -69,6 +70,17 @@ class AffineManifold:
     def ricci_parts(self) -> RicciTensors:
         """The Ricci tensor and its split, computed once per manifold."""
         return ricci(self)
+
+    @cached_property
+    def jet_data(self) -> tuple:
+        """(tower, symbols, rho sums), the mu-free half of every jet system, built once: the
+        symbols converted into one `expr.Tower` (None where zero) and rho_jk + rho_kj for each
+        ordered (j, k), with rho summed from them by `ricci_terms`."""
+        m, tower, zero = self.dim, ex.Tower(self.dim), RationalFunc.const(0)
+        g = [[[None if s == ex.ZERO else ex.to_ratfunc(s, tower=tower) for s in row] for row in plane]
+             for plane in self.gamma]
+        rho = [[sum(ricci_terms(g, tower.diff, j, k), zero) for k in range(m)] for j in range(m)]
+        return tower, g, [[rho[j][k] + rho[k][j] for k in range(m)] for j in range(m)]
 
     @cached_property
     def float_gamma(self) -> tuple:

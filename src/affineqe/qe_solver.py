@@ -6,7 +6,9 @@ Frobenius integrability produces linear constraints on admissible jets; the
 constraints are prolonged until their rank at the basepoint stabilizes, and the
 kernel of the evaluated stack is the space of admissible initial jets.  Rows
 are `poly.RationalFunc` tuples in the `expr.Tower` of the chart's data, where
-rho_s is summed from the symbols; a row zero there is zero as a function.  Data
+rho_s is summed from the symbols; a row zero there is zero as a function.  The
+symbols are converted and rho summed once per manifold (`jet_data`), shared by
+every mu solved on it, so a further mu costs only its own rows.  Data
 with no exp/log node is ranked exactly at any basepoint, other rows in floats at
 the coordinates and atom values, by Gauss-Jordan elimination with complete
 pivoting.  Transport moves a
@@ -80,13 +82,11 @@ def _jet_grids(gamma, zero, one, lead) -> tuple:
 
 def build_jet_system(manifold: geo.AffineManifold, mu) -> JetSystem:
     """First-order form of the eigen-equation: d_i d_j f = G_ij^k d_k f + mu rho_s_ij f."""
-    mu, m = Fraction(mu), manifold.dim
-    tower, zero = ex.Tower(m), RationalFunc.const(0)
-    g = [[[None if s == ex.ZERO else ex.to_ratfunc(s, tower=tower) for s in row] for row in plane]
-         for plane in manifold.gamma]
-    rho = [[sum(geo.ricci_terms(g, tower.diff, j, k), zero) for k in range(m)] for j in range(m)]
-    half_mu, one = RationalFunc.const(mu / 2), RationalFunc.const(1)
-    grids = _jet_grids(g, zero, one, lambda i, j: half_mu * (rho[i][j] + rho[j][i]))
+    mu = Fraction(mu)
+    tower, g, rho_sums = manifold.jet_data
+    half_mu = RationalFunc.const(mu / 2)
+    grids = _jet_grids(g, RationalFunc.const(0), RationalFunc.const(1),
+                       lambda i, j: half_mu * rho_sums[i][j])
     return JetSystem(manifold, mu, tower, grids)
 
 

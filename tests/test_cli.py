@@ -253,6 +253,20 @@ def test_classify_computes_ricci_once(monkeypatch, capsys):
     assert len(calls) == 1
 
 
+def test_qe_dim_sums_ricci_once_for_every_mu(monkeypatch, exp3d_path, capsys):
+    # the tower symbols and rho sums are built once per manifold, not once per mu
+    from affineqe import geometry
+
+    calls = []
+    terms = geometry.ricci_terms
+    monkeypatch.setattr(geometry, "ricci_terms", lambda *a: calls.append(a) or terms(*a))
+    code = main(["qe-dim", exp3d_path, "--mu", "-3/5", "--mu", "0", "--mu", "1",
+                 "--basepoint", "0,0,0"])
+    assert code == 0
+    assert capsys.readouterr().out.splitlines()[0] == "mu = -3/5: dim = 2"
+    assert len(calls) == 9
+
+
 def test_classify_agreement(capsys):
     code = main(["classify", "--kind", "exp3d", "--mu", "-3/5", "--mu", "0"])
     assert code == 0

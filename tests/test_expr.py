@@ -213,6 +213,13 @@ class TestZeroTest:
                          " + exp(10*x1)*exp(10*x1) - exp(20*x1)", XY)
         assert is_identically_zero(e) is Verdict.NUMERIC_ONLY
 
+    def test_rounding_inside_an_exp_tree_is_not_a_nonzero(self):
+        # exp(60*x1) swallows x2 in floats, so every sample reads nonzero; the tree is
+        # zero as a polynomial in its tower, and that is a proof
+        e = parse_scalar("(exp(60*x1) + x2 - exp(60*x1))^2 - x2^2", XY)
+        assert is_identically_zero(e) is Verdict.ZERO
+        assert is_identically_zero(parse_scalar("exp(x1) - x1", XY)) is Verdict.NONZERO
+
     def test_nonzero_of_the_size_of_large_terms(self):
         e = parse_scalar("x2*exp(20*x1) - exp(20*x1)", XY)
         assert is_identically_zero(e) is Verdict.NONZERO

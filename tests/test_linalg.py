@@ -285,6 +285,16 @@ def test_curved_exp_log_charts_rank_as_the_svd_oracle(monkeypatch):
         assert spans_agree(basis, oracle_basis)
 
 
+def test_curved_exp_log_chart_at_two_mu_on_one_object():
+    # the tower and rho sums are built once and shared by every mu: the float solves
+    # on one object are those of a fresh copy of the chart per mu, in either order
+    shared, point = expdeformed_wall(), (Fraction(7, 5), Fraction(1, 3))
+    for mu, history in ((-1, (2, 2, 2)), (2, (2, 3)), (-1, (2, 2, 2))):
+        space = qs.solution_dimension(shared, mu, point)
+        assert (space.rank_history, space.exact) == (history, False)
+        assert space == qs.solution_dimension(expdeformed_wall(), mu, point)
+
+
 @pytest.mark.parametrize("x1", [360, 700])
 def test_overflowing_row_values_are_domain_errors(x1):
     # at x1 = 200 the exp chart still ranks, in CURVED_SOLVES; past it the rows overflow

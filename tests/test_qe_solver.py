@@ -680,6 +680,48 @@ def test_generated_transport_is_the_reference_on_non_homogeneous_charts(case):
         == repr(reference_transport(manifold, mu, path, jets, steps))
 
 
+SMALL = st.fractions(-2, 2, max_denominator=3)
+
+
+@st.composite
+def linear_charts(draw):
+    """A non-homogeneous plane chart: symbols of degree <= 1 over small rationals, one
+    of them plus C/x1; a basepoint off the wall; mu values with 0 and a repeat."""
+    x1, x2 = ex.coord(0), ex.coord(1)
+    keys = [(i, j, k) for i in range(2) for j in range(i, 2) for k in range(2)]
+    coefficient = st.one_of(st.just(q(0)), st.just(q(0)), SMALL)  # mostly zero
+    entries = {key: ex.add(draw(coefficient), ex.mul(draw(coefficient), x1),
+                           ex.mul(draw(coefficient), x2)) for key in keys}
+    wall = draw(st.sampled_from(keys))
+    entries[wall] = ex.add(entries[wall], ex.div(draw(SMALL.filter(bool)), x1))
+    point = (draw(st.fractions(q(1, 2), 2, max_denominator=4)),
+             draw(st.fractions(-1, 1, max_denominator=4)))
+    mu = draw(SMALL.filter(bool))
+    return entries, point, [mu, q(0), draw(SMALL), mu]
+
+
+def _pairs(row):
+    """A row's entries as (numerator, denominator) term lists, in dict order."""
+    return [(list(e.num.terms.items()), list(e.den.terms.items())) for e in row.entries]
+
+
+@given(linear_charts())
+@settings(max_examples=25, deadline=None)
+def test_one_manifold_solves_every_mu_as_fresh_copies_do(case):
+    # the tower, symbols and rho sums are built once per manifold and shared by every
+    # mu; in any order, each solve is the one a fresh copy of the chart gives
+    entries, point, mus = case
+    shared = geo.from_christoffel(X2, entries)
+    solved = [(mu, qs.solution_dimension(shared, mu, point)) for mu in mus + mus[::-1]]
+    for mu in set(mus):
+        fresh = geo.from_christoffel(X2, entries)
+        want = qs.solution_dimension(fresh, mu, point)
+        assert all(space == want for other, space in solved if other == mu)
+        rows = [qs.integrability_constraints(qs.build_jet_system(m, mu)).rows
+                for m in (shared, fresh)]
+        assert [_pairs(r) for r in rows[0]] == [_pairs(r) for r in rows[1]]
+
+
 UNIT_LOOP_13 = [(0, 0, 0), (1, 0, 0), (1, 0, 1), (0, 0, 1), (0, 0, 0)]
 UNIT_LOOP_23 = [(0, 0, 0), (0, 1, 0), (0, 1, 1), (0, 0, 1), (0, 0, 0)]
 
