@@ -64,7 +64,8 @@ class AffineManifold:
         """Raise ExcludedLocusError on the excluded locus; exp/log guards are read in floats."""
         if any(ex.evaluate(g, point if g.rational_only else ex.float_values(point)) == 0
                for g in self.excluded):
-            raise ExcludedLocusError(f"point {tuple(point)} lies on the excluded locus")
+            shown = ", ".join(map(str, point))
+            raise ExcludedLocusError(f"point ({shown}) lies on the excluded locus")
 
     @cached_property
     def ricci_parts(self) -> RicciTensors:

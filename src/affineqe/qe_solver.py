@@ -4,7 +4,9 @@ The second-order equation ``H f = mu f rho_s`` is rewritten as the first-order
 system ``d_i u = A_i u`` on the jet vector ``u = (f, d_1 f, ..., d_m f)``.
 Frobenius integrability produces linear constraints on admissible jets; the
 constraints are prolonged until their rank at the basepoint stabilizes, and the
-kernel of the evaluated stack is the space of admissible initial jets.  Rows
+kernel of the evaluated stack is the space of admissible initial jets.  An
+exact solve reduces each prolonged row as soon as it is made and stops once
+the rank is m+1, inside a generation too.  Rows
 are `poly.RationalFunc` tuples in the `expr.Tower` of the chart's data, where
 rho_s is summed from the symbols; a row zero there is zero as a function.  The
 symbols are converted and rho summed once per manifold (`jet_data`), shared by
@@ -196,8 +198,9 @@ def solution_dimension(manifold: geo.AffineManifold, mu, basepoint,
     """Dimension and jet basis of the local solution space at ``basepoint``.
 
     Prolongation stops once the evaluated rank is unchanged across two
-    consecutive generations (or the kernel is already empty); hitting the
-    generation cap without that is reported via ``stabilized=False``.
+    consecutive generations (or the kernel is already empty, which an exact
+    solve sees row by row); hitting the generation cap without that is
+    reported via ``stabilized=False``.
     """
     manifold.check_point(basepoint)
     system = build_jet_system(manifold, mu)
@@ -212,27 +215,34 @@ def solution_dimension(manifold: geo.AffineManifold, mu, basepoint,
     if not all(dens.values(at)):
         raise ex.DomainError(f"pole of the symbols at the basepoint ({', '.join(map(str, point))})")
 
+    def generation(sources):
+        # the rows of prolong(stack, sources), made one source row at a time
+        nonlocal stack
+        for source in sources:
+            before = len(stack.rows)
+            stack = prolong(system, stack, rows=[source])
+            yield from stack.rows[before:]
+
     stack = integrability_constraints(system)
-    latest = stack.effective_rows()
+    rows = stack.effective_rows()
     reducer = RowReducer(n)
     float_rows: list = []
     history: list = []
     while True:
-        if exact:
-            for row in latest:
-                reducer.add_row(row.values(at))
-            rank = reducer.rank
-        else:
-            float_rows.extend(row.values(at) for row in latest)
-            rank, kernel = float_rank_kernel(float_rows, n)
+        latest = []
+        for row in rows:
+            latest.append(row)
+            if not exact:
+                float_rows.append(row.values(at))
+            elif reducer.add_row(row.values(at)) and reducer.rank == n:
+                break  # full rank: the rest of the generation cannot change it
+        rank, kernel = (reducer.rank, None) if exact else float_rank_kernel(float_rows, n)
         history.append(rank)
         stabilized = (rank == n or not latest
                       or len(history) >= 3 and rank == history[-2] == history[-3])
         if stabilized or len(history) > cap:
             break
-        before = len(stack.rows)
-        stack = prolong(system, stack, rows=latest)
-        latest = stack.rows[before:]
+        rows = generation(latest)
 
     return SolutionSpace(
         basepoint=point,
@@ -284,8 +294,9 @@ def _rk4_maker(m: int, count: int, tables: tuple, gamma: tuple | None, guarded: 
     ODEs I, II.1), each straight-line Python for a pattern shared by all its
     manifolds; ``make(manifold, fns, gamma, steps, c=(), v=())`` returns the run.
 
-    ``tables`` holds the (row, column) of each nonzero entry of each A_i, and
-    ``count`` jets evolve by d_t u = v^i A_i(x) u.  Without ``gamma``, x runs
+    ``tables`` holds the (row - 1, column) of each nonzero entry of each A_i
+    below its unit row e_(1+i), which is compiled nowhere, and ``count`` jets
+    evolve by d_t u = v^i A_i(x) u.  Without ``gamma``, x runs
     along c + t v and ``run(y, signs)`` checks each step's end point against
     the excluded locus (if ``guarded``) before the step.  With the (i, j, k) of
     the nonzero Christoffel symbols the state is a geodesic's (x, v, jets),
@@ -294,7 +305,7 @@ def _rk4_maker(m: int, count: int, tables: tuple, gamma: tuple | None, guarded: 
     ``limit`` from its start.  Each step ends by checking that the state is
     finite.  Terms are added in a fixed order onto accumulators that start at
     0.0: directions with v^i != 0, entries, jets.  Each v^i A_i[q] is formed
-    once for all jets (v^i itself for the unit entry A_i[0][1+i]).
+    once for all jets, and the unit entry A_i[0][1+i] adds v^i itself.
     """
     head = 0 if gamma is None else 2 * m  # x and v lead a geodesic's state
     size = head + count * (m + 1)
@@ -311,15 +322,15 @@ def _rk4_maker(m: int, count: int, tables: tuple, gamma: tuple | None, guarded: 
         for q, (i, j, c) in enumerate(gamma or ()):
             body.append(f"{k[m + c]} -= g[{q}] * {velocity[i]} * {velocity[j]}")
         for i, pairs in enumerate(tables):
-            products = [velocity[i] if pair == (0, 1 + i) else f"p{i}_{q}"
-                        for q, pair in enumerate(pairs)]
             body.append(f"if {velocity[i]} != 0.0:")
-            if x is not None:
+            # the unit row e_(1+i) comes first and adds v^i itself: v * 1.0 == v
+            body.extend(f"    {k[o]} += {velocity[i]} * {state[o + 1 + i]}"
+                        for o in range(head, size, m + 1))
+            if x is not None and pairs:
                 unpack = "".join(f"a{i}_{q}, " for q in range(len(pairs)))
                 body.append(f"    {unpack}= f{i}({x})")
-                body.extend(f"    {p} = {velocity[i]} * a{i}_{q}"
-                            for q, p in enumerate(products) if p != velocity[i])
-            body.extend(f"    {k[o + r]} += {products[q]} * {state[o + b]}"
+                body.extend(f"    p{i}_{q} = {velocity[i]} * a{i}_{q}" for q in range(len(pairs)))
+            body.extend(f"    {k[o + 1 + r]} += p{i}_{q} * {state[o + b]}"
                         for q, (r, b) in enumerate(pairs) for o in range(head, size, m + 1))
         return velocity[:first] + k[first:]
 
@@ -382,7 +393,7 @@ def rk4_run(manifold: geo.AffineManifold, mu, count: int, steps: int, segment=No
     compiled = manifold.float_jet_systems
     mu = Fraction(mu)
     if count and mu not in compiled:
-        compiled[mu] = [ex.compile_symbols(a_i) for a_i in tree_matrices(manifold, mu)]
+        compiled[mu] = [ex.compile_symbols(a_i[1:]) for a_i in tree_matrices(manifold, mu)]
     tables = compiled[mu] if count else ()
     make = _rk4_maker(manifold.dim, count, tuple(indices for indices, _ in tables), gamma_indices,
                       bool(manifold.excluded))

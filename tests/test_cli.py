@@ -561,6 +561,12 @@ def test_pole_read_by_no_row_is_input_error(command, tmp_path, capsys):
     _assert_input_error(code, capsys, "pole")
 
 
+def test_point_on_the_excluded_locus_reads_as_the_pole_message_does(wall_path, capsys):
+    # used to print the Fraction reprs: point (Fraction(0, 1), Fraction(0, 1)) lies ...
+    code = main(["qe-dim", wall_path, "--mu", "-1", "--basepoint", "0,0"])
+    _assert_input_error(code, capsys, "point (0, 0) lies on the excluded locus")
+
+
 def test_flatten_of_a_symbol_at_the_nesting_cap(tmp_path, capsys):
     # 100 levels of x1 - (...) is 2; its compiled form used to be a SyntaxError traceback
     nest = "x1 - (" * 100 + "2" + ")" * 100

@@ -293,7 +293,9 @@ class TestGeodesics:
         pj.geodesic_straightness(m, chart, 3, random.Random(2), steps_per_segment=100)
         # one tree build, for the compiled float form: the exact solve reads its tower alone
         assert builds == [(m, -1)]
-        tables = [tuple(e for row in grid for e in row if e != ex.ZERO) for grid in build(m, -1)]
+        # each A_i is compiled below its unit row e_(1+i), which the generated run adds itself
+        tables = [tuple(e for row in grid[1:] for e in row if e != ex.ZERO)
+                  for grid in build(m, -1)]
         symbols = tuple(e for plane in m.gamma for row in plane for e in row if e != ex.ZERO)
         assert compiles == [m.excluded] + tables + [symbols]
         assert chart_compiles == 1 + len(tables)

@@ -15,6 +15,7 @@ from affineqe import qe_solver as qs
 from affineqe.expr import Verdict
 from affineqe.linalg import RowReducer, exact_rank
 from affineqe.poly import RationalFunc
+from test_linalg import CURVED_SOLVES
 
 X2 = ["x1", "x2"]
 X3 = ["x1", "x2", "x3"]
@@ -720,6 +721,93 @@ def test_one_manifold_solves_every_mu_as_fresh_copies_do(case):
         rows = [qs.integrability_constraints(qs.build_jet_system(m, mu)).rows
                 for m in (shared, fresh)]
         assert [_pairs(r) for r in rows[0]] == [_pairs(r) for r in rows[1]]
+
+
+def whole_generation_solve(manifold, mu, basepoint):
+    """Reference: the solve that prolongs and ranks every generation whole, with
+    no stop inside a generation."""
+    system = qs.build_jet_system(manifold, mu)
+    n, cap = system.jet_size, 2 * manifold.dim + 6
+    exact = not system.tower.atoms
+    point = tuple(Fraction(c) if exact else float(c) for c in basepoint)
+    at = point if exact else point + ex.evaluate(system.tower.atoms, point)
+    stack = qs.integrability_constraints(system)
+    latest = stack.effective_rows()
+    reducer, float_rows, history = RowReducer(n), [], []
+    while True:
+        if exact:
+            for row in latest:
+                reducer.add_row(row.values(at))
+            rank = reducer.rank
+        else:
+            float_rows.extend(row.values(at) for row in latest)
+            rank, kernel = qs.float_rank_kernel(float_rows, n)
+        history.append(rank)
+        stabilized = (rank == n or not latest
+                      or len(history) >= 3 and rank == history[-2] == history[-3])
+        if stabilized or len(history) > cap:
+            break
+        before = len(stack.rows)
+        stack = qs.prolong(system, stack, rows=latest)
+        latest = stack.rows[before:]
+    return qs.SolutionSpace(point, Fraction(mu), n - rank,
+                            tuple(reducer.kernel_basis() if exact else kernel),
+                            tuple(history), stabilized, exact)
+
+
+CONSTANTS = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 3))  # catalog's law
+
+
+@st.composite
+def catalog_solves(draw):
+    """A random typeA, typeB or family3d model at its default basepoint or a random one."""
+    kind = draw(st.sampled_from(("typeA", "typeB", "family3d")))
+    names = "xyzw" if kind == "family3d" else ("c11_1", "c11_2", "c12_1", "c12_2", "c22_1", "c22_2")
+    manifold = cat.build_model(kind, {name: draw(CONSTANTS) for name in names})
+    point = draw(st.one_of(st.just(cat.default_basepoint(manifold)), st.tuples(
+        st.fractions(q(1, 2), 2, max_denominator=4),  # off the wall x1 = 0 of typeB
+        *[st.fractions(-1, 1, max_denominator=4)] * (manifold.dim - 1))))
+    mu = draw(st.one_of(st.just(qs.distinguished_eigenvalue(manifold.dim)), CONSTANTS))
+    return manifold, mu, point
+
+
+@st.composite
+def linear_solves(draw):
+    entries, point, mus = draw(linear_charts())
+    return geo.from_christoffel(X2, entries), draw(st.sampled_from(mus)), point
+
+
+@st.composite
+def curved_exp_log_solves(draw):
+    """The curved exp/log charts of test_linalg at a pinned solve, or at a random mu and point."""
+    chart, mu, point, _ = draw(st.sampled_from(CURVED_SOLVES))
+    if draw(st.booleans()):
+        mu = draw(SMALL)
+        point = (draw(st.fractions(q(1, 2), 2, max_denominator=4)),
+                 draw(st.fractions(-1, 1, max_denominator=4)))
+    return chart(), mu, point
+
+
+@given(st.one_of(catalog_solves(), linear_solves(), curved_exp_log_solves()))
+@settings(max_examples=60, deadline=None)
+def test_a_solve_that_stops_at_full_rank_is_the_whole_generation_solve(case):
+    # the solve streams each generation into the reducer and stops once the rank is
+    # full; dim, rank history, stabilized, exact and basis are those of whole generations
+    manifold, mu, point = case
+    assert qs.solution_dimension(manifold, mu, point) == whole_generation_solve(manifold, mu, point)
+
+
+def test_full_rank_stops_inside_a_generation(monkeypatch):
+    # generation 1 would prolong both generation-0 rows in both directions, 4 calls; the
+    # derivatives of the first row already fill the rank
+    m, mu = type_b(c11_1=1, c12_2=1, c22_1=1), q(1, 3)
+    sources = qs.integrability_constraints(qs.build_jet_system(m, mu)).effective_rows()
+    calls = []
+    prolong_row = qs._prolong_row
+    monkeypatch.setattr(qs, "_prolong_row", lambda *args: calls.append(args) or prolong_row(*args))
+    space = qs.solution_dimension(m, mu, WALL_BASE)
+    assert (space.rank_history, space.dim) == ((2, 3), 0)
+    assert len(calls) < len(sources) * m.dim == 4
 
 
 UNIT_LOOP_13 = [(0, 0, 0), (1, 0, 0), (1, 0, 1), (0, 0, 1), (0, 0, 0)]
