@@ -16,8 +16,8 @@ import re
 import sys
 from fractions import Fraction
 
-# let argparse accept fraction values like '-3/5' after value-taking flags
-_NEGATIVE_TOKEN = re.compile(r"^-\d+(/\d+)?$")
+# let argparse accept values like '-3/5' or '-1/2,0.5' after value-taking flags
+_NEGATIVE_TOKEN = re.compile(r"^-(\d+/\d+|\d*\.?\d+)(,[-+]?(\d+/\d+|\d*\.?\d+))*$")
 
 from . import __version__
 from . import catalog as cat

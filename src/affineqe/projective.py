@@ -215,8 +215,9 @@ def flat_chart(manifold: geo.AffineManifold, basepoint, grid,
         z, _ = _chart_image(qs.transport_jet(
             manifold, mu_m, [base, tuple(float(c) for c in point)], jet_basis, steps_per_segment))
         z_values.append(z)
-    # out-and-back: a nondegenerate closed path measuring base-invariant error
-    probe = tuple(c + (0.1 if i == 0 else 0.0) for i, c in enumerate(base))
+    # out and back in x1: 0.1 long, or the grid's reach if shorter and nonzero
+    reach = min(0.1, max((abs(float(c) - b) for p in grid for c, b in zip(p, base)), default=0.0))
+    probe = tuple(c + ((reach or 0.1) if i == 0 else 0.0) for i, c in enumerate(base))
     base_z, base_jac = _chart_image(qs.transport_jet(
         manifold, mu_m, [base, probe, base], jet_basis, steps_per_segment))
     return FlatChart(base, jet_basis, tuple(tuple(p) for p in grid),

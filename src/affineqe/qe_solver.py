@@ -289,49 +289,66 @@ def locus_sides(manifold: geo.AffineManifold, x, signs: list | None = None) -> l
 
 
 @lru_cache(maxsize=64)
-def _rk4_maker(m: int, count: int, tables: tuple, gamma: tuple | None, guarded: bool):
+def _rk4_maker(m: int, count: int, tables: tuple, gamma: tuple | None, guards: int,
+               moving: tuple | None):
     """Generate a loop of classical RK4 steps (Hairer-Norsett-Wanner, Solving
     ODEs I, II.1), each straight-line Python for a pattern shared by all its
     manifolds; ``make(manifold, fns, gamma, steps, c=(), v=())`` returns the run.
 
     ``tables`` holds the (row - 1, column) of each nonzero entry of each A_i
     below its unit row e_(1+i), which is compiled nowhere, and ``count`` jets
-    evolve by d_t u = v^i A_i(x) u.  Without ``gamma``, x runs
-    along c + t v and ``run(y, signs)`` checks each step's end point against
-    the excluded locus (if ``guarded``) before the step.  With the (i, j, k) of
-    the nonzero Christoffel symbols the state is a geodesic's (x, v, jets),
-    d_t v^k = -G_ij^k v^i v^j; ``run(y, signs, trail, limit)`` checks x after
-    each step, appends the state to ``trail`` and stops once x is farther than
-    ``limit`` from its start.  Each step ends by checking that the state is
-    finite.  Terms are added in a fixed order onto accumulators that start at
-    0.0: directions with v^i != 0, entries, jets.  Each v^i A_i[q] is formed
-    once for all jets, and the unit entry A_i[0][1+i] adds v^i itself.
+    evolve by d_t u = v^i A_i(x) u.  Without ``gamma``, x runs along c + t v,
+    only the ``moving`` directions are written out, and ``run(y, signs)``
+    checks each step's end point against the ``guards`` before the step.  With
+    the (i, j, k) of the nonzero Christoffel symbols the state is a geodesic's
+    (x, v, jets), d_t v^k = -G_ij^k v^i v^j, with v^i != 0 tested at run time;
+    ``run(y, signs, trail, limit)`` checks x after each step, appends the state
+    to ``trail`` and stops once x is farther than ``limit`` from its start.
+    Each step ends by checking that the state (its sum first) is finite.
+    Terms are added in a fixed order: directions, entries, jets; each v^i A_i[q]
+    is formed once for all jets, and the unit entry A_i[0][1+i] adds v^i
+    itself.  A segment's stage 1 reuses the last step's end-point products when
+    it starts at that end time (a pure callable repeats its bits), and its sums
+    start at their first term, not at 0.0 as a geodesic's do.  The floats
+    agree: 0.0 + a == a but for a = -0.0, whose sign y + z drops unless y is
+    -0.0, and a state read + 0.0 never is (y + z is -0.0 only if y is).
     """
     head = 0 if gamma is None else 2 * m  # x and v lead a geodesic's state
     size = head + count * (m + 1)
     first = head // 2  # a geodesic's dx/dt is its v, so slopes accumulate from m
     body: list = []
 
+    def products(i: int, velocity: str, x: str) -> list:
+        unpack = "".join(f"a{i}_{q}, " for q in range(len(tables[i])))
+        return [f"{unpack}= f{i}({x})",
+                *(f"p{i}_{q} = {velocity} * a{i}_{q}" for q in range(len(tables[i])))]
+
     def stage(s: int, state: list, x: str | None) -> list:
-        # without a point ``x`` the stage reuses the previous stage's products
+        # without a point ``x`` the stage reuses the products already formed
         k = [f"k{s}_{j}" for j in range(size)]
         velocity = [f"v{i}" for i in range(m)] if gamma is None else state[m:head]
+        seen: set = set()
+
+        def add(total: str, term: str) -> str:  # a segment's sum takes its first term by =
+            again = gamma is not None or total in seen or seen.add(total)  # add returns None
+            return f"{total} {'+=' if again else '='} {term}"
+        lines = [f"{k[m + c]} -= g[{q}] * {velocity[i]} * {velocity[j]}"
+                 for q, (i, j, c) in enumerate(gamma or ())]
+        for i, pairs in enumerate(tables):
+            if gamma is None and not moving[i]:
+                continue
+            # the unit row e_(1+i) comes first and adds v^i itself: v * 1.0 == v
+            block = [add(k[o], f"{velocity[i]} * {state[o + 1 + i]}")
+                     for o in range(head, size, m + 1)]
+            block += products(i, velocity[i], x) if x is not None and pairs else []
+            block += [add(k[o + 1 + r], f"p{i}_{q} * {state[o + b]}")
+                      for q, (r, b) in enumerate(pairs) for o in range(head, size, m + 1)]
+            lines += block if gamma is None else [f"if {velocity[i]} != 0.0:",
+                                                  *("    " + line for line in block)]
+        zeros = [total for total in k[first:] if total not in seen]
         if gamma is not None:
             body.extend([f"x = ({', '.join(state[:m])},)", "g = gamma(x)"])
-        body.append(" = ".join(k[first:]) + " = 0.0")
-        for q, (i, j, c) in enumerate(gamma or ()):
-            body.append(f"{k[m + c]} -= g[{q}] * {velocity[i]} * {velocity[j]}")
-        for i, pairs in enumerate(tables):
-            body.append(f"if {velocity[i]} != 0.0:")
-            # the unit row e_(1+i) comes first and adds v^i itself: v * 1.0 == v
-            body.extend(f"    {k[o]} += {velocity[i]} * {state[o + 1 + i]}"
-                        for o in range(head, size, m + 1))
-            if x is not None and pairs:
-                unpack = "".join(f"a{i}_{q}, " for q in range(len(pairs)))
-                body.append(f"    {unpack}= f{i}({x})")
-                body.extend(f"    p{i}_{q} = {velocity[i]} * a{i}_{q}" for q in range(len(pairs)))
-            body.extend(f"    {k[o + 1 + r]} += p{i}_{q} * {state[o + b]}"
-                        for q, (r, b) in enumerate(pairs) for o in range(head, size, m + 1))
+        body.extend([" = ".join(zeros) + " = 0.0"] * bool(zeros) + lines)
         return velocity[:first] + k[first:]
 
     def advance(s: int, factor: str, slopes: list) -> list:
@@ -344,12 +361,18 @@ def _rk4_maker(m: int, count: int, tables: tuple, gamma: tuple | None, guarded: 
 
     y = [f"y{j}" for j in range(size)]
     state = f"({', '.join(y)},)"
-    guard = ["sides = guards(end)", "if 0.0 in sides or [side > 0.0 for side in sides] != signs:",
-             "    locus_sides(manifold, end, signs)"] if guarded else []
-    if gamma is None:  # the step's end point is known before the step
-        body += ["t0 = number * h", "t = t0 + h", f"end = {point('t')}", *guard,
-                 f"x = {point('t0')}"]
-    k1 = stage(1, y, "x")
+    sides = " and ".join(f"(d{i} > 0.0 if side{i} else d{i} < 0.0)" for i in range(guards))
+    guard = ["".join(f"d{i}, " for i in range(guards)) + "= guards(end)", f"if not ({sides}):",
+             "    locus_sides(manifold, end, signs)"] if guards else []
+    before = [f"{state} = y"]
+    if gamma is None:  # the end point is known before the step; its products start the next
+        before = [f"{state} = [c + 0.0 for c in y]", "last = -1.0"]  # + 0.0 clears -0.0
+        body += ["t0 = number * h", "t = t0 + h", f"end = {point('t')}", *guard]
+        if start := [line for i, pairs in enumerate(tables) if moving[i] and pairs
+                     for line in products(i, f"v{i}", "x")]:
+            body += ["if t0 != last:", f"    x = {point('t0')}",
+                     *("    " + line for line in start), "last = t"]
+    k1 = stage(1, y, None if gamma is None else "x")
     if gamma is None:
         body += ["t = t0 + half", f"x = {point('t')}"]
     k2 = stage(2, advance(2, "half", k1), "x")
@@ -358,16 +381,17 @@ def _rk4_maker(m: int, count: int, tables: tuple, gamma: tuple | None, guarded: 
     # in order: a geodesic's x reads the old v, which follows it in the state
     body += [f"y{j} = y{j} + sixth * ({a} + 2.0 * {b} + 2.0 * {c} + {d})"
              for j, (a, b, c, d) in enumerate(zip(k1, k2, k3, k4))]
-    body += [f"if not ({' and '.join(f'isfinite({j})' for j in y)}):",
+    body += [f"if not isfinite({' + '.join(y)}) and not ("
+             + " and ".join(f"isfinite({j})" for j in y) + "):",
              "    raise DomainError('integration produced non-finite values')"]
-    before = [f"{state} = y"]
+    before += ["".join(f"side{i}, " for i in range(guards)) + "= signs"] if guards else []
     if gamma is not None:  # the step's end point is its new x; o is the start's
         before.append("".join(f"o{i}, " for i in range(m)) + f"= y[:{m}]")
         body += [f"end = ({', '.join(y[:m])},)", *guard, f"trail.append({state})",
                  "if limit is not None and sqrt(sum(("
                  + "".join(f"(y{i} - o{i}) ** 2, " for i in range(m)) + "))) > limit:", "    break"]
     bind = ["h = 1.0 / steps", "half = h / 2", "sixth = h / 6"]
-    if guarded:
+    if guards:
         bind.append("guards = manifold.float_guards")
     if tables:
         bind.append("".join(f"f{i}, " for i in range(len(tables))) + "= fns")
@@ -396,7 +420,7 @@ def rk4_run(manifold: geo.AffineManifold, mu, count: int, steps: int, segment=No
         compiled[mu] = [ex.compile_symbols(a_i[1:]) for a_i in tree_matrices(manifold, mu)]
     tables = compiled[mu] if count else ()
     make = _rk4_maker(manifold.dim, count, tuple(indices for indices, _ in tables), gamma_indices,
-                      bool(manifold.excluded))
+                      len(manifold.excluded), segment and tuple(v != 0.0 for v in segment[1]))
     return make(manifold, [fn for _, fn in tables], gamma, steps, *segment or ())
 
 

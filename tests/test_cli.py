@@ -320,6 +320,20 @@ def test_flatten_grid_flag(wall_path):
                  "--grid", "0.2:1", "--geodesics", "2"]) == 0
 
 
+@pytest.mark.parametrize("command, basepoint, line", [
+    (["qe-dim", "--mu", "-1"], "-1/2,0", "mu = -1: dim = 3"),
+    (["qe-dim", "--mu", "-1"], "-0.5,-.25", "mu = -1: dim = 3"),
+    (["verify"], "-1/2,-1/3", "solver_stabilized: ok"),
+    # the chart's grid reaches 1/80 and the base probe no farther, short of the wall
+    (["flatten", "--geodesics", "1"], "-1/20,0", "dim at -1/(m-1): 3 of 3; "
+                                                 "strongly projectively flat: True"),
+])
+def test_negative_basepoint_is_a_value(wall_path, capsys, command, basepoint, line):
+    # a leading '-1/2,0' used to read as an unknown option: "expected one argument"
+    assert main([command[0], wall_path, *command[1:], "--basepoint", basepoint]) == 0
+    assert line in capsys.readouterr().out.splitlines()
+
+
 def test_flatten_wall_chart(wall_path, tmp_path, capsys):
     out = tmp_path / "flat.json"
     code = main(["flatten", wall_path, "--basepoint", "1,0", "--geodesics", "3",

@@ -238,6 +238,16 @@ class TestFlatChart:
         z_err, jac_err = pj.base_invariant_errors(chart)
         assert z_err < 1e-9 and jac_err < 1e-9
 
+    def test_base_probe_stays_inside_a_small_grid(self):
+        # the wall x1 = 0 lies 1/20 from the basepoint: a 0.1 probe used to touch it
+        m = cat.wall_projflat_surface(1, 1).manifold()
+        base = (q(-1, 20), q(0))
+        radius = pj.chart_radius(m, base)
+        assert radius == pytest.approx(1 / 80)
+        chart = pj.flat_chart(m, base, pj.box_grid(base, radius, per_axis=1))
+        z_err, jac_err = pj.base_invariant_errors(chart)
+        assert z_err < 1e-9 and jac_err < 1e-9
+
     def test_chart_requires_maximal_dimension(self):
         m = cat.wall_dim1_surface(1).manifold()
         with pytest.raises(pj.FlatnessError):

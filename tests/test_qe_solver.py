@@ -639,6 +639,47 @@ class TestGeneratedStepper:
                 transport(m, q(-1), path, _identity_jets(3), steps)
             assert str(err.value) == message
 
+    @pytest.mark.parametrize("stop, moving", [((1, 0.3), 1), ((1.2, 0), 0)])
+    def test_a_straight_segment_reads_each_moving_a_i_about_twice_a_step(self, stop, moving):
+        # stage 1 reuses the last step's end-point products; a still direction is read never
+        m, mu, steps = cat.wall_projflat_surface(1, 1).manifold(), q(-1), 1000
+        qs.rk4_run(m, mu, 3, 1, ([1.0, 0.0], [1.0, 1.0]))  # compiles the A_i
+        calls = [0, 0]
+
+        def counted(i, fn):
+            def call(x):
+                calls[i] += 1
+                return fn(x)
+            return call
+
+        compiled = m.float_jet_systems[mu]
+        assert all(indices for indices, _ in compiled)
+        compiled[:] = [(indices, counted(i, fn)) for i, (indices, fn) in enumerate(compiled)]
+        qs.transport_jet(m, mu, [(1, 0), stop], _identity_jets(3), steps)
+        h = 1.0 / steps
+        misses = sum((n + 1) * h != n * h + h for n in range(steps))
+        assert calls[1 - moving] == 0
+        assert 0 < calls[moving] <= 2 * steps + misses + 1
+
+    @pytest.mark.parametrize("path, steps, message", [
+        ([(1, 0), (1, 1)], 7, "path crossed the excluded locus near (1.0, 0.42857142857142855)"),
+        ([(1, 0), (1, q(3, 5))], 2, "path touched the excluded locus at (1.0, 0.3)"),
+        ([(1, 0), (q(1, 2), q(1, 5)), (q(3, 2), q(2, 5))], 9,
+         "path crossed the excluded locus near (1.0555555555555556, 0.3111111111111111)"),
+    ])
+    def test_the_second_of_two_guards_is_checked_at_each_step_end(self, path, steps, message):
+        m = geo.from_christoffel(X2, {
+            (0, 0, 0): ex.const(3) / ex.coord(0), (0, 1, 1): ex.const(1) / ex.coord(0),
+            (1, 1, 0): ex.const(1) / ex.coord(0)},
+            excluded=[ex.coord(0), ex.parse_scalar("x2 - 3/10", X2)])
+        for transport in (qs.transport_jet, reference_transport):
+            with pytest.raises(geo.ExcludedLocusError) as err:
+                transport(m, q(-1), path, _identity_jets(3), steps)
+            assert str(err.value) == message
+        with pytest.raises(geo.ExcludedLocusError, match=r"crossed the excluded locus near "
+                           r"\(0\.8873981652865196, 0\.46119271977564075\)"):
+            pj.integrate_geodesic(m, (1, 0), (0, 1), 1, steps=7)
+
     def test_non_finite_state_is_domain_error(self):
         huge = [1e308] * 4
         with pytest.raises(ex.DomainError, match="non-finite"):
@@ -679,6 +720,113 @@ def test_generated_transport_is_the_reference_on_non_homogeneous_charts(case):
     # repr tells -0.0 from 0.0, so equal reprs are equal bits
     assert repr(qs.transport_jet(manifold, mu, path, jets, steps)) \
         == repr(reference_transport(manifold, mu, path, jets, steps))
+
+
+# The straight-segment contract of the generated run, restated in plain Python
+# in the order its docstring gives: every float equals that of 0.0-seeded sums.
+
+
+def stated_order_transport(manifold, mu, path, jets, steps):
+    n = manifold.dim + 1
+    tables = [ex.compile_symbols(a_i[1:]) for a_i in qs.tree_matrices(manifold, mu)]
+
+    def slope(x, velocity, u):
+        k = [0.0] * len(u)
+        for i, (v, (indices, fn)) in enumerate(zip(velocity, tables)):
+            if v == 0.0:
+                continue
+            for o in range(0, len(u), n):  # the unit row e_(1+i) adds v^i u_(1+i)
+                k[o] += v * u[o + 1 + i]
+            for (r, b), a in zip(indices, fn(x) if indices else ()):
+                p = v * a
+                for o in range(0, len(u), n):
+                    k[o + 1 + r] += p * u[o + b]
+        return k
+
+    h = 1.0 / steps
+    half, sixth = h / 2, h / 6
+    state = [float(c) for jet in jets for c in jet]
+    points = [[float(c) for c in point] for point in path]
+    with qs.float_faults():
+        signs = qs.locus_sides(manifold, points[0])
+        for line, stop in zip(points, points[1:]):
+            velocity = [b - a for a, b in zip(line, stop)]
+            if not any(velocity):
+                qs.locus_sides(manifold, line, signs)
+                continue
+            for number in range(steps):
+                t0 = number * h
+                end = [c + (t0 + h) * v for c, v in zip(line, velocity)]
+                qs.locus_sides(manifold, end, signs)
+                middle = [c + (t0 + half) * v for c, v in zip(line, velocity)]
+                k1 = slope([c + t0 * v for c, v in zip(line, velocity)], velocity, state)
+                k2 = slope(middle, velocity, [y + half * k for y, k in zip(state, k1)])
+                k3 = slope(middle, velocity, [y + half * k for y, k in zip(state, k2)])
+                k4 = slope(end, velocity, [y + h * k for y, k in zip(state, k3)])
+                state = [y + sixth * (a + 2.0 * b + 2.0 * c + d)
+                         for y, a, b, c, d in zip(state, k1, k2, k3, k4)]
+                if not all(map(math.isfinite, state)):
+                    raise ex.DomainError("integration produced non-finite values")
+    return [state[o:o + n] for o in range(0, len(state), n)]
+
+
+def _outcome(transport, *args):
+    try:
+        return transport(*args)
+    except (ex.DomainError, geo.ExcludedLocusError) as err:
+        return type(err), str(err)
+
+
+def _same_bits(a, b) -> bool:
+    """== on the floats, and a zero's sign too."""
+    if isinstance(a, tuple) or isinstance(b, tuple):
+        return a == b
+    flat_a = [c for jet in a for c in jet]
+    flat_b = [c for jet in b for c in jet]
+    return len(flat_a) == len(flat_b) and all(
+        x == y and math.copysign(1.0, x) == math.copysign(1.0, y) for x, y in zip(flat_a, flat_b))
+
+
+CONTRACT_GUARDS = ("x1 - 1", "x2 - 1/3", "exp(x2) - 2", "x1")
+
+
+@st.composite
+def contract_cases(draw):
+    """A 2- or 3-dimensional chart with polynomial, C/x1 and exp symbols and 0-2
+    guards; a path in x1 > 0 whose segments keep some coordinates (a zero
+    velocity component, or a zero-length segment); jets with signed zeros."""
+    m = draw(st.sampled_from((2, 3)))
+    names = X2 if m == 2 else X3
+    coefficient = st.fractions(-2, 2, max_denominator=3).filter(bool).map(lambda c: f"({c})")
+    coordinate = st.sampled_from(names)
+    symbol = st.one_of(
+        st.builds("{} + {}*{}*{}".format, coefficient, coefficient, coordinate, coordinate),
+        st.builds("{}/x1".format, coefficient),
+        st.builds("{}*exp({}*{})".format, coefficient, coefficient, coordinate))
+    keys = [(i, j, k) for i in range(m) for j in range(i, m) for k in range(m)]
+    chosen = draw(st.lists(st.sampled_from(keys), min_size=1, max_size=4, unique=True))
+    guards = draw(st.lists(st.sampled_from(CONTRACT_GUARDS), max_size=2, unique=True))
+    manifold = geo.from_christoffel(
+        names, {key: ex.parse_scalar(draw(symbol), names) for key in chosen},
+        excluded=[ex.parse_scalar(text, names) for text in guards])
+    value = [st.fractions(q(1, 4), 2, max_denominator=8)] + [st.fractions(-1, 1)] * (m - 1)
+    path = [tuple(draw(part.map(float)) for part in value)]
+    for _ in range(draw(st.integers(1, 2))):
+        keep = draw(st.lists(st.sampled_from((True, False, False)), min_size=m, max_size=m))
+        path.append(tuple(c if kept else draw(part.map(float))
+                          for c, kept, part in zip(path[-1], keep, value)))
+    entry = st.one_of(st.sampled_from((0.0, -0.0)), st.fractions(-2, 2).map(float))
+    jets = draw(st.lists(st.lists(entry, min_size=m + 1, max_size=m + 1), min_size=1, max_size=3))
+    mu = draw(st.sampled_from((q(-1), q(-1, 2), q(1, 3), q(2))))
+    return manifold, mu, path, jets, draw(st.sampled_from((1, 7, 400, 1000)))
+
+
+@given(contract_cases())
+@settings(max_examples=30, deadline=None)
+def test_straight_transport_has_the_bits_of_zero_seeded_sums(case):
+    manifold, mu, path, jets, steps = case
+    got = _outcome(qs.transport_jet, manifold, mu, path, jets, steps)
+    assert _same_bits(got, _outcome(stated_order_transport, manifold, mu, path, jets, steps))
 
 
 SMALL = st.fractions(-2, 2, max_denominator=3)
