@@ -832,8 +832,9 @@ def is_identically_zero(e: ScalarExpr, memos: tuple | None = None) -> Verdict:
     ratfunc_memo, value_memo = memos or (None, None)
     if to_ratfunc(e, ratfunc_memo).is_zero:
         nvars = max_coord_index(e) + 1
-        point = _CHECK_POINTS.get(nvars) or _CHECK_POINTS.setdefault(
-            nvars, random_rational_point(nvars, random.Random(0x5EED)))
+        point = _CHECK_POINTS.get(nvars)
+        if point is None:  # not `or`: the point of a constant tree is ()
+            point = _CHECK_POINTS[nvars] = random_rational_point(nvars, random.Random(0x5EED))
         try:
             check = evaluate(e, point, value_memo)
             if check != 0:

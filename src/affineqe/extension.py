@@ -9,8 +9,9 @@ tensor Phi is the 2m-dimensional metric
 polynomials in the fiber coordinates, so metrics, inverses and connections are
 expression trees on the chart enlarged from m to 2m coordinates.  One exact
 `RationalFunc` grid, in the `expr.Tower` of the metric's data (each exp/log node
-one more variable), goes from metric to inverse (its negation) to the Koszul
-sums, and trees are rebuilt only for what is returned.
+one more variable), goes from metric to inverse (its negation) to the Levi-Civita
+symbols, formed from the xx block's derivatives alone, and trees are rebuilt only
+for what is returned.
 The pullback identities and the quasi-Einstein residual of one metric value
 share one Levi-Civita chart and its Ricci tensor, kept for the last metric.
 """
@@ -117,33 +118,41 @@ def levi_civita(metric: PseudoMetric) -> geo.AffineManifold:
     """The torsion-free metric connection as an affine chart on the metric's
     coordinates: Koszul symbols (1/2) g^{kl} (d_i g_jl + d_j g_il - d_l g_ij).
 
-    The sums run on the metric's rows in its tower and on the inverse's closed
-    form, the negated xx rows; symbols are rebuilt as trees at the end, and only
-    nonzero g^{kl} and brackets are summed.  For rows symmetric as pairs the
-    symbols of (j, i) are those of (i, j), since sums of pairs commute; Phi
-    entries equal in value need not be equal as pairs, and take the full loop."""
-    n = metric.n
-    g, tower = metric.rows, metric.tower
-    zero, one, half = (RationalFunc.const(c) for c in (0, 1, Fraction(1, 2)))
-    inverse = _block_grid(n // 2, lambda a, b: zero, lambda a, b: -g[a][b], one, zero)
-    dgrid = [[[tower.diff(g[j][l], i) for l in range(n)] for j in range(n)] for i in range(n)]
+    Only the xx block A of g = [[A, I], [I, 0]] has nonzero derivatives D_c A_ab, and
+    the inverse is [[0, I], [I, -A]].  So in the metric's tower, with F_l = -D_{y_l} A_ij,
+    G_ij^k = F_k/2 and G_ij^{m+k} = (D_i A_jk + D_j A_ik - D_k A_ij + sum_l (-A_kl) F_l)/2;
+    G^{m+k} = D_{y_j} A_ik/2 for (i, m+j) and (m+j, i); every other symbol is zero.
+    Only the dense sum's zero operands, which a pair sum returns unchanged, are dropped,
+    so every pair and tree is the dense sum's.  For rows symmetric as pairs (j, i) shares
+    the symbols of (i, j), since sums of pairs commute; Phi entries equal only in value
+    take the full loop."""
+    n, m, g, tower = metric.n, metric.n // 2, metric.rows, metric.tower
+    half = RationalFunc.const(Fraction(1, 2))
+    d = [[[tower.diff(g[a][b], c) for b in range(m)] for a in range(m)] for c in range(n)]
+    inverse = [[-entry for entry in row[:m]] for row in g[:m]]  # the inverse's yy block, -A
 
-    def symbols(i, j):
-        bracket = [dgrid[i][j][l] + dgrid[j][i][l] - dgrid[l][i][j] for l in range(n)]
-        nonzero = [l for l in range(n) if not bracket[l].is_zero]
+    def tree(total):
+        return ex.from_ratfunc(half * total, tower)
 
-        def fill(k):
-            total = sum((inverse[k][l] * bracket[l] for l in nonzero
-                         if not inverse[k][l].is_zero), zero)
-            return ex.from_ratfunc(half * total, tower)
+    def base(i, j):
+        fiber = [-d[m + l][i][j] for l in range(m)]
 
-        return tuple(fill(k) for k in range(n))
+        def upper(k):
+            total = d[i][j][k] + d[j][i][k] - d[k][i][j]
+            for l in range(m):
+                if not (fiber[l].is_zero or inverse[k][l].is_zero):
+                    total = total + inverse[k][l] * fiber[l]
+            return tree(total)
 
-    mirror = all(g[a][b] == g[b][a] for a in range(n) for b in range(a + 1, n))
-    grid = [[None] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            grid[i][j] = grid[j][i] if mirror and j < i else symbols(i, j)
+        return tuple(map(tree, fiber)) + tuple(upper(k) for k in range(m))
+
+    mirror = all(g[a][b] == g[b][a] for a in range(m) for b in range(a + 1, m))
+    zeros = (ex.ZERO,) * n
+    grid = [[zeros] * n for _ in range(n)]
+    for i in range(m):
+        for j in range(m):
+            grid[i][j] = grid[j][i] if mirror and j < i else base(i, j)
+            grid[i][m + j] = grid[m + j][i] = zeros[:m] + tuple(map(tree, d[m + j][i]))
     return geo.AffineManifold(metric.coords, tuple(map(tuple, grid)), metric.excluded)
 
 

@@ -263,6 +263,21 @@ class TestZeroTest:
         with pytest.raises(DomainError):
             is_identically_zero(e)
 
+    def test_constant_check_point_is_drawn_once(self, monkeypatch):
+        # the cached check point of a constant tree is (), which is falsy
+        assert is_identically_zero(parse_scalar("2 - 2", XY)) is Verdict.ZERO
+        assert expr._CHECK_POINTS[0] == ()
+        draws = []
+        generator = expr.random.Random
+        monkeypatch.setattr(expr.random, "Random",
+                            lambda seed: draws.append(seed) or generator(seed))
+        assert is_identically_zero(expr.ZERO) is Verdict.ZERO
+        assert is_identically_zero(parse_scalar("3*(1/3) - 1", XY)) is Verdict.ZERO
+        assert draws == []
+        # a nonconstant tree's point is drawn once per coordinate count, as before
+        assert is_identically_zero(parse_scalar("x1*x2 - x2*x1", XY)) is Verdict.ZERO
+        assert len(draws) <= 1
+
 
 # ---------------------------------------------------------------------------
 # properties

@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from affineqe import catalog as cat
 from affineqe import expr as ex
@@ -12,6 +14,7 @@ from affineqe import geometry as geo
 from affineqe import projective as pj
 from affineqe import qe_solver as qs
 from affineqe.expr import Verdict
+from affineqe.poly import RationalFunc
 
 
 def q(a, b=1):
@@ -342,14 +345,18 @@ def wall_extension():
     return xt.deformed_extension(wall_chart(), [[x2, ex.ONE / x1], [ex.ONE / x1, ex.ZERO]])
 
 
+def exp_log_chart():
+    x1, x2 = ex.coord(0), ex.coord(1)
+    return geo.from_christoffel(("x1", "x2"), {(0, 0, 0): ex.const(q(-1, 2)) * ex.exp(x2),
+                                               (0, 1, 1): x1 / 2,
+                                               (1, 1, 0): ex.const(q(-1, 2))})
+
+
 def exp_log_metric():
     # a deformed extension with exp/log entries in its xx-block: the tower path
     x1, x2 = ex.coord(0), ex.coord(1)
-    chart = geo.from_christoffel(("x1", "x2"), {(0, 0, 0): ex.const(q(-1, 2)) * ex.exp(x2),
-                                                (0, 1, 1): x1 / 2,
-                                                (1, 1, 0): ex.const(q(-1, 2))})
-    return xt.deformed_extension(chart, [[ex.exp(x1 - x2), x2 * ex.exp(x1)],
-                                         [x2 * ex.exp(x1), ex.log(2 + x1 * x1)]])
+    return xt.deformed_extension(exp_log_chart(), [[ex.exp(x1 - x2), x2 * ex.exp(x1)],
+                                                   [x2 * ex.exp(x1), ex.log(2 + x1 * x1)]])
 
 
 def deformed_plane(potential):
@@ -438,6 +445,135 @@ class TestSymmetricSymbolsBuiltOnce:
         conn = xt.levi_civita(metric)
         assert conn.gamma[1][0] is not conn.gamma[0][1]
         assert conn.gamma == reference_levi_civita(metric)
+
+
+def dense_levi_civita(metric):
+    """The dense Koszul sum in the metric's tower: every derivative d_i g_jl of the
+    2m grid, every bracket, and the closed-form inverse's nonzero entries in l order."""
+    n = metric.n
+    g, tower = metric.rows, metric.tower
+    zero, one, half = (RationalFunc.const(c) for c in (0, 1, q(1, 2)))
+    inverse = xt._block_grid(n // 2, lambda a, b: zero, lambda a, b: -g[a][b], one, zero)
+    dgrid = [[[tower.diff(g[j][l], i) for l in range(n)] for j in range(n)] for i in range(n)]
+
+    def symbols(i, j):
+        bracket = [dgrid[i][j][l] + dgrid[j][i][l] - dgrid[l][i][j] for l in range(n)]
+        nonzero = [l for l in range(n) if not bracket[l].is_zero]
+
+        def fill(k):
+            total = sum((inverse[k][l] * bracket[l] for l in nonzero
+                         if not inverse[k][l].is_zero), zero)
+            return ex.from_ratfunc(half * total, tower)
+
+        return tuple(fill(k) for k in range(n))
+
+    return tuple(tuple(symbols(i, j) for j in range(n)) for i in range(n))
+
+
+def assert_metric_compatible(metric, gamma):
+    """d_c g_ab = G_ca^d g_db + G_cb^d g_ad, exactly in the metric's tower: no Koszul sum."""
+    n, g, tower = metric.n, metric.rows, metric.tower
+    zero = RationalFunc.const(0)
+    symbols = [[[ex.to_ratfunc(s, tower=tower) for s in row] for row in plane] for plane in gamma]
+    for c in range(n):
+        for a in range(n):
+            for b in range(n):
+                # terms over one denominator are summed first: unreduced pairs of
+                # polynomial denominators multiply them when they differ
+                terms = {}
+                for d in range(n):
+                    for symbol, entry in ((symbols[c][a][d], g[d][b]), (symbols[c][b][d], g[a][d])):
+                        if not (symbol.is_zero or entry.is_zero):
+                            term = -(symbol * entry)
+                            terms[term.den] = terms.get(term.den, zero) + term
+                total = sum(terms.values(), tower.diff(g[a][b], c))
+                assert total.is_zero, (c, a, b)
+
+
+def polynomial_denominator_extension(rng):
+    # the plane deformed by x1*x2/(1 + x2^2): Gamma and Phi over 1 + x2^2 and its powers
+    x1, x2 = ex.coord(0), ex.coord(1)
+    phi = xt.random_symmetric_phi(2, rng)
+    phi[0][1] = phi[1][0] = phi[0][1] + x2 / (1 + x2 * x2)
+    return xt.deformed_extension(deformed_plane(x1 * x2 / (1 + x2 * x2)), phi)
+
+
+def exp_log_extension(rng):
+    x1, x2 = ex.coord(0), ex.coord(1)
+    phi = xt.random_symmetric_phi(2, rng)
+    phi[0][0] = phi[0][0] + ex.exp(x1 - x2)
+    phi[0][1] = phi[1][0] = phi[0][1] * ex.exp(x1)
+    phi[1][1] = phi[1][1] + ex.log(2 + x1 * x1)
+    return xt.deformed_extension(exp_log_chart(), phi)
+
+
+def shared_denominator_extension(rng):
+    # constant symbols and Phi over 1 + x1 and (1 + x1)^2: a bracket shares its denominator
+    # with one Sigma_l term and not the other, so the order of the sum fixes the pairs
+    x1 = ex.coord(0)
+    phi = xt.random_symmetric_phi(2, rng)
+    phi[0][0] = phi[0][0] + ex.ONE / (1 + x1)
+    phi[0][1] = phi[1][0] = phi[0][1] + ex.ONE / (1 + x1) ** 2
+    return xt.deformed_extension(random_chart("typeA", rng), phi)
+
+
+SEEDED_EXTENSIONS = {
+    "exp3d": lambda rng: xt.deformed_extension(cat.exp3d_model(), xt.random_symmetric_phi(3, rng)),
+    "wall": lambda rng: xt.deformed_extension(wall_chart(), xt.random_symmetric_phi(2, rng)),
+    "polynomial_denominators": polynomial_denominator_extension,
+    "exp_log": exp_log_extension,
+    "shared_denominators": shared_denominator_extension,
+}
+
+
+class TestStructuralSymbolsAreTheDenseSums:
+    """`levi_civita` forms only a deformed extension's structural nonzeros; its trees are
+    the dense Koszul sum's, tree for tree, on non-homogeneous charts too, and its symbols
+    are metric-compatible exactly in the metric's tower."""
+
+    @given(st.sampled_from(sorted(SEEDED_EXTENSIONS)), st.integers(0, 2**16))
+    @example("shared_denominators", 0)
+    @example("polynomial_denominators", 0)
+    @settings(max_examples=40, deadline=None)
+    def test_seeded_extensions_give_the_dense_trees(self, chart, seed):
+        metric = SEEDED_EXTENSIONS[chart](random.Random(seed))
+        conn = xt.levi_civita(metric)
+        assert conn.gamma == dense_levi_civita(metric)
+        n = metric.n
+        assert all(conn.gamma[j][i] is conn.gamma[i][j] for i in range(n) for j in range(i))
+
+    @pytest.mark.parametrize("chart", sorted(SEEDED_EXTENSIONS))
+    def test_seeded_extensions_are_metric_compatible(self, chart):
+        rng = random.Random(43)
+        for _ in range(2):
+            metric = SEEDED_EXTENSIONS[chart](rng)
+            assert_metric_compatible(metric, xt.levi_civita(metric).gamma)
+
+    def test_polynomial_denominators_agree_with_the_tree_sums_at_exact_points(self):
+        # a quotient is not reduced by a polynomial GCD, so the trees may differ
+        metric = SEEDED_EXTENSIONS["polynomial_denominators"](random.Random(42))
+        got, want = (geo.leaves(geo.TensorField(t)) for t in
+                     (xt.levi_civita(metric).gamma, reference_levi_civita(metric)))
+        rng = random.Random(5)
+        for _ in range(3):
+            point = ex.random_rational_point(metric.n, rng)
+            assert ex.evaluate(got, point) == ex.evaluate(want, point)
+
+    def test_exp_log_data_agrees_with_the_tree_sums_in_value(self):
+        # exp/log symbols are canonical trees over the tower's atoms
+        metric = SEEDED_EXTENSIONS["exp_log"](random.Random(42))
+        assert_agree_in_value(xt.levi_civita(metric).gamma, reference_levi_civita(metric),
+                              metric.n)
+
+    def test_entries_equal_only_in_value_keep_their_own_pairs(self):
+        x1, x2 = ex.coord(0), ex.coord(1)
+        g12 = ex.parse_scalar("(x1^2 - 1)/(x1 - 1)", ["x1", "x2"])
+        for chart, corner in ((FLAT2, x1 * x2), (wall_chart(), ex.ONE / x1)):
+            metric = xt.deformed_extension(chart, [[x2, g12], [x1 + 1, corner]])
+            conn = xt.levi_civita(metric)
+            assert conn.gamma == dense_levi_civita(metric)
+            assert conn.gamma[1][0] != conn.gamma[0][1]
+            assert_metric_compatible(metric, conn.gamma)
 
 
 SIX = {"c11_1": 1, "c11_2": -1, "c12_1": q(1, 2), "c12_2": 2, "c22_1": 0, "c22_2": 3}
