@@ -818,11 +818,13 @@ _CHECK_POINTS: dict = {}
 
 
 def is_identically_zero(e: ScalarExpr, memos: tuple | None = None) -> Verdict:
-    """The one judge of zero, on raw trees: a rational-only tree is put into exact
-    form here and a random rational point cross-checks a zero claim; an exp/log
-    tree is sampled, and a sampled nonzero is confirmed in a `Tower`.  Draws come
-    from a fixed seed, so the tree fixes the verdict.
+    """The one judge of zero, on raw trees: a constant is judged by its value; another
+    rational-only tree is put into exact form here and a random rational point
+    cross-checks a zero claim; an exp/log tree is sampled, and a sampled nonzero is
+    confirmed in a `Tower`.  Draws come from a fixed seed, so the tree fixes the verdict.
     `memos`, a (to_ratfunc, evaluate) pair of dicts, serves trees kept alive together."""
+    if isinstance(e, Const):
+        return Verdict.NONZERO if e.value else Verdict.ZERO
     if not _rational_only(e):
         verdict = _sample_verdict(e, random.Random(0x5EED))
         # a sampled nonzero can be rounding; a zero polynomial in a tower is a zero function

@@ -210,13 +210,14 @@ def flat_chart(manifold: geo.AffineManifold, basepoint, grid,
     jet_basis = tuple(tuple(Fraction(1) if a == i else Fraction(0)
                             for a in range(m + 1)) for i in range(m + 1))
     z_values = []
-    base = tuple(float(c) for c in basepoint)
-    for point in grid:
+    base = tuple(ex.float_values(basepoint))
+    points = [tuple(ex.float_values(point)) for point in grid]
+    for point in points:
         z, _ = _chart_image(qs.transport_jet(
-            manifold, mu_m, [base, tuple(float(c) for c in point)], jet_basis, steps_per_segment))
+            manifold, mu_m, [base, point], jet_basis, steps_per_segment))
         z_values.append(z)
     # out and back in x1: 0.1 long, or the grid's reach if shorter and nonzero
-    reach = min(0.1, max((abs(float(c) - b) for p in grid for c, b in zip(p, base)), default=0.0))
+    reach = min(0.1, max((abs(c - b) for p in points for c, b in zip(p, base)), default=0.0))
     probe = tuple(c + ((reach or 0.1) if i == 0 else 0.0) for i, c in enumerate(base))
     base_z, base_jac = _chart_image(qs.transport_jet(
         manifold, mu_m, [base, probe, base], jet_basis, steps_per_segment))
@@ -234,7 +235,7 @@ def base_invariant_errors(chart: FlatChart) -> tuple:
 
 def chart_radius(manifold: geo.AffineManifold, basepoint) -> float:
     """Quarter of the (first-order) distance to the excluded locus, at most 0.5."""
-    point = [float(c) for c in basepoint]
+    point = ex.float_values(basepoint)
     best = 2.0
     for g in manifold.excluded:
         guard = [g, *(ex.differentiate(g, i) for i in range(manifold.dim))]
@@ -247,7 +248,7 @@ def chart_radius(manifold: geo.AffineManifold, basepoint) -> float:
 
 def box_grid(basepoint, radius: float, per_axis: int = 3) -> list:
     """Axis-aligned grid of (2*per_axis+1)^m points around the basepoint."""
-    base = [float(c) for c in basepoint]
+    base = ex.float_values(basepoint)
     offsets = [radius * k / per_axis for k in range(-per_axis, per_axis + 1)]
     points = [()]
     for c in base:

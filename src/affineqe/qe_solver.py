@@ -2,12 +2,15 @@
 
 The second-order equation ``H f = mu f rho_s`` is rewritten as the first-order
 system ``d_i u = A_i u`` on the jet vector ``u = (f, d_1 f, ..., d_m f)``.
-Frobenius integrability produces linear constraints on admissible jets; the
-constraints are prolonged until their rank at the basepoint stabilizes, and the
-kernel of the evaluated stack is the space of admissible initial jets.  An
-exact solve reduces each prolonged row as soon as it is made and stops once
-the rank is m+1, inside a generation too.  Rows
-are `poly.RationalFunc` tuples in the `expr.Tower` of the chart's data, where
+One row operator builds every linear constraint on admissible jets: if
+``c . u = 0`` on solutions, so is ``P_i(c) . u = 0``, ``P_i(c) = D_i c + c . A_i``.
+Frobenius integrability ``d_i(A_j u) = d_j(A_i u)`` makes generation 0 the
+rows ``P_i(A_j[a]) - P_j(A_i[a])``, the commutator of the system; each later
+generation applies every P_i to the rows of the one before, until the rank at
+the basepoint stabilizes, and the kernel of the evaluated stack is the space
+of admissible initial jets.  An exact solve reduces each prolonged row as soon
+as it is made and stops once the rank is m+1, inside a generation too.  Rows
+are plain tuples of `poly.RationalFunc` in the `expr.Tower` of the chart's data, where
 rho_s is summed from the symbols; a row zero there is zero as a function.  The
 symbols are converted and rho summed once per manifold (`jet_data`), shared by
 every mu solved on it, so a further mu costs only its own rows.  Data
@@ -96,84 +99,65 @@ def build_jet_system(manifold: geo.AffineManifold, mu) -> JetSystem:
 # constraints
 
 
-@dataclass(frozen=True)
-class ConstraintRow:
-    entries: tuple  # jet_size RationalFunc in the tower; the constraint is entries . u = 0
+def row_values(row, point) -> tuple:
+    """A row's entries at (coordinates, atom values): Fractions, or floats by `expr.finite`."""
+    if not isinstance(point[0], float):
+        return tuple(e.eval(point) for e in row)
+    with float_faults():
+        return ex.finite(e.eval(point) for e in row)
 
-    @property
-    def is_structurally_zero(self) -> bool:
-        return all(e.is_zero for e in self.entries)
 
-    def values(self, point) -> tuple:
-        """The entries at (coordinates, atom values): Fractions, or floats by `expr.finite`."""
-        if not isinstance(point[0], float):
-            return tuple(e.eval(point) for e in self.entries)
-        with float_faults():
-            return ex.finite(e.eval(point) for e in self.entries)
+def is_zero_row(row) -> bool:
+    return all(e.is_zero for e in row)
 
 
 @dataclass
 class ConstraintStack:
-    rows: list
+    rows: list  # tuples of jet_size RationalFunc in the tower; the constraint is row . u = 0
+    seen: set  # the rows as a set: `prolong` copies it, so no row is hashed twice
 
     def effective_rows(self) -> list:
-        return [r for r in self.rows if not r.is_structurally_zero]
+        return [r for r in self.rows if not is_zero_row(r)]
 
 
-def _commutator_rows(system: JetSystem, i: int, j: int):
-    """Rows of d_i A_j - d_j A_i + A_j A_i - A_i A_j."""
-    a_i, a_j = system.grids[i], system.grids[j]
-    diff = system.tower.diff
-    n = system.jet_size
-    for a in range(n):
-        entries = []
-        for b in range(n):
-            total = diff(a_j[a][b], i) - diff(a_i[a][b], j)
-            for s in range(n):
-                total = total + a_j[a][s] * a_i[s][b] - a_i[a][s] * a_j[s][b]
-            entries.append(total)
-        yield tuple(entries)
-
-
-def integrability_constraints(system: JetSystem) -> ConstraintStack:
-    """Generation-0 stack: curvature of the jet system annihilates solution jets."""
-    rows = []
-    for i in range(system.dim):
-        for j in range(i + 1, system.dim):
-            for entries in _commutator_rows(system, i, j):
-                rows.append(ConstraintRow(entries))
-    return ConstraintStack(rows)
-
-
-def _prolong_row(system: JetSystem, entries: tuple, direction: int) -> tuple:
-    """D_i c + c . A_i, valid on solution jets whenever c . u = 0 is."""
+def _prolong_row(system: JetSystem, row: tuple, direction: int) -> tuple:
+    """P_i(c) = D_i c + c . A_i, valid on solution jets whenever c . u = 0 is."""
     a = system.grids[direction]
     n = system.jet_size
     new = []
     for b in range(n):
-        total = system.tower.diff(entries[b], direction)
+        total = system.tower.diff(row[b], direction)
         for s in range(n):
-            if entries[s].is_zero or a[s][b].is_zero:
+            if row[s].is_zero or a[s][b].is_zero:
                 continue
-            total = total + entries[s] * a[s][b]
+            total = total + row[s] * a[s][b]
         new.append(total)
     return tuple(new)
 
 
-def prolong(system: JetSystem, stack: ConstraintStack,
-            rows: Sequence[ConstraintRow] | None = None) -> ConstraintStack:
-    """Append the derivative of every (given) row along every direction."""
-    source = stack.effective_rows() if rows is None else rows
-    new_rows = list(stack.rows)
-    seen = {r.entries for r in stack.rows}
-    for row in source:
+def integrability_constraints(system: JetSystem) -> ConstraintStack:
+    """Generation-0 stack: on a solution d_i(A_j u) = d_j(A_i u), and row a of
+    A_j u prolongs along i to P_i(A_j[a]) . u, so P_i(A_j[a]) - P_j(A_i[a])
+    (row a of d_i A_j - d_j A_i + A_j A_i - A_i A_j) annihilates solution jets."""
+    rows = []
+    for i in range(system.dim):
+        for j in range(i + 1, system.dim):
+            for a_j, a_i in zip(system.grids[j], system.grids[i]):
+                rows.append(tuple(p - q for p, q in zip(_prolong_row(system, a_j, i),
+                                                        _prolong_row(system, a_i, j))))
+    return ConstraintStack(rows, set(rows))
+
+
+def prolong(system: JetSystem, stack: ConstraintStack, rows: Sequence[tuple]) -> ConstraintStack:
+    """Append P_i of every given row along every direction i, less zero and repeated rows."""
+    new_rows, seen = list(stack.rows), set(stack.seen)
+    for row in rows:
         for i in range(system.dim):
-            entries = _prolong_row(system, row.entries, i)
-            if all(e.is_zero for e in entries) or entries in seen:
-                continue
-            seen.add(entries)
-            new_rows.append(ConstraintRow(entries))
-    return ConstraintStack(new_rows)
+            new = _prolong_row(system, row, i)
+            if not is_zero_row(new) and new not in seen:
+                seen.add(new)
+                new_rows.append(new)
+    return ConstraintStack(new_rows, seen)
 
 
 # --------------------------------------------------------------------------
@@ -208,11 +192,11 @@ def solution_dimension(manifold: geo.AffineManifold, mu, basepoint,
     cap = max_generations if max_generations is not None else 2 * manifold.dim + 6
     # a double is a dyadic rational, so Fraction(c) ranks data with no atom exactly at c itself
     exact = not system.tower.atoms
-    point = tuple(Fraction(c) if exact else float(c) for c in basepoint)
+    point = tuple(map(Fraction, basepoint) if exact else ex.float_values(basepoint))
     at = point if exact else point + ex.evaluate(system.tower.atoms, point)
     # a pole of a jet-system entry at the point is a DomainError, even where no row reads it
-    dens = ConstraintRow(tuple(e.den for grid in system.grids for row in grid for e in row))
-    if not all(dens.values(at)):
+    dens = tuple(e.den for grid in system.grids for row in grid for e in row)
+    if not all(row_values(dens, at)):
         raise ex.DomainError(f"pole of the symbols at the basepoint ({', '.join(map(str, point))})")
 
     def generation(sources):
@@ -220,7 +204,7 @@ def solution_dimension(manifold: geo.AffineManifold, mu, basepoint,
         nonlocal stack
         for source in sources:
             before = len(stack.rows)
-            stack = prolong(system, stack, rows=[source])
+            stack = prolong(system, stack, [source])
             yield from stack.rows[before:]
 
     stack = integrability_constraints(system)
@@ -233,8 +217,8 @@ def solution_dimension(manifold: geo.AffineManifold, mu, basepoint,
         for row in rows:
             latest.append(row)
             if not exact:
-                float_rows.append(row.values(at))
-            elif reducer.add_row(row.values(at)) and reducer.rank == n:
+                float_rows.append(row_values(row, at))
+            elif reducer.add_row(row_values(row, at)) and reducer.rank == n:
                 break  # full rank: the rest of the generation cannot change it
         rank, kernel = (reducer.rank, None) if exact else float_rank_kernel(float_rows, n)
         history.append(rank)

@@ -477,6 +477,21 @@ def test_overflowing_solve_is_input_error(tmp_path, capsys):
                         capsys, "float overflow")
 
 
+OVERFLOW_DOC = {"dim": 2, "christoffel": {"1,1^1": "exp(x1)", "1,2^2": "x2*exp(x1)"}}
+
+
+@pytest.mark.parametrize("doc, command", [
+    (OVERFLOW_DOC, ["qe-dim", "--mu", "1"]), (OVERFLOW_DOC, ["verify"]),
+    (OVERFLOW_DOC, ["flatten"]), ({"dim": 2}, ["flatten"]),
+    ({"dim": 2}, ["flatten", "--grid", "0.1"])])
+def test_basepoint_past_the_float_range_is_input_error(doc, command, tmp_path, capsys):
+    # a float solve, chart_radius and box_grid each used to end in an OverflowError traceback
+    path = tmp_path / "chart.json"
+    path.write_text(json.dumps(doc))
+    code = main([command[0], str(path), *command[1:], "--basepoint", "1e400,0"])
+    _assert_input_error(code, capsys, "float overflow")
+
+
 def test_curvature_sampled_only_to_overflow_is_input_error(tmp_path, capsys):
     # the curvature's samples overflow, though rho_21 = -exp(x1 + 400)*exp(x2 + 400) is
     # nonzero everywhere; an inf sample used to count as a zero one, so this printed

@@ -263,17 +263,21 @@ class TestZeroTest:
         with pytest.raises(DomainError):
             is_identically_zero(e)
 
-    def test_constant_check_point_is_drawn_once(self, monkeypatch):
-        # the cached check point of a constant tree is (), which is falsy
-        assert is_identically_zero(parse_scalar("2 - 2", XY)) is Verdict.ZERO
-        assert expr._CHECK_POINTS[0] == ()
-        draws = []
-        generator = expr.random.Random
+    def test_constant_zero_tests_draw_nothing(self, monkeypatch):
+        # a constant's verdict is its value: from the first call on, no constant zero-test
+        # builds a random.Random or draws a check point
+        monkeypatch.setattr(expr, "_CHECK_POINTS", {})
+        draws, points = [], []
+        generator, drawn = expr.random.Random, expr.random_rational_point
         monkeypatch.setattr(expr.random, "Random",
                             lambda seed: draws.append(seed) or generator(seed))
+        monkeypatch.setattr(expr, "random_rational_point",
+                            lambda *args: points.append(args) or drawn(*args))
         assert is_identically_zero(expr.ZERO) is Verdict.ZERO
+        assert is_identically_zero(parse_scalar("2 - 2", XY)) is Verdict.ZERO
         assert is_identically_zero(parse_scalar("3*(1/3) - 1", XY)) is Verdict.ZERO
-        assert draws == []
+        assert is_identically_zero(expr.const(q(-1, 3))) is Verdict.NONZERO
+        assert draws == [] and points == [] and expr._CHECK_POINTS == {}
         # a nonconstant tree's point is drawn once per coordinate count, as before
         assert is_identically_zero(parse_scalar("x1*x2 - x2*x1", XY)) is Verdict.ZERO
         assert len(draws) <= 1

@@ -124,17 +124,17 @@ class TestConstraints:
     def test_sheared_plane_stack(self):
         system = qs.build_jet_system(sheared_flat_plane(), q(-1))
         stack = qs.integrability_constraints(system)
-        rows = [r.values((q(1, 3), q(5, 7))) for r in stack.effective_rows()]
+        rows = [qs.row_values(r, (q(1, 3), q(5, 7))) for r in stack.effective_rows()]
         # the commutator rows alone leave a line; one prolongation kills it
         assert exact_rank(rows, 3) == 2
-        prolonged = qs.prolong(system, stack)
-        rows = [r.values((q(1, 3), q(5, 7))) for r in prolonged.effective_rows()]
+        prolonged = qs.prolong(system, stack, stack.effective_rows())
+        rows = [qs.row_values(r, (q(1, 3), q(5, 7))) for r in prolonged.effective_rows()]
         assert exact_rank(rows, 3) == 3
 
     def test_b1_stack_already_full_rank_off_spectrum(self):
         system = qs.build_jet_system(example_b1(), q(1))
         stack = qs.integrability_constraints(system)
-        rows = [r.values(ORIGIN3) for r in stack.effective_rows()]
+        rows = [qs.row_values(r, ORIGIN3) for r in stack.effective_rows()]
         assert exact_rank(rows, 4) == 4  # kernel empty before any prolongation
 
     def test_commutator_annihilates_known_solution_jets(self):
@@ -146,31 +146,40 @@ class TestConstraints:
         jet = [ex.evaluate(fn, point)] + [
             ex.evaluate(ex.differentiate(fn, i), point) for i in range(3)]
         for row in stack.effective_rows():
-            value = sum(e * j for e, j in zip(row.values(point), jet))
+            value = sum(e * j for e, j in zip(qs.row_values(row, point), jet))
             assert abs(value) < 1e-12
 
     def test_prolong_empty_stack(self):
         system = qs.build_jet_system(geo.flat_manifold(2), q(0))
         stack = qs.integrability_constraints(system)
-        assert qs.prolong(system, stack).effective_rows() == []
+        assert qs.prolong(system, stack, stack.rows).effective_rows() == []
 
     def test_prolong_gradient_row_with_flat_system(self):
         system = qs.build_jet_system(geo.flat_manifold(2), q(0))
         zero, one = RationalFunc.const(0), RationalFunc.const(1)
-        stack = qs.ConstraintStack([qs.ConstraintRow((zero, one, zero))])
-        prolonged = qs.prolong(system, stack)
+        row = (zero, one, zero)
+        prolonged = qs.prolong(system, qs.ConstraintStack([row], {row}), [row])
         assert len(prolonged.rows) == 1  # appended rows were all zero
+
+    def test_prolong_appends_no_row_the_stack_holds(self):
+        # the stack's set carries across calls: prolonging the same rows again adds nothing
+        system = qs.build_jet_system(example_b1(), q(-3, 5))
+        stack = qs.integrability_constraints(system)
+        once = qs.prolong(system, stack, stack.effective_rows())
+        assert len(once.rows) > len(stack.rows) and once.seen == set(once.rows)
+        assert qs.prolong(system, once, stack.effective_rows()).rows == once.rows
 
     def test_prolonged_rows_annihilate_solution_jets(self):
         m = example_b1()
         system = qs.build_jet_system(m, q(-3, 5))
-        stack = qs.prolong(system, qs.integrability_constraints(system))
+        stack = qs.integrability_constraints(system)
+        stack = qs.prolong(system, stack, stack.effective_rows())
         fn = ex.parse_scalar("x1*exp(3*x3)", X3)
         point = (0.4, 0.6, -0.3)
         jet = [ex.evaluate(fn, point)] + [
             ex.evaluate(ex.differentiate(fn, i), point) for i in range(3)]
         for row in stack.effective_rows():
-            value = sum(e * j for e, j in zip(row.values(point), jet))
+            value = sum(e * j for e, j in zip(qs.row_values(row, point), jet))
             assert abs(value) < 1e-10
 
     def test_rows_read_in_one_walk_match_entrywise_values(self):
@@ -180,15 +189,15 @@ class TestConstraints:
         plane = pj.deform(sheared_flat_plane(), pj.ProjectiveChange.from_potential(g, 2))
         system = qs.build_jet_system(plane, q(-1))
         assert system.tower.atoms == [ex.parse_scalar("exp(x1 - x2)", X2)]
-        stack = qs.prolong(system, qs.integrability_constraints(system))
-        rows = stack.effective_rows()
-        trees = [ex.from_ratfunc(e, system.tower) for row in rows for e in row.entries]
+        stack = qs.integrability_constraints(system)
+        rows = qs.prolong(system, stack, stack.effective_rows()).effective_rows()
+        trees = [ex.from_ratfunc(e, system.tower) for row in rows for e in row]
         assert rows and not all(e.rational_only for e in trees)
         rng = random.Random(11)
         for _ in range(5):
             point = ex.random_float_point(2, rng)
             at = point + ex.evaluate(system.tower.atoms, point)
-            got = [v for row in rows for v in row.values(at)]
+            got = [v for row in rows for v in qs.row_values(row, at)]
             assert got == pytest.approx(ex.evaluate(trees, point), rel=1e-12, abs=1e-12)
 
 
@@ -851,7 +860,7 @@ def linear_charts(draw):
 
 def _pairs(row):
     """A row's entries as (numerator, denominator) term lists, in dict order."""
-    return [(list(e.num.terms.items()), list(e.den.terms.items())) for e in row.entries]
+    return [(list(e.num.terms.items()), list(e.den.terms.items())) for e in row]
 
 
 @given(linear_charts())
@@ -885,10 +894,10 @@ def whole_generation_solve(manifold, mu, basepoint):
     while True:
         if exact:
             for row in latest:
-                reducer.add_row(row.values(at))
+                reducer.add_row(qs.row_values(row, at))
             rank = reducer.rank
         else:
-            float_rows.extend(row.values(at) for row in latest)
+            float_rows.extend(qs.row_values(row, at) for row in latest)
             rank, kernel = qs.float_rank_kernel(float_rows, n)
         history.append(rank)
         stabilized = (rank == n or not latest
@@ -896,7 +905,7 @@ def whole_generation_solve(manifold, mu, basepoint):
         if stabilized or len(history) > cap:
             break
         before = len(stack.rows)
-        stack = qs.prolong(system, stack, rows=latest)
+        stack = qs.prolong(system, stack, latest)
         latest = stack.rows[before:]
     return qs.SolutionSpace(point, Fraction(mu), n - rank,
                             tuple(reducer.kernel_basis() if exact else kernel),
@@ -947,15 +956,68 @@ def test_a_solve_that_stops_at_full_rank_is_the_whole_generation_solve(case):
 
 def test_full_rank_stops_inside_a_generation(monkeypatch):
     # generation 1 would prolong both generation-0 rows in both directions, 4 calls; the
-    # derivatives of the first row already fill the rank
+    # derivatives of the first row already fill the rank.  Generation 0 is built from
+    # _prolong_row too, so only the calls after it count
     m, mu = type_b(c11_1=1, c12_2=1, c22_1=1), q(1, 3)
     sources = qs.integrability_constraints(qs.build_jet_system(m, mu)).effective_rows()
     calls = []
-    prolong_row = qs._prolong_row
+    prolong_row, constraints = qs._prolong_row, qs.integrability_constraints
+
+    def generation_zero(system):
+        stack = constraints(system)
+        calls.clear()
+        return stack
+
     monkeypatch.setattr(qs, "_prolong_row", lambda *args: calls.append(args) or prolong_row(*args))
+    monkeypatch.setattr(qs, "integrability_constraints", generation_zero)
     space = qs.solution_dimension(m, mu, WALL_BASE)
     assert (space.rank_history, space.dim) == ((2, 3), 0)
     assert len(calls) < len(sources) * m.dim == 4
+
+
+def commutator_rows(system):
+    """Reference generation 0: the rows of d_i A_j - d_j A_i + A_j A_i - A_i A_j, i < j,
+    summed entry by entry."""
+    diff, n = system.tower.diff, system.jet_size
+    for i in range(system.dim):
+        for j in range(i + 1, system.dim):
+            a_i, a_j = system.grids[i], system.grids[j]
+            for a in range(n):
+                entries = []
+                for b in range(n):
+                    total = diff(a_j[a][b], i) - diff(a_i[a][b], j)
+                    for s in range(n):
+                        total = total + a_j[a][s] * a_i[s][b] - a_i[a][s] * a_j[s][b]
+                    entries.append(total)
+                yield tuple(entries)
+
+
+@st.composite
+def polynomial_denominator_solves(draw):
+    """The plane deformed by a potential with a polynomial denominator."""
+    potential = draw(st.sampled_from(("x1*x2/(1 + x2^2)", "x1/(1 + x2)", "x2/(2 + x1)")))
+    g = ex.parse_scalar(potential, X2)
+    plane = pj.deform(geo.flat_manifold(2), pj.ProjectiveChange.from_potential(g, 2))
+    return plane, draw(st.sampled_from((q(-1), q(1, 3), q(2)))), (q(1, 3), q(-1, 5))
+
+
+@given(st.one_of(st.tuples(st.one_of(catalog_solves(), linear_solves()), st.just(True)),
+                 st.tuples(st.one_of(polynomial_denominator_solves(), curved_exp_log_solves()),
+                           st.just(False))))
+@settings(max_examples=60, deadline=None)
+def test_generation_zero_is_the_commutator(case):
+    # P_i(A_j[a]) - P_j(A_i[a]) is row a of the commutator: (numerator, denominator) pair
+    # for pair on constant, C/x1 and linear symbols, whose pairs are canonical as their
+    # denominators are monomials, and as functions of the tower on the other charts
+    (manifold, mu, _), pairwise = case
+    system = qs.build_jet_system(manifold, mu)
+    rows = qs.integrability_constraints(system).rows
+    oracle = list(commutator_rows(system))
+    assert len(rows) == len(oracle) == manifold.dim * (manifold.dim - 1) // 2 * system.jet_size
+    if pairwise:
+        assert rows == oracle
+    else:
+        assert all((p - q).is_zero for row, want in zip(rows, oracle) for p, q in zip(row, want))
 
 
 UNIT_LOOP_13 = [(0, 0, 0), (1, 0, 0), (1, 0, 1), (0, 0, 1), (0, 0, 0)]
