@@ -491,12 +491,6 @@ class SweepResult:
     def dims(self) -> set:
         return {row["dim"] for row in self.rows}
 
-    def table(self) -> str:
-        lines = [f"{'params':<44} {'mu':>8} {'dim':>4}"]
-        for row in self.rows:
-            lines.append(f"{str(row['params']):<44} {str(row['mu']):>8} {row['dim']:>4}")
-        return "\n".join(lines)
-
 
 def _surface_checks(kind, params, mu, dim, rho_rank, violations):
     if mu == -1 and dim == 2:
@@ -517,10 +511,8 @@ def sweep(kind: str, param_grid: Sequence[dict], mu_list: Sequence) -> SweepResu
             obj = model_for(kind, params)
             manifold = _chart_of(obj)
             point = default_basepoint(manifold)
-            rho_rank = None
-            if isinstance(obj, TypeASurface):
-                rho_rank = exact_rank(
-                    _surface_constants(manifold.ricci_parts.full, (q(0), q(0))), 2)
+            rho_rank = exact_rank(_ricci_constants_a(obj), 2) \
+                if isinstance(obj, TypeASurface) else None
             for mu in mu_list:
                 mu = q(mu)
                 space = qs.solution_dimension(manifold, mu, point)

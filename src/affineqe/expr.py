@@ -4,10 +4,11 @@ The node set is deliberately small: rational constants, coordinates, sums,
 products, quotients, integer powers, and exp/log.  Trees are immutable and
 normalized lightly at construction (flattening, constant folding, dropping
 zeros); canonical-form work is delegated to :mod:`affineqe.poly` when an exact
-answer is required.  Values at a point come from one walk, :func:`evaluate`,
-also over a sequence; :func:`float_faults` is the one rule that turns float
-overflow, division by zero and the log of a non-positive value into
-:class:`DomainError`.
+answer is required.  A tree has one exact evaluator, :func:`evaluate`, which
+reads a float coordinate as its dyadic value and has no value for exp/log, and
+one float evaluator, :func:`compile_float`; :func:`float_faults` plus
+:func:`finite` is the one rule that turns float overflow, division by zero and
+the log of a non-positive value in compiled calls into :class:`DomainError`.
 
 Grammar accepted by :func:`parse_scalar` (a leading minus is also allowed)::
 
@@ -34,7 +35,7 @@ from typing import Callable, Sequence
 from .poly import Poly, RationalFunc
 
 Rational = Fraction
-EvalPoint = Sequence  # of ints/Fractions (evaluated exactly) or with a float (in doubles)
+EvalPoint = Sequence  # of ints, Fractions or floats, each read as its exact rational value
 
 
 class AffineQEError(Exception):
@@ -547,12 +548,11 @@ def differentiate(e: ScalarExpr, index: int) -> ScalarExpr:
 
 
 def evaluate(e: ScalarExpr | Sequence[ScalarExpr], point: EvalPoint, memo: dict | None = None):
-    """Evaluate at a point: in Fractions when no coordinate is a float, else in doubles; a
+    """Exact value at a point, in Fractions, a float coordinate read as its dyadic value; a
     sequence of expressions gives their values as a tuple from one walk with one memo.
-    exp/log at such an exact point raise ExactModeError; poles, logs of non-positive values
-    and float overflow, of a value or of the values' summed magnitudes, raise DomainError.
-    A shared `memo` (keyed by id) needs points agreeing on the coordinates read."""
-    exact = all(not isinstance(c, float) for c in point)
+    exp/log raise ExactModeError and a pole raises DomainError; float values come from
+    `compile_float`.  A shared `memo` (keyed by id) needs points agreeing on the
+    coordinates read."""
     memo = {} if memo is None else memo
 
     def walk(node: ScalarExpr):
@@ -560,16 +560,15 @@ def evaluate(e: ScalarExpr | Sequence[ScalarExpr], point: EvalPoint, memo: dict 
         if hit is not None:
             return hit
         if isinstance(node, Const):
-            result = node.value if exact else float(node.value)
+            result = node.value
         elif isinstance(node, Coord):
             if node.index >= len(point):
                 raise DomainError(f"coordinate x{node.index + 1} outside the point")
-            result = point[node.index]
-            result = Fraction(result) if exact else float(result)
+            result = Fraction(point[node.index])
         elif isinstance(node, Add):
             result = sum(walk(t) for t in node.terms)
         elif isinstance(node, Mul):
-            result = Fraction(1) if exact else 1.0
+            result = Fraction(1)
             for factor in node.factors:
                 result *= walk(factor)
         elif isinstance(node, Div):
@@ -577,14 +576,8 @@ def evaluate(e: ScalarExpr | Sequence[ScalarExpr], point: EvalPoint, memo: dict 
             result = walk(node.num) / den
         elif isinstance(node, Pow):
             result = walk(node.base) ** node.exponent
-        elif isinstance(node, Exp):
-            if exact:
-                raise ExactModeError("exp is not available in exact mode")
-            result = _math.exp(walk(node.arg))
-        elif isinstance(node, Log):
-            if exact:
-                raise ExactModeError("log is not available in exact mode")
-            result = _math.log(walk(node.arg))
+        elif isinstance(node, (Exp, Log)):
+            raise ExactModeError(f"{type(node).__name__.lower()} is not available in exact mode")
         else:
             raise TypeError(f"not a ScalarExpr: {node!r}")
         memo[id(node)] = result
@@ -593,10 +586,10 @@ def evaluate(e: ScalarExpr | Sequence[ScalarExpr], point: EvalPoint, memo: dict 
     try:
         # the memo is keyed by id: keep every tree alive
         values = tuple(map(walk, (e,) if isinstance(e, ScalarExpr) else tuple(e)))
-        if not exact:
-            finite(values)
-    except _FLOAT_FAULTS as err:
+    except ZeroDivisionError as err:
         raise _fault_error(err) from None
+    except (OverflowError, ValueError):  # Fraction() of an inf or nan coordinate
+        raise DomainError("a coordinate is not finite") from None
     return values[0] if isinstance(e, ScalarExpr) else values
 
 
@@ -789,21 +782,23 @@ _SAMPLE_BOXES = tuple((scale, positive) for scale in (1, 4, 16, 64) for positive
 
 def _sample_verdict(e: ScalarExpr, rng: random.Random) -> Verdict:
     nvars = max_coord_index(e) + 1
-    terms = e.terms if isinstance(e, Add) else (e,)
+    try:
+        values_at = compile_float(e.terms if isinstance(e, Add) else (e,))
+    except OverflowError:  # a constant past the float range, which every point would read
+        raise DomainError("expression could not be sampled anywhere") from None
     collected = 0
     for scale, positive in _SAMPLE_BOXES:
         tries = 0
         # a box that yields no point in its tries hands over to the next one
         while collected < FLOAT_SAMPLE_COUNT and (collected or tries < 10 * FLOAT_SAMPLE_COUNT):
             tries += 1
-            # a constant tree still needs a float coordinate to evaluate in doubles
-            point = tuple(scale * c for c in random_float_point(nvars, rng, positive)) or (0.0,)
+            point = tuple(scale * c for c in random_float_point(nvars, rng, positive))
             try:
-                values = evaluate(terms, point)
-            except DomainError:
+                values = finite(values_at(point))
+            except _FLOAT_FAULTS:
                 continue
-            # sum(values) is the float the walk of e gives; a nonzero must also stand
-            # out of its terms' rounding error, so large terms that cancel do not count
+            # sum(values) is e's value in floats; a nonzero must also stand out
+            # of its terms' rounding error, so large terms that cancel do not count
             if abs(sum(values)) > FLOAT_SAMPLE_TOL * max(1.0, sum(map(abs, values))):
                 return Verdict.NONZERO
             collected += 1

@@ -245,13 +245,11 @@ def soliton_potential(f: ScalarExpr, eigenvalue) -> tuple:
 
 
 def sample_residual(tensor: geo.TensorField, points) -> float:
-    """Worst absolute component value over the sample points."""
-    components = geo.leaves(tensor)
-    worst = 0.0
-    for p in points:
-        for value in ex.evaluate(components, p):
-            worst = max(worst, abs(float(value)))
-    return worst
+    """Worst absolute component value over the sample points, read in floats."""
+    with ex.float_faults():
+        values_at = ex.compile_float(geo.leaves(tensor))
+        return max((abs(value) for p in points
+                    for value in ex.finite(values_at(ex.float_values(p)))), default=0.0)
 
 
 def random_symmetric_phi(dim: int, rng: random.Random) -> list:

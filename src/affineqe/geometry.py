@@ -62,10 +62,15 @@ class AffineManifold:
 
     def check_point(self, point) -> None:
         """Raise ExcludedLocusError on the excluded locus; exp/log guards are read in floats."""
-        if any(ex.evaluate(g, point if g.rational_only else ex.float_values(point)) == 0
-               for g in self.excluded):
-            shown = ", ".join(map(str, point))
-            raise ExcludedLocusError(f"point ({shown}) lies on the excluded locus")
+        for g in self.excluded:
+            if g.rational_only:
+                value = ex.evaluate(g, point)
+            else:
+                with ex.float_faults():
+                    value, = ex.finite([ex.compile_float(g)(ex.float_values(point))])
+            if value == 0:
+                shown = ", ".join(map(str, point))
+                raise ExcludedLocusError(f"point ({shown}) lies on the excluded locus")
 
     @cached_property
     def ricci_parts(self) -> RicciTensors:

@@ -219,6 +219,8 @@ def flat_chart(manifold: geo.AffineManifold, basepoint, grid,
     # out and back in x1: 0.1 long, or the grid's reach if shorter and nonzero
     reach = min(0.1, max((abs(c - b) for p in points for c, b in zip(p, base)), default=0.0))
     probe = tuple(c + ((reach or 0.1) if i == 0 else 0.0) for i, c in enumerate(base))
+    if probe == base:  # a zero-length path measures nothing
+        raise FlatnessError("the base probe rounds to the basepoint in floats")
     base_z, base_jac = _chart_image(qs.transport_jet(
         manifold, mu_m, [base, probe, base], jet_basis, steps_per_segment))
     return FlatChart(base, jet_basis, tuple(tuple(p) for p in grid),
@@ -239,7 +241,8 @@ def chart_radius(manifold: geo.AffineManifold, basepoint) -> float:
     best = 2.0
     for g in manifold.excluded:
         guard = [g, *(ex.differentiate(g, i) for i in range(manifold.dim))]
-        value, *grad = ex.evaluate(guard, point)
+        with ex.float_faults():
+            value, *grad = ex.finite(ex.compile_float(guard)(point))
         norm = math.hypot(*grad)
         if norm > 0:
             best = min(best, abs(value) / norm)
@@ -253,6 +256,8 @@ def box_grid(basepoint, radius: float, per_axis: int = 3) -> list:
     points = [()]
     for c in base:
         points = [p + (c + o,) for p in points for o in offsets]
+    if len(set(points)) < len(points):
+        raise FlatnessError("grid points coincide in floats; widen the grid")
     return points
 
 

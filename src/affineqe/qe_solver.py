@@ -193,7 +193,8 @@ def solution_dimension(manifold: geo.AffineManifold, mu, basepoint,
     # a double is a dyadic rational, so Fraction(c) ranks data with no atom exactly at c itself
     exact = not system.tower.atoms
     point = tuple(map(Fraction, basepoint) if exact else ex.float_values(basepoint))
-    at = point if exact else point + ex.evaluate(system.tower.atoms, point)
+    with float_faults():
+        at = point if exact else point + ex.finite(ex.compile_float(system.tower.atoms)(point))
     # a pole of a jet-system entry at the point is a DomainError, even where no row reads it
     dens = tuple(e.den for grid in system.grids for row in grid for e in row)
     if not all(row_values(dens, at)):

@@ -199,11 +199,6 @@ class TestSweep:
         assert result.violations == []
         assert result.dims <= {0, 1, 3}
 
-    def test_sweep_table_renders(self):
-        result = cat.sweep("exp3d", [{}], [0, q(-3, 5)])
-        text = result.table()
-        assert "dim" in text and "-3/5" in text
-
 
 class TestAlphaInvariant:
     def test_reference_value(self):
@@ -238,11 +233,12 @@ class TestAlphaInvariant:
         alpha_deformed = cat.alpha_invariant(deformed)
         expected_ratio = ex.parse_scalar(
             "(1 - exp(x1))^2 * (1 + exp(x1))^-2", ["x1", "x2"])
+        values_at = ex.compile_float([alpha_deformed, alpha, expected_ratio])
         rng = random.Random(5)
         for _ in range(5):
             p = [rng.uniform(-0.8, 0.8), rng.uniform(-1, 1)]
-            ratio = ex.evaluate(alpha_deformed, p) / ex.evaluate(alpha, p)
-            assert abs(ratio - ex.evaluate(expected_ratio, p)) < 1e-8
+            deformed_value, value, expected = values_at(p)
+            assert abs(deformed_value / value - expected) < 1e-8
 
     def test_zero_offset_deformation_is_isomorphic(self):
         # a = 0 gives g = -x1, a constant-symbol deformation with equal invariant

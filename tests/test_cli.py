@@ -384,10 +384,11 @@ def test_flatten_with_an_overflowing_gradient_is_input_error(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
-@pytest.mark.parametrize("grid", [[], ["--grid", "0.1"]])
+@pytest.mark.parametrize("grid", [[], ["--grid", "1e105"]])
 def test_flatten_overflow_off_the_integrator_is_input_error(grid, tmp_path, capsys):
     # without --grid the overflow comes from chart_radius, with it from the
-    # guard check at the first point of a transport path
+    # guard check at the first point of a transport path; the grid is wide
+    # enough that its points stay distinct beside x1 = 10^120
     path = tmp_path / "cubic.json"
     path.write_text(json.dumps(CUBIC_DOC))
     code = main(["flatten", str(path), "--basepoint", "1" + "0" * 120 + ",0", *grid])
@@ -501,6 +502,25 @@ def test_curvature_sampled_only_to_overflow_is_input_error(tmp_path, capsys):
         "1,1^1": "exp(400 + x1)*exp(400 + x2)"}}))
     _assert_input_error(main(["curvature", str(path)]), capsys,
                         "could not be sampled anywhere")
+
+
+def test_curvature_with_a_constant_past_the_float_range_is_input_error(tmp_path, capsys):
+    # 10^400 overflows as the sampled tree compiles, before any point is read
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"dim": 2, "christoffel": {"1,1^1": "exp(x2)*1" + "0" * 400}}))
+    _assert_input_error(main(["curvature", str(path)]), capsys,
+                        "could not be sampled anywhere")
+
+
+@pytest.mark.parametrize("args", [["--basepoint", "100000000000000000,0"],
+                                  ["--basepoint", "1,0", "--grid", "1e-20"]])
+def test_flatten_of_a_grid_that_coincides_in_floats_is_input_error(args, tmp_path, capsys):
+    # x1 + radius rounds to x1: the 9 grid points were 3 distinct ones and the
+    # chart was reported with base errors 0.00e+00 / 0.00e+00
+    path = tmp_path / "flat2.json"
+    path.write_text(json.dumps({"dim": 2}))
+    _assert_input_error(main(["flatten", str(path), *args]), capsys,
+                        "grid points coincide in floats")
 
 
 def test_verify_reports_sampled_checks_as_numeric_only(tmp_path, capsys):

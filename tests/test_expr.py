@@ -110,7 +110,7 @@ class TestDifferentiate:
     def test_chain_rule_exp(self):
         e = parse_scalar("exp(2*x1)", XY)
         d = differentiate(e, 0)
-        v = evaluate(d, (0.5, 0.0))
+        v = expr.compile_float(d)((0.5, 0.0))
         assert v == pytest.approx(2 * math.exp(1.0))
 
     def test_log(self):
@@ -129,53 +129,71 @@ class TestEvaluate:
 
     def test_float_exp(self):
         e = parse_scalar("exp(x1)", XY)
-        assert evaluate(e, (0.0, 0.0)) == pytest.approx(1.0)
+        assert expr.compile_float(e)((0.0, 0.0)) == 1.0
 
-    def test_mode_follows_the_point(self):
+    def test_a_float_coordinate_reads_as_its_dyadic_value(self):
         e = parse_scalar("3/x1 + x2", XY)
-        for point in ((2, 1), (q(2), q(1)), (2, q(1))):
+        for point in ((2, 1), (q(2), q(1)), (2, q(1)), (2.0, 1), (q(2), 1.0)):
             value = evaluate(e, point)
             assert type(value) is Fraction and value == q(5, 2)
-        for point in ((2.0, 1), (q(2), 1.0)):
-            value = evaluate(e, point)
-            assert type(value) is float and value == 2.5
+        # 0.1 is the double nearest 1/10, not 1/10 itself
+        value = evaluate(e, (0.1, 0.0))
+        assert type(value) is Fraction and value == 3 / Fraction(0.1) != 30
 
     def test_exact_mode_rejects_exp(self):
-        for point in ((q(0), q(0)), (0, 0)):
-            with pytest.raises(ExactModeError):
-                evaluate(parse_scalar("exp(x1)", XY), point)
+        for point in ((q(0), q(0)), (0, 0), (0.0, 0.0)):
+            for text in ("exp(x1)", "x2 + log(1 + x1^2)"):
+                with pytest.raises(ExactModeError):
+                    evaluate(parse_scalar(text, XY), point)
 
     def test_division_by_zero(self):
         for point in ((q(0), q(1)), (0.0, 1.0), (0.0, q(1))):
             with pytest.raises(DomainError):
                 evaluate(parse_scalar("3/x1", XY), point)
 
+    def test_a_coordinate_that_is_not_finite_is_a_domain_error(self):
+        # inf and nan have no exact value; a guarded chart's solve reads them at its guards
+        wall = geometry.from_christoffel(XY, {(0, 0, 0): parse_scalar("1/x1", XY)},
+                                         excluded=[parse_scalar("x1", XY)])
+        for c in (math.inf, math.nan):
+            with pytest.raises(DomainError, match="not finite"):
+                evaluate(parse_scalar("x1 + x2", XY), (c, 0.0))
+            with pytest.raises(DomainError, match="not finite"):
+                wall.check_point((c, 0.0))
+
     def test_log_domain(self):
-        with pytest.raises(DomainError, match="log of a non-positive value"):
-            evaluate(parse_scalar("log(x1)", XY), (-1.0,))
-        # compiled code goes through the same fault rule
         compiled = expr.compile_float(parse_scalar("log(x1)", XY))
-        with pytest.raises(DomainError, match="log of a non-positive value"), expr.float_faults():
-            compiled((-1.0,))
+        for point in ((-1.0,), (0.0,)):
+            with pytest.raises(DomainError, match="log of a non-positive value"), \
+                    expr.float_faults():
+                compiled(point)
 
     def test_float_faults_are_domain_errors(self):
-        with pytest.raises(DomainError, match="overflow"):
-            evaluate(parse_scalar("x1^3", XY), (1e120,))
+        with pytest.raises(DomainError, match="overflow"), expr.float_faults():
+            expr.compile_float(parse_scalar("x1^3", XY))((1e120,))
+        with pytest.raises(DomainError, match="pole"), expr.float_faults():
+            expr.compile_float(parse_scalar("x1^-2", XY))((0.0,))
+        # a constant past the float range overflows as it compiles
+        with pytest.raises(DomainError, match="float overflow"), expr.float_faults():
+            expr.compile_float(parse_scalar("10^400*x1", XY))
+        # the exact walk has no float fault, only poles
+        assert evaluate(parse_scalar("x1^3", XY), (1e120,)) == Fraction(1e120) ** 3
         for point in ((0.0,), (q(0),)):
-            with pytest.raises(DomainError):
+            with pytest.raises(DomainError, match="pole"):
                 evaluate(parse_scalar("x1^-2", XY), point)
 
     def test_non_finite_float_values_are_domain_errors(self):
         # + and * overflow to inf and inf - inf is nan, with no float exception
         for text in ("exp(400 + x1)*exp(400 + x2)", "exp(709 + x1) + exp(709 + x2)",
                      "exp(400 + x1)*exp(400 + x2) - exp(400 + x2)*exp(400 + x1)"):
-            with pytest.raises(DomainError, match="float overflow"):
-                evaluate(parse_scalar(text, XY), (0.5, 0.5))
+            with pytest.raises(DomainError, match="float overflow"), expr.float_faults():
+                expr.finite([expr.compile_float(parse_scalar(text, XY))((0.5, 0.5))])
         # values whose magnitudes overflow when summed, as a sampled sum would
         big = parse_scalar("exp(709 + x1)", XY)
-        with pytest.raises(DomainError, match="float overflow"):
-            evaluate([big, big], (0.5,))
-        assert evaluate([big], (0.5,)) == (math.exp(709.5),)
+        with pytest.raises(DomainError, match="float overflow"), expr.float_faults():
+            expr.finite(expr.compile_float([big, big])((0.5,)))
+        with expr.float_faults():
+            assert expr.finite(expr.compile_float([big])((0.5,))) == (math.exp(709.5),)
 
 
 class TestZeroTest:
@@ -201,7 +219,7 @@ class TestZeroTest:
         assert is_identically_zero(e) is Verdict.NONZERO
 
     def test_constant_exp_tree_is_sampled_in_floats(self):
-        # a tree without coordinates still samples at a float point
+        # a tree without coordinates is sampled too, at the empty point
         assert is_identically_zero(parse_scalar("exp(1)*exp(-1) - 1", XY)) \
             is Verdict.NUMERIC_ONLY
         assert is_identically_zero(parse_scalar("exp(1) - 2", XY)) is Verdict.NONZERO
@@ -257,6 +275,25 @@ class TestZeroTest:
     def test_expression_defined_nowhere(self):
         with pytest.raises(DomainError, match="could not be sampled anywhere"):
             is_identically_zero(parse_scalar("log(-1 - x1^2)", XY))
+
+    def test_a_constant_past_the_float_range_is_sampled_nowhere(self):
+        # 10^400 overflows as the tree compiles, so no point can be sampled
+        e = parse_scalar("exp(x2)*1" + "0" * 400, XY)
+        with pytest.raises(DomainError, match="could not be sampled anywhere"):
+            is_identically_zero(e)
+
+    def test_each_sampled_tree_compiles_once(self, monkeypatch):
+        # one float callable of the top-level terms serves every sample point
+        compiled, walked = [], []
+        compile_float, walk = expr.compile_float, expr.evaluate
+        monkeypatch.setattr(expr, "compile_float", lambda e: compiled.append(e) or compile_float(e))
+        monkeypatch.setattr(expr, "evaluate", lambda *args: walked.append(args) or walk(*args))
+        trees = [parse_scalar(text, XY) for text in (
+            "exp(x1)*exp(-x1) - 1", "exp(x1) - 1 - x1", "log(x1 - 3)", "exp(1) - 2")]
+        verdicts = [is_identically_zero(e) for e in trees]
+        assert verdicts == [Verdict.NUMERIC_ONLY] + [Verdict.NONZERO] * 3
+        assert compiled == [e.terms if isinstance(e, Add) else (e,) for e in trees]
+        assert walked == []
 
     def test_identically_zero_denominator(self):
         e = parse_scalar("1/(x1 - x1)", XY)
@@ -370,12 +407,16 @@ def test_compiled_table_equals_entrywise_compile():
 
 
 def test_compile_float_matches_evaluate():
+    # rational trees against the exact value at the dyadic point, exp/log against math
     rng = random.Random(7)
-    e = parse_scalar("(1 + x1^2 - x2)/(2 + x2^2) + exp(x1/2)", XY)
-    fn = expr.compile_float(e)
+    rational = parse_scalar("(1 + x1^2 - x2)/(2 + x2^2) - 3/7*x1*x2^3", XY)
+    transcendental = parse_scalar("(1 + x1^2 - x2)/(2 + x2^2) + exp(x1/2)*log(3 + x2)", XY)
+    rational_at, transcendental_at = map(expr.compile_float, (rational, transcendental))
     for _ in range(25):
-        p = (rng.uniform(-2, 2), rng.uniform(-2, 2))
-        assert fn(p) == pytest.approx(evaluate(e, p), rel=1e-12)
+        x, y = p = (rng.uniform(-2, 2), rng.uniform(-2, 2))
+        assert rational_at(p) == pytest.approx(float(evaluate(rational, p)), rel=1e-12)
+        want = (1 + x * x - y) / (2 + y * y) + math.exp(x / 2) * math.log(3 + y)
+        assert transcendental_at(p) == pytest.approx(want, rel=1e-12)
 
 
 def _nested_difference(levels):

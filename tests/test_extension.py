@@ -365,12 +365,13 @@ def deformed_plane(potential):
 
 def assert_agree_in_value(got, want, nvars):
     """Two grids of trees take equal values, to rounding, at seeded float points."""
-    got, want = (geo.leaves(geo.TensorField(t)) for t in (got, want))
+    got, want = (ex.compile_float(geo.leaves(geo.TensorField(t))) for t in (got, want))
     rng = random.Random(5)
     for _ in range(5):
         point = ex.random_float_point(nvars, rng)
-        assert ex.evaluate(got, point) == pytest.approx(ex.evaluate(want, point),
-                                                        rel=1e-9, abs=1e-9)
+        with ex.float_faults():
+            assert ex.finite(got(point)) == pytest.approx(ex.finite(want(point)),
+                                                          rel=1e-9, abs=1e-9)
 
 
 class TestSparseGeometryMatchesDense:

@@ -143,8 +143,7 @@ class TestConstraints:
         stack = qs.integrability_constraints(system)
         fn = ex.parse_scalar("exp(3*x3)", X3)
         point = (0.3, -0.2, 0.1)
-        jet = [ex.evaluate(fn, point)] + [
-            ex.evaluate(ex.differentiate(fn, i), point) for i in range(3)]
+        jet = ex.compile_float([fn, *(ex.differentiate(fn, i) for i in range(3))])(point)
         for row in stack.effective_rows():
             value = sum(e * j for e, j in zip(qs.row_values(row, point), jet))
             assert abs(value) < 1e-12
@@ -176,15 +175,14 @@ class TestConstraints:
         stack = qs.prolong(system, stack, stack.effective_rows())
         fn = ex.parse_scalar("x1*exp(3*x3)", X3)
         point = (0.4, 0.6, -0.3)
-        jet = [ex.evaluate(fn, point)] + [
-            ex.evaluate(ex.differentiate(fn, i), point) for i in range(3)]
+        jet = ex.compile_float([fn, *(ex.differentiate(fn, i) for i in range(3))])(point)
         for row in stack.effective_rows():
             value = sum(e * j for e, j in zip(qs.row_values(row, point), jet))
             assert abs(value) < 1e-10
 
     def test_rows_read_in_one_walk_match_entrywise_values(self):
         # rows with an atom: the plane sheared by x2 dx1 and deformed by exp(x1 - x2)/2,
-        # prolonged once; at (x, theta(x)) they take the values one walk of their trees gives at x
+        # prolonged once; at (x, theta(x)) they take the values their trees compile to at x
         g = ex.parse_scalar("exp(x1 - x2)/2", X2)
         plane = pj.deform(sheared_flat_plane(), pj.ProjectiveChange.from_potential(g, 2))
         system = qs.build_jet_system(plane, q(-1))
@@ -196,9 +194,9 @@ class TestConstraints:
         rng = random.Random(11)
         for _ in range(5):
             point = ex.random_float_point(2, rng)
-            at = point + ex.evaluate(system.tower.atoms, point)
+            at = point + ex.compile_float(system.tower.atoms)(point)
             got = [v for row in rows for v in qs.row_values(row, at)]
-            assert got == pytest.approx(ex.evaluate(trees, point), rel=1e-12, abs=1e-12)
+            assert got == pytest.approx(ex.compile_float(trees)(point), rel=1e-12, abs=1e-12)
 
 
 class TestSolutionDimension:
@@ -887,7 +885,7 @@ def whole_generation_solve(manifold, mu, basepoint):
     n, cap = system.jet_size, 2 * manifold.dim + 6
     exact = not system.tower.atoms
     point = tuple(Fraction(c) if exact else float(c) for c in basepoint)
-    at = point if exact else point + ex.evaluate(system.tower.atoms, point)
+    at = point if exact else point + ex.compile_float(system.tower.atoms)(point)
     stack = qs.integrability_constraints(system)
     latest = stack.effective_rows()
     reducer, float_rows, history = RowReducer(n), [], []
