@@ -5,12 +5,19 @@ example with nonzero symbols 1/3/4/5):
 
 * curvature   R[i][j][k][l] = d_i G_jk^l - d_j G_ik^l + G_in^l G_jk^n - G_jn^l G_ik^n
 * Ricci       rho_jk = trace of the FIRST lower slot, sum_i R[i][j][k][i]
-* Hessian     H_ij f = d_i d_j f - G_ij^k d_k f
-* nabla rho   (grad rho)_{i;jk} = d_i rho_jk - G_ij^l rho_lk - G_ik^l rho_jl
+* nabla       (nabla T)_{i;j_1..j_r} = d_i T_{j_1..j_r} - sum_s G_{i j_s}^l T_{j_1..l..j_r},
+              l in slot s
+* Hessian     H_ij f = (nabla df)_{i;j} = d_i d_j f - G_ij^k d_k f
+* nabla rho   (nabla rho)_{i;jk} = d_i rho_jk - G_ij^l rho_lk - G_ik^l rho_jl
+
+Curvature, the tree Ricci and the solver's tower Ricci are sums of one display's
+terms (`curvature_terms`), and every tensor here reads the symbols with None
+where zero (`AffineManifold.symbols`), so zero symbols cost nothing.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -78,13 +85,19 @@ class AffineManifold:
         return ricci(self)
 
     @cached_property
+    def symbols(self) -> tuple:
+        """The symbols with None where zero, the grid every tensor kernel reads."""
+        return tuple(tuple(tuple(None if s == ex.ZERO else s for s in row) for row in plane)
+                     for plane in self.gamma)
+
+    @cached_property
     def jet_data(self) -> tuple:
         """(tower, symbols, rho sums), the mu-free half of every jet system, built once: the
         symbols converted into one `expr.Tower` (None where zero) and rho_jk + rho_kj for each
         ordered (j, k), with rho summed from them by `ricci_terms`."""
         m, tower, zero = self.dim, ex.Tower(self.dim), RationalFunc.const(0)
-        g = [[[None if s == ex.ZERO else ex.to_ratfunc(s, tower=tower) for s in row] for row in plane]
-             for plane in self.gamma]
+        g = [[[s and ex.to_ratfunc(s, tower=tower) for s in row] for row in plane]
+             for plane in self.symbols]
         rho = [[sum(ricci_terms(g, tower.diff, j, k), zero) for k in range(m)] for j in range(m)]
         return tower, g, [[rho[j][k] + rho[k][j] for k in range(m)] for j in range(m)]
 
@@ -225,10 +238,9 @@ def load_manifold(document: dict) -> AffineManifold:
     Schema: ``{"dim": m, "coords": [...], "christoffel": {"i,j^k": "<expr>"},
     "excluded": ["<expr>", ...]}`` with 1-based keys; omitted symbols are zero.
     """
-    try:
-        dim = int(document["dim"])
-    except (KeyError, TypeError, ValueError):
-        raise ManifoldFormatError("missing or bad 'dim'") from None
+    dim = document.get("dim") if isinstance(document, dict) else None
+    if type(dim) is not int:  # a JSON integer: not 2.5, true or "3"
+        raise ManifoldFormatError("missing or bad 'dim'")
     coords = _strings(document.get("coords") or [f"x{i + 1}" for i in range(dim)],
                       "coords")
     if len(coords) != dim:
@@ -270,19 +282,24 @@ def manifold_document(m: AffineManifold) -> dict:
 # curvature and friends
 
 
+def curvature_terms(g, diff: Callable, i: int, j: int, k: int, l: int) -> list:
+    """The terms of R_ijk^l in the module docstring's display, in order, over the symbols
+    ``g`` (None where zero, and such terms left out) with the derivative ``diff(s, i)``."""
+    terms = [diff(g[j][k][l], i)] if g[j][k][l] else []
+    if g[i][k][l]:
+        terms.append(-diff(g[i][k][l], j))
+    for n in range(len(g)):
+        if g[i][n][l] and g[j][k][n]:
+            terms.append(g[i][n][l] * g[j][k][n])
+        if g[j][n][l] and g[i][k][n]:
+            terms.append(-(g[j][n][l] * g[i][k][n]))
+    return terms
+
+
 def curvature(m: AffineManifold) -> TensorField:
     """Full (1,3) curvature; antisymmetric in the first two lower slots."""
-    dgamma = [[[[ex.differentiate(m.gamma[j][k][l], i) for l in range(m.dim)]
-                for k in range(m.dim)] for j in range(m.dim)] for i in range(m.dim)]
-
-    def fill(i, j, k, l):
-        total = dgamma[i][j][k][l] - dgamma[j][i][k][l]
-        for n in range(m.dim):
-            total = total + m.gamma[i][n][l] * m.gamma[j][k][n] \
-                - m.gamma[j][n][l] * m.gamma[i][k][n]
-        return ex.simplify_rational(total)
-
-    return tensor_from((m.dim,) * 4, fill)
+    return tensor_from((m.dim,) * 4, lambda *ijkl: ex.simplify_rational(
+        ex.add(*curvature_terms(m.symbols, ex.differentiate, *ijkl))))
 
 
 @dataclass(frozen=True)
@@ -304,82 +321,54 @@ class RicciTensors:
 
 
 def ricci_terms(g, diff: Callable, j: int, k: int) -> list:
-    """The terms of rho_jk in the traced curvature display, in order, over the symbols
-    ``g`` (None where zero, and such terms left out) with the derivative ``diff(s, i)``."""
-    terms = []
-    for i in range(len(g)):
-        if g[j][k][i]:
-            terms.append(diff(g[j][k][i], i))
-        if g[i][k][i]:
-            terms.append(-diff(g[i][k][i], j))
-        for n in range(len(g)):
-            if g[i][n][i] and g[j][k][n]:
-                terms.append(g[i][n][i] * g[j][k][n])
-            if g[j][n][i] and g[i][k][n]:
-                terms.append(-(g[j][n][i] * g[i][k][n]))
-    return terms
+    """The terms of rho_jk: the curvature terms R_ijk^i for each i in turn."""
+    return [t for i in range(len(g)) for t in curvature_terms(g, diff, i, j, k, i)]
 
 
 def ricci(m: AffineManifold) -> RicciTensors:
     """Ricci tensor; its symmetric and antisymmetric parts are built on first read.
-
-    Computed from the traced curvature display directly (`ricci_terms`); the
-    trace-consistency with :func:`curvature` is a tested invariant rather than
-    an assumption.  Each component is one sum of the display's terms.
-    """
-    g = [[[None if s == ex.ZERO else s for s in row] for row in plane] for plane in m.gamma]
+    Each component is one sum of the curvature display's traced terms."""
     return RicciTensors(tensor_from((m.dim, m.dim), lambda j, k: ex.simplify_rational(
-        ex.add(*ricci_terms(g, ex.differentiate, j, k)))))
-
-
-def hessian(m: AffineManifold, f: ScalarExpr) -> TensorField:
-    df = [ex.differentiate(f, k) for k in range(m.dim)]
-
-    def fill(i, j):
-        terms = [ex.neg(m.gamma[i][j][k] * df[k]) for k in range(m.dim)
-                 if m.gamma[i][j][k] != ex.ZERO and df[k] != ex.ZERO]
-        return ex.simplify_rational(ex.add(ex.differentiate(df[j], i), *terms))
-
-    return tensor_from((m.dim, m.dim), fill)
+        ex.add(*ricci_terms(m.symbols, ex.differentiate, j, k)))))
 
 
 def covariant_derivative(m: AffineManifold, t: TensorField) -> TensorField:
-    """Raw components of the covariant derivative of a (0,2) tensor, derivative
-    slot first: d_i T_jk - G_ij^l T_lk - G_ik^l T_jl."""
+    """Raw components of the covariant derivative of a (0,r) tensor, derivative slot first,
+    summed over the nonzero symbols and components only."""
+    g = m.symbols
 
-    def fill(i, j, k):
-        total = ex.differentiate(t.comp(j, k), i)
+    def fill(i, *js):
+        terms = [ex.differentiate(t.comp(*js), i)]
         for l in range(m.dim):
-            total = total - m.gamma[i][j][l] * t.comp(l, k) \
-                - m.gamma[i][k][l] * t.comp(j, l)
-        return total
+            for s, j in enumerate(js):
+                if g[i][j][l]:
+                    moved = t.comp(*js[:s], l, *js[s + 1:])
+                    if moved != ex.ZERO:
+                        terms.append(ex.neg(g[i][j][l] * moved))
+        return ex.add(*terms)
 
-    return tensor_from((m.dim,) * 3, fill)
+    return tensor_from((m.dim,) * (t.rank + 1), fill)
+
+
+def hessian(m: AffineManifold, f: ScalarExpr) -> TensorField:
+    """The canonical covariant derivative of df."""
+    df = TensorField(tuple(ex.differentiate(f, k) for k in range(m.dim)))
+    return tensor_map(ex.simplify_rational, covariant_derivative(m, df))
 
 
 def nabla_ricci(m: AffineManifold) -> TensorField:
-    """Covariant derivative of the full Ricci tensor, derivative slot first."""
+    """The canonical covariant derivative of the full Ricci tensor."""
     return tensor_map(ex.simplify_rational, covariant_derivative(m, m.ricci_parts.full))
 
 
 def is_totally_symmetric(t: TensorField) -> Verdict:
-    """True-ish verdict when every index permutation fixes the tensor."""
+    """True-ish verdict when every index permutation fixes the tensor: each component is
+    compared once with each distinct rearrangement of its indices that sorts after it."""
     if t.rank not in (2, 3):
         raise ValueError("total symmetry is defined here for (0,2) and (0,3) tensors")
-    verdicts = []
-    n = t.dim
-    if t.rank == 2:
-        for i in range(n):
-            for j in range(i + 1, n):
-                verdicts.append(ex.is_identically_zero(t.comp(i, j) - t.comp(j, i)))
-    else:
-        for i in range(n):
-            for j in range(n):
-                for k in range(n):
-                    base = t.comp(i, j, k)
-                    for perm in ((i, k, j), (j, i, k), (j, k, i), (k, i, j), (k, j, i)):
-                        verdicts.append(ex.is_identically_zero(base - t.comp(*perm)))
-    return combine_verdicts(verdicts)
+    return combine_verdicts(ex.is_identically_zero(t.comp(*idx) - t.comp(*perm))
+                            for idx in itertools.product(range(t.dim), repeat=t.rank)
+                            for perm in set(itertools.permutations(idx)) if perm > idx)
 
 
 def apply_qe_operator(m: AffineManifold, mu: Fraction, f: ScalarExpr) -> TensorField:

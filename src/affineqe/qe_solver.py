@@ -11,7 +11,8 @@ the basepoint stabilizes, and the kernel of the evaluated stack is the space
 of admissible initial jets.  An exact solve reduces each prolonged row as soon
 as it is made and stops once the rank is m+1, inside a generation too.  Rows
 are plain tuples of `poly.RationalFunc` in the `expr.Tower` of the chart's data, where
-rho_s is summed from the symbols; a row zero there is zero as a function.  The
+rho_s is summed from the symbols by `geometry.ricci_terms`, the traced curvature
+display that also gives the tree Ricci; a row zero there is zero as a function.  The
 symbols are converted and rho summed once per manifold (`jet_data`), shared by
 every mu solved on it, so a further mu costs only its own rows.  Data
 with no exp/log node is ranked exactly at any basepoint, other rows in floats at
@@ -192,7 +193,10 @@ def solution_dimension(manifold: geo.AffineManifold, mu, basepoint,
     cap = max_generations if max_generations is not None else 2 * manifold.dim + 6
     # a double is a dyadic rational, so Fraction(c) ranks data with no atom exactly at c itself
     exact = not system.tower.atoms
-    point = tuple(map(Fraction, basepoint) if exact else ex.float_values(basepoint))
+    try:
+        point = tuple(map(Fraction, basepoint) if exact else ex.float_values(basepoint))
+    except (OverflowError, ValueError):  # Fraction() of an inf or nan: `expr.evaluate`'s error
+        raise ex.DomainError("a coordinate is not finite") from None
     with float_faults():
         at = point if exact else point + ex.finite(ex.compile_float(system.tower.atoms)(point))
     # a pole of a jet-system entry at the point is a DomainError, even where no row reads it

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from affineqe import expr, geometry
+from affineqe import expr, geometry, qe_solver
 from affineqe.expr import (
     ONE,
     ZERO,
@@ -152,7 +152,8 @@ class TestEvaluate:
                 evaluate(parse_scalar("3/x1", XY), point)
 
     def test_a_coordinate_that_is_not_finite_is_a_domain_error(self):
-        # inf and nan have no exact value; a guarded chart's solve reads them at its guards
+        # inf and nan have no exact value; a guarded chart's solve reads them at its guards,
+        # an unguarded chart's exact solve at its basepoint
         wall = geometry.from_christoffel(XY, {(0, 0, 0): parse_scalar("1/x1", XY)},
                                          excluded=[parse_scalar("x1", XY)])
         for c in (math.inf, math.nan):
@@ -160,6 +161,8 @@ class TestEvaluate:
                 evaluate(parse_scalar("x1 + x2", XY), (c, 0.0))
             with pytest.raises(DomainError, match="not finite"):
                 wall.check_point((c, 0.0))
+            with pytest.raises(DomainError, match="not finite"):
+                qe_solver.solution_dimension(geometry.flat_manifold(2), -1, (c, 0.0))
 
     def test_log_domain(self):
         compiled = expr.compile_float(parse_scalar("log(x1)", XY))

@@ -3,6 +3,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from affineqe import expr as ex
 from affineqe import geometry as geo
@@ -32,6 +34,60 @@ def type_b(c, m=2):
     x1 = ex.coord(0)
     entries = {idx: ex.const(v) / x1 for idx, v in c.items()}
     return geo.from_christoffel(X2[:m] if m == 2 else X3, entries, excluded=[x1])
+
+
+# Oracles: the dense loops each kernel replaced, every term of each display summed
+# with zero symbols too, kept here as independent copies.
+
+
+def dense_curvature(m):
+    n = m.dim
+    dgamma = [[[[ex.differentiate(m.gamma[j][k][l], i) for l in range(n)]
+                for k in range(n)] for j in range(n)] for i in range(n)]
+
+    def fill(i, j, k, l):
+        total = dgamma[i][j][k][l] - dgamma[j][i][k][l]
+        for p in range(n):
+            total = total + m.gamma[i][p][l] * m.gamma[j][k][p] \
+                - m.gamma[j][p][l] * m.gamma[i][k][p]
+        return ex.simplify_rational(total)
+
+    return geo.tensor_from((n,) * 4, fill)
+
+
+def dense_hessian(m, f):
+    df = [ex.differentiate(f, k) for k in range(m.dim)]
+
+    def fill(i, j):
+        total = ex.differentiate(df[j], i)
+        for k in range(m.dim):
+            total = total - m.gamma[i][j][k] * df[k]
+        return ex.simplify_rational(total)
+
+    return geo.tensor_from((m.dim, m.dim), fill)
+
+
+def dense_covariant_derivative(m, t):
+    """Raw components of the covariant derivative of a (0,2) tensor, derivative slot first."""
+
+    def fill(i, j, k):
+        total = ex.differentiate(t.comp(j, k), i)
+        for l in range(m.dim):
+            total = total - m.gamma[i][j][l] * t.comp(l, k) - m.gamma[i][k][l] * t.comp(j, l)
+        return total
+
+    return geo.tensor_from((m.dim,) * 3, fill)
+
+
+def symmetry_by_loops(t):
+    """Each component against its index swap (rank 2) or its five rearrangements (rank 3)."""
+    n = t.dim
+    if t.rank == 2:
+        pairs = [((i, j), (j, i)) for i in range(n) for j in range(i + 1, n)]
+    else:
+        pairs = [((i, j, k), perm) for i, j, k in itertools.product(range(n), repeat=3)
+                 for perm in ((i, k, j), (j, i, k), (j, k, i), (k, i, j), (k, j, i))]
+    return ex.combine_verdicts(ex.is_identically_zero(t.comp(*a) - t.comp(*b)) for a, b in pairs)
 
 
 class TestLoadManifold:
@@ -73,8 +129,13 @@ class TestLoadManifold:
         {"dim": 2, "christoffel": {"1,1^1": 3}},
         {"dim": 2, "christoffel": {}, "excluded": 5},
         {"dim": 2, "coords": ["x1", "x1"], "christoffel": {"1,2^1": "x1"}},
+        {"dim": 2.5, "christoffel": {}},
+        {"dim": True, "christoffel": {}},
+        {"dim": "3", "christoffel": {}},
+        ["dim", 2],
     ], ids=["christoffel-not-object", "symbol-not-string", "excluded-not-list",
-            "repeated-coordinate"])
+            "repeated-coordinate", "fractional-dim", "boolean-dim", "string-dim",
+            "document-not-object"])
     def test_malformed_document_rejected(self, doc):
         with pytest.raises(geo.ManifoldFormatError):
             geo.load_manifold(doc)
@@ -108,7 +169,7 @@ class TestCurvature:
 
     def test_trace_matches_ricci_on_b1(self):
         m = example_b1()
-        r = geo.curvature(m)
+        r = dense_curvature(m)
         rho = geo.ricci(m).full
         for j in range(3):
             for k in range(3):
@@ -278,6 +339,16 @@ class TestTotallySymmetric:
                             lambda i, j: ex.const(j - i))
         assert geo.is_totally_symmetric(t) is Verdict.NONZERO
 
+    @pytest.mark.parametrize("fill, verdict", [
+        (lambda i, j, k: i + j + k, Verdict.ZERO),
+        (lambda i, j, k: (i + j) * (3 * k + 1), Verdict.NONZERO),
+        (lambda i, j, k: (3 * i + 1) * (j + k), Verdict.NONZERO),
+        (lambda i, j, k: (3 * j + 1) * (i + k), Verdict.NONZERO),
+    ], ids=["total", "first-pair-only", "last-pair-only", "outer-pair-only"])
+    def test_rank_three_symmetric_in_one_pair(self, fill, verdict):
+        t = geo.tensor_from((2, 2, 2), lambda *idx: ex.const(fill(*idx)) * ex.coord(0))
+        assert geo.is_totally_symmetric(t) is symmetry_by_loops(t) is verdict
+
     def test_curvature_rank_is_rejected(self):
         with pytest.raises(ValueError):
             geo.is_totally_symmetric(geo.curvature(example_b1()))
@@ -370,7 +441,7 @@ class TestInvariants:
                             c1 = q(rng.randint(-2, 2), rng.randint(1, 3))
                             entries[(i, j, k)] = ex.const(c0) + ex.const(c1) * ex.coord(rng.randint(0, 1))
             m = geo.from_christoffel(X2, entries)
-            r = geo.curvature(m)
+            r = dense_curvature(m)
             rho = geo.ricci(m).full
             for j in range(2):
                 for k in range(2):
@@ -390,3 +461,61 @@ class TestInvariants:
                 res = geo.apply_qe_operator(m, mu, xf)
                 verdict = geo.tensor_zero_verdict(res)
                 assert verdict in (Verdict.ZERO, Verdict.NUMERIC_ONLY)
+
+
+# symbols on non-homogeneous charts: polynomial ones, and one each with a monomial
+# denominator, a polynomial denominator and an exp/log node
+POLYNOMIAL = st.builds(lambda c0, c1, c2, a, b: ex.const(c0) + ex.const(c1) * ex.coord(a)
+                       + ex.const(c2) * ex.coord(a) * ex.coord(b),
+                       *[st.fractions(-3, 3, max_denominator=3)] * 3,
+                       st.integers(0, 1), st.integers(0, 1))
+MONOMIAL_DENOMINATOR = st.sampled_from(["3/x1", "x2/x1^2", "-1/(2*x1)"])
+POLYNOMIAL_DENOMINATOR = st.sampled_from(["1/(1 + x2^2)", "x1/(2 + x1)", "1/(x1 + x2)"])
+EXP_LOG = st.sampled_from(["exp(x1 - x2)/2", "log(3 + x1^2)", "x1*exp(x2)"])
+FUNCTIONS = ["x1*x2", "exp(3*x1)", "x1*exp(x2)", "log(x1 + 3)", "x1^2/(1 + x2)"]
+
+
+@st.composite
+def mixed_charts(draw):
+    """A 2- or 3-dim chart with polynomial symbols and one symbol of each other kind; the
+    exp/log one only when ``rational`` is drawn false."""
+    dim = draw(st.integers(2, 3))
+    coords = X3[:dim]
+    keys = [(i, j, k) for i in range(dim) for j in range(i, dim) for k in range(dim)]
+    keys = draw(st.permutations(keys))
+    rational = draw(st.booleans())
+    special = [draw(MONOMIAL_DENOMINATOR), draw(POLYNOMIAL_DENOMINATOR)]
+    if not rational:
+        special.append(draw(EXP_LOG))
+    entries = {key: ex.parse_scalar(text, coords) for key, text in zip(keys, special)}
+    for key in keys[len(special):]:
+        if draw(st.integers(0, 3)) == 0:
+            entries[key] = draw(POLYNOMIAL)
+    return geo.from_christoffel(coords, entries, excluded=[ex.coord(0)]), rational
+
+
+class TestKernelsMatchTheDenseLoops:
+    """Curvature, Ricci, the covariant derivative, the Hessian and the symmetry test give the
+    dense loops' trees and verdicts on non-homogeneous charts, exp/log ones too."""
+
+    @given(mixed_charts(), st.sampled_from(FUNCTIONS))
+    @settings(max_examples=30, deadline=None)
+    def test_random_mixed_charts(self, drawn, f_text):
+        m, rational = drawn
+        curvature = geo.curvature(m)
+        assert curvature == dense_curvature(m)
+        f = ex.parse_scalar(f_text, m.coords)
+        assert geo.hessian(m, f) == dense_hessian(m, f)
+        rho = m.ricci_parts.full
+        raw = dense_covariant_derivative(m, rho)
+        assert geo.covariant_derivative(m, rho) == raw
+        nabla = geo.nabla_ricci(m)
+        assert nabla == geo.tensor_map(ex.simplify_rational, raw)
+        if not rational:
+            return
+        # the trace of the curvature is rho, exactly
+        for j, k in itertools.product(range(m.dim), repeat=2):
+            traced = ex.add(*[curvature.comp(i, j, k, i) for i in range(m.dim)])
+            assert ex.is_identically_zero(traced - rho.comp(j, k)) is Verdict.ZERO
+        for t in (rho, m.ricci_parts.sym, nabla):
+            assert geo.is_totally_symmetric(t) is symmetry_by_loops(t)
