@@ -16,8 +16,9 @@ import re
 import sys
 from fractions import Fraction
 
-# let argparse accept values like '-3/5' or '-1/2,0.5' after value-taking flags
-_NEGATIVE_TOKEN = re.compile(r"^-(\d+/\d+|\d*\.?\d+)(,[-+]?(\d+/\d+|\d*\.?\d+))*$")
+# let argparse read every single-dash token that is not a declared option, such as
+# '-3/5', '-1/2,0' or '-x1*x2', as a value; '-h' is declared, '--bogus' stays an error
+_VALUE_TOKEN = re.compile(r"^-[^-]")
 
 from . import __version__
 from . import catalog as cat
@@ -336,12 +337,12 @@ def build_parser() -> argparse.ArgumentParser:
         prog="affineqe",
         description="Affine connections: curvature, eigen-solution spaces, "
                     "projective flatness, cotangent extensions.")
-    parser._negative_number_matcher = _NEGATIVE_TOKEN
+    parser._negative_number_matcher = _VALUE_TOKEN
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p, manifold=True,
                seed_help="not read by this command; sampled zero-tests use a fixed seed"):
-        p._negative_number_matcher = _NEGATIVE_TOKEN
+        p._negative_number_matcher = _VALUE_TOKEN
         if manifold:
             p.add_argument("manifold", help="manifold document (JSON)")
         p.add_argument("--json", help="write the JSON report here")

@@ -30,6 +30,7 @@ import random
 from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Callable, Sequence
 
 from .poly import Poly, RationalFunc
@@ -807,6 +808,15 @@ def _sample_verdict(e: ScalarExpr, rng: random.Random) -> Verdict:
     raise DomainError("expression could not be sampled anywhere")
 
 
+@lru_cache(maxsize=64)  # keyed by the tree: equal trees share one verdict, and errors recur
+def _exp_log_verdict(e: ScalarExpr) -> Verdict:
+    verdict = _sample_verdict(e, random.Random(0x5EED))
+    # a sampled nonzero can be rounding; a zero polynomial in a tower is a zero function
+    if verdict is Verdict.NONZERO and to_ratfunc(e, tower=Tower(max_coord_index(e) + 1)).is_zero:
+        return Verdict.ZERO
+    return verdict
+
+
 # coordinate count -> the cross-check point: the seed's first draws, so each point
 # is a prefix of the longer ones and one value memo serves any coordinate count
 _CHECK_POINTS: dict = {}
@@ -816,16 +826,14 @@ def is_identically_zero(e: ScalarExpr, memos: tuple | None = None) -> Verdict:
     """The one judge of zero, on raw trees: a constant is judged by its value; another
     rational-only tree is put into exact form here and a random rational point
     cross-checks a zero claim; an exp/log tree is sampled, and a sampled nonzero is
-    confirmed in a `Tower`.  Draws come from a fixed seed, so the tree fixes the verdict.
+    confirmed in a `Tower`.  Draws come from a fixed seed, so the tree fixes the verdict,
+    and a sampled verdict is computed once per distinct tree and kept in a bounded
+    per-process cache, which changes no verdict (an error is raised again each time).
     `memos`, a (to_ratfunc, evaluate) pair of dicts, serves trees kept alive together."""
     if isinstance(e, Const):
         return Verdict.NONZERO if e.value else Verdict.ZERO
     if not _rational_only(e):
-        verdict = _sample_verdict(e, random.Random(0x5EED))
-        # a sampled nonzero can be rounding; a zero polynomial in a tower is a zero function
-        if verdict is Verdict.NONZERO and to_ratfunc(e, tower=Tower(max_coord_index(e) + 1)).is_zero:
-            return Verdict.ZERO
-        return verdict
+        return _exp_log_verdict(e)
     ratfunc_memo, value_memo = memos or (None, None)
     if to_ratfunc(e, ratfunc_memo).is_zero:
         nvars = max_coord_index(e) + 1

@@ -334,6 +334,30 @@ def test_negative_basepoint_is_a_value(wall_path, capsys, command, basepoint, li
     assert line in capsys.readouterr().out.splitlines()
 
 
+@pytest.mark.parametrize("command, flag, value", [
+    ("extend", "--f", "-x1"), ("deform", "--potential", "-x1*x2"), ("deform", "--omega", "-x2,x1")])
+def test_expression_with_a_leading_minus_is_a_value(command, flag, value, exp3d_path, tmp_path,
+                                                    capsys):
+    # '--f -x1' used to read '-x1' as an unknown option: "expected one argument"
+    flat2 = tmp_path / "flat2.json"
+    flat2.write_text('{"dim": 2}')
+    path = exp3d_path if command == "extend" else str(flat2)
+    assert main([command, path, flag, value]) == 0
+    spaced = capsys.readouterr().out
+    assert main([command, path, f"{flag}={value}"]) == 0
+    assert capsys.readouterr().out == spaced
+
+
+@pytest.mark.parametrize("args, code", [
+    (["-h"], 0), (["--bogus"], 2), (["-x"], 2), (["--mu", "-1", "-x"], 2)])
+def test_options_stay_options(args, code, wall_path, capsys):
+    # a single-dash token is a value only where it is not a declared option
+    with pytest.raises(SystemExit) as stop:
+        main(["qe-dim", wall_path, *args])
+    assert stop.value.code == code
+    assert ("usage:" in capsys.readouterr().out) == (code == 0)
+
+
 def test_flatten_wall_chart(wall_path, tmp_path, capsys):
     out = tmp_path / "flat.json"
     code = main(["flatten", wall_path, "--basepoint", "1,0", "--geodesics", "3",

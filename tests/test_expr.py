@@ -255,6 +255,7 @@ class TestZeroTest:
 
     def test_positive_orthant_retry(self, monkeypatch):
         # x1 > 2 lies outside the first sampling box [-2, 2]
+        expr._exp_log_verdict.cache_clear()
         orthants = []
         draw = expr.random_float_point
 
@@ -287,6 +288,7 @@ class TestZeroTest:
 
     def test_each_sampled_tree_compiles_once(self, monkeypatch):
         # one float callable of the top-level terms serves every sample point
+        expr._exp_log_verdict.cache_clear()
         compiled, walked = [], []
         compile_float, walk = expr.compile_float, expr.evaluate
         monkeypatch.setattr(expr, "compile_float", lambda e: compiled.append(e) or compile_float(e))
@@ -297,6 +299,22 @@ class TestZeroTest:
         assert verdicts == [Verdict.NUMERIC_ONLY] + [Verdict.NONZERO] * 3
         assert compiled == [e.terms if isinstance(e, Add) else (e,) for e in trees]
         assert walked == []
+        # a tree judged before, or a copy of one, is not compiled or sampled again
+        assert [is_identically_zero(copy.deepcopy(e)) for e in trees + trees] == verdicts * 2
+        assert len(compiled) == len(trees) and walked == []
+
+    def test_equal_sampled_trees_are_sampled_once(self, monkeypatch):
+        expr._exp_log_verdict.cache_clear()
+        sampled = []
+        sample = expr._sample_verdict
+        monkeypatch.setattr(expr, "_sample_verdict",
+                            lambda e, rng: sampled.append(e) or sample(e, rng))
+        texts = ("exp(x1)*exp(-x1) - 1", "log(x1) + log(x2) - log(x1*x2)",
+                 "exp(x1)*exp(-x1) - 1")
+        for _ in range(2):  # two tensors with equal components, each parsed anew
+            field = geometry.TensorField(tuple(parse_scalar(text, XY) for text in texts))
+            assert geometry.tensor_zero_verdict(field) is Verdict.NUMERIC_ONLY
+        assert sampled == [parse_scalar(text, XY) for text in texts[:2]]
 
     def test_identically_zero_denominator(self):
         e = parse_scalar("1/(x1 - x1)", XY)
@@ -753,6 +771,35 @@ def test_zero_test_judges_as_before(parts):
         got = judged(geometry.tensor_zero_verdict, geometry.TensorField(tuple(components)))
     assert got == want
     assert calls == components[:stop]
+
+
+# exp/log trees that no point samples: a pole everywhere, a log of a negative everywhere
+unsampled = st.one_of(
+    st.tuples(judged_rational, undefined).map(lambda au: expr.exp(au[0] / 8) * au[1]),
+    judged_rational.map(lambda a: expr.log(-(a * a) - 1)),
+)
+
+
+@given(st.lists(judged_exprs | unsampled, min_size=1, max_size=3))
+@settings(max_examples=60, deadline=None)
+def test_memoized_judge_judges_as_before(parts):
+    # each tree judged twice as itself and once as an equal but distinct copy
+    trees = parts + parts + [copy.deepcopy(e) for e in parts]
+    want = [judged(reference_zero_test, e) for e in trees]
+    expected_samples, cached = 0, set()
+    for e, verdict in zip(trees, want):
+        if not e.rational_only and e not in cached:
+            expected_samples += 1  # an error is not kept, so a raising tree samples again
+            if isinstance(verdict, Verdict):
+                cached.add(e)
+    expr._exp_log_verdict.cache_clear()
+    sampled = []
+    sample = expr._sample_verdict
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(expr, "_sample_verdict",
+                      lambda e, rng: sampled.append(e) or sample(e, rng))
+        assert [judged(is_identically_zero, e) for e in trees] == want
+    assert len(sampled) == expected_samples
 
 
 def test_a_canonical_form_that_disagrees_with_its_cross_check_raises(monkeypatch):
